@@ -31,8 +31,8 @@ from .equilibrium import (
     verify_gap_decomposition,
 )
 from .config import Settings, build_settings, load_config, parse_config
-from .measures import WeightedMeasure, cost_u, cost_u_unreg, oos_mse, second_moment
-from .network import DataPoint, Theta, TruncationSpec, grad_sigma, predict, sigma, sigma_many
+from .measures import WeightedMeasure, cost_u, cost_u_unreg, oos_mse, predict, second_moment
+from .network import forward
 from .offline import OfflineFitConfig, batch_loss, batch_loss_grad, compare_oos, fit_offline
 from .onpgd import OnpgdConfig, ParticleEnsemble, init_ensemble, run_online, step
 from .regret import RegretBundle, RegretSeries, cumulative_regret, instantaneous_regret, regret_run

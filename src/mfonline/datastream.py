@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import sigma_many
+from .network import forward
 from .seeding import substream
 
 
@@ -173,7 +173,8 @@ class NonlinearTruthModel:
 
     def evaluate(self, k_idx: int, x) -> float:
         """Truth value at grid index k_idx (0-based) and covariate x."""
-        return float(self.scale * sigma_many(x, self.phi[k_idx]).sum())
+        vals, _ = forward(self.phi[k_idx], x)
+        return float(self.scale * vals.sum())
 
     def evaluate_path(self, xs: np.ndarray) -> np.ndarray:
         """Truth values along a covariate path xs of shape (K, n)."""

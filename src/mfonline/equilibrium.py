@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .measures import WeightedMeasure
-from .network import sigma_many
+from .network import forward, unpack
 
 
 class LowEssWarning(RuntimeWarning):
@@ -74,6 +74,11 @@ def draw_prior_samples(n: int, dim: int, prior_var: float, rng) -> np.ndarray:
     return np.sqrt(prior_var) * rng.standard_normal((n, dim))
 
 
+def _tanh_1d(x, thetas):
+    """Single-parameter neuron tanh(x * theta) at a scalar covariate x."""
+    return np.tanh(float(np.asarray(x).reshape(())) * thetas)
+
+
 def default_sigma_fn(x, samples) -> np.ndarray:
     """Neuron values for samples (n, d): full tanh network when d >= 3,
     the single-parameter neuron tanh(theta * x) when d == 1."""
@@ -81,18 +86,10 @@ def default_sigma_fn(x, samples) -> np.ndarray:
     if samples.ndim != 2:
         raise ValueError("samples must be (n, d)")
     if samples.shape[1] == 1:
-        x = np.asarray(x, dtype=float).reshape(())
-        return np.tanh(float(x) * samples[:, 0])
+        return _tanh_1d(x, samples[:, 0])
     if samples.shape[1] >= 3:
-        return sigma_many(x, samples)
+        return forward(samples, np.atleast_1d(x))[0]
     raise ValueError("d == 2 has no default neuron; pass sigma_fn explicitly")
-
-
-def _xy(z):
-    if hasattr(z, "x") and hasattr(z, "y"):
-        return z.x, float(z.y)
-    x, y = z
-    return x, float(y)
 
 
 def importance_weights(exponents, ess_warn=None) -> np.ndarray:
@@ -117,7 +114,7 @@ def _phi_from_vals(m, svals, y, beta, ess_warn=None):
 
 def phi_hat(m, samples, z, beta, sigma_fn=None, ess_warn=10.0) -> float:
     """Sample fixed-point map: reweighted mean prediction at tilt level m."""
-    x, y = _xy(z)
+    x, y = unpack(z)
     svals = (sigma_fn or default_sigma_fn)(x, samples)
     val, _ = _phi_from_vals(float(m), svals, y, beta, ess_warn)
     return val
@@ -156,25 +153,21 @@ def _bisect_fixed_point(phi, lo, hi, root_tol, max_expansions, max_iters=300):
     raise ConvergenceError(f"bisection stalled: interval [{lo}, {hi}]")
 
 
-def solve_mu_star(samples, z, beta, config: IsSolverConfig, sigma_fn=None, phi_sign=1.0):
+def solve_mu_star(samples, z, beta, config: IsSolverConfig, sigma_fn=None):
     """Instantaneous equilibrium from prior samples at one data point.
 
     Returns (m_star, measure): the fixed-point prediction and the weighted
     sample measure at that tilt.  Post: the measure's reweighted mean
     prediction reproduces m_star within config.root_tol.
-
-    phi_sign is a negative-control hook: -1.0 flips the sign of the
-    fixed-point map, which any downstream cross-validation must catch.
     """
-    x, y = _xy(z)
+    x, y = unpack(z)
     samples = np.asarray(samples, dtype=float)
     svals = (sigma_fn or default_sigma_fn)(x, samples)
     lo = float(svals.min()) - 1.0
     hi = float(svals.max()) + 1.0
 
     def phi(m):
-        val, _ = _phi_from_vals(m, svals, y, beta, None)
-        return phi_sign * val
+        return _phi_from_vals(m, svals, y, beta)[0]
 
     m_star = _bisect_fixed_point(phi, lo, hi, config.root_tol, config.max_bracket_expansions)
     _, w = _phi_from_vals(m_star, svals, y, beta, config.ess_warn)
@@ -297,9 +290,9 @@ class QuadratureGrid:
 
 def _log_tilted_density(grid, z, beta, lam, m):
     """Unnormalized log density -lam th^2 / (2 beta) - (2/beta)(m - y) s(th)."""
-    x, y = _xy(z)
+    x, y = unpack(z)
     th = grid.thetas
-    s = np.tanh(float(np.asarray(x).reshape(())) * th)
+    s = _tanh_1d(x, th)
     return -lam * th**2 / (2.0 * beta) - (2.0 / beta) * (m - y) * s, s
 
 
@@ -316,7 +309,7 @@ def solve_mu_star_quadrature(z, beta, lam, grid: QuadratureGrid, root_tol=1e-10)
         q = np.exp(logq - logq.max())
         return grid.integrate(s * q) / grid.integrate(q)
 
-    s_end = np.tanh(float(np.asarray(_xy(z)[0]).reshape(())) * grid.thetas)
+    s_end = _tanh_1d(unpack(z)[0], grid.thetas)
     lo = float(s_end.min()) - 1.0
     hi = float(s_end.max()) + 1.0
     m_star = _bisect_fixed_point(phi, lo, hi, root_tol, max_expansions=60)
@@ -338,14 +331,14 @@ def quadrature_free_energy(density, z, beta, lam, grid: QuadratureGrid) -> float
     1e-8; the entropy integrand uses 0 log 0 = 0.
     """
     density = np.asarray(density, dtype=float)
-    x, y = _xy(z)
+    x, y = unpack(z)
     if np.any(density < -1e-12):
         raise ValueError("density must be nonnegative")
     total = grid.integrate(density)
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"density not normalized: integral {total!r}")
     th = grid.thetas
-    s = np.tanh(float(np.asarray(x).reshape(())) * th)
+    s = _tanh_1d(x, th)
     m = grid.integrate(s * density)
     moment = grid.integrate(th**2 * density)
     pos = density > 0
@@ -379,8 +372,8 @@ def verify_gap_decomposition(density, z, beta, lam, grid: QuadratureGrid) -> Gap
     f_mu = quadrature_free_energy(mu_density, z, beta, lam, grid)
     lhs = f_rho - f_mu
 
-    x, y = _xy(z)
-    s = np.tanh(float(np.asarray(x).reshape(())) * grid.thetas)
+    x, y = unpack(z)
+    s = _tanh_1d(x, grid.thetas)
     m_rho = grid.integrate(s * density)
 
     logq, _ = _log_tilted_density(grid, z, beta, lam, m_star)
@@ -405,9 +398,9 @@ def verify_dym_formula(z, beta, lam, grid: QuadratureGrid, fd_step=1e-4) -> DyRe
     The variance is computed under the quadrature equilibrium at z; the
     derivative is compared against a central difference in y.
     """
-    x, y = _xy(z)
+    x, y = unpack(z)
     m_star, density = solve_mu_star_quadrature(z, beta, lam, grid, root_tol=1e-12)
-    s = np.tanh(float(np.asarray(x).reshape(())) * grid.thetas)
+    s = _tanh_1d(x, grid.thetas)
     var = grid.integrate(s**2 * density) - m_star**2
     analytic = 2.0 * var / (beta + 2.0 * var)
 
@@ -415,17 +408,3 @@ def verify_dym_formula(z, beta, lam, grid: QuadratureGrid, fd_step=1e-4) -> DyRe
     m_minus, _ = solve_mu_star_quadrature((x, y - fd_step), beta, lam, grid, root_tol=1e-12)
     fd = (m_plus - m_minus) / (2.0 * fd_step)
     return DyReport(analytic=analytic, finite_diff=fd, abs_diff=abs(analytic - fd))
-
-
-def measure_to_csv(measure, path):
-    """Write a weighted sample measure as sample_id, theta_0.., weight rows."""
-    import csv
-
-    samples = np.asarray(measure.samples, dtype=float)
-    weights = np.asarray(measure.weights, dtype=float)
-    cols = ["sample_id"] + [f"theta_{j}" for j in range(samples.shape[1])] + ["weight"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for i in range(samples.shape[0]):
-            w.writerow([i] + [repr(float(v)) for v in samples[i]] + [repr(float(weights[i]))])

@@ -24,6 +24,7 @@ from .equilibrium import (
     ConvergenceError,
     IsSolverConfig,
     QuadratureGrid,
+    default_sigma_fn,
     draw_prior_samples,
     solve_mu_star,
     solve_mu_star_quadrature,
@@ -36,7 +37,6 @@ from .regret import regret_run, regret_to_csv
 from .seeding import substream
 from .stats import DegenerateDataError, paired_tests, summarize
 from .theory import BoundSpec, compute_constants
-from .config import OUT_ENV_VAR  # re-export for the CLI
 
 
 def scenario_config(settings: Settings):
@@ -287,7 +287,7 @@ HAND_CASES = [
 def run_verify(settings: Settings, inject_bug=False) -> dict:
     """Numerical identity and cross-validation suite; ok=False on any miss.
 
-    inject_bug negates the neuron values fed to the sampling solver, a
+    inject_bug halves the neuron values fed to the sampling solver, a
     negative control that must make the cross-validation fail loudly.
     """
     beta, lam = settings.beta, settings.lam
@@ -321,10 +321,12 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
     checks.append({"name": "dym_formula", "worst_abs_diff": worst_dym, "tol": 1e-4,
                    "ok": worst_dym <= 1e-4})
 
-    # sampling solver against the quadrature oracle; the injected bug flips
-    # the sign of the sample fixed-point map, and the corruption must show
-    # up here either as a wrong value or as a solver failure
-    phi_sign = -1.0 if inject_bug else 1.0
+    # sampling solver against the quadrature oracle; the injected bug halves
+    # the neurons, and the corruption must show up here either as a wrong
+    # value or as a solver failure.  Negated neurons would pass unseen: the
+    # prior is symmetric and tanh is odd, so -sigma has the law of sigma
+    # under the prior and the same fixed point.
+    sigma_fn = (lambda x, s: 0.5 * default_sigma_fn(x, s)) if inject_bug else None
     worst_cross = 0.0
     for i in range(20):
         srng = substream(settings.seed, "verify-cross", i)
@@ -334,7 +336,7 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
         samples = draw_prior_samples(200000, 1, beta / lam, srng)
         cfg = IsSolverConfig(prior_var=beta / lam, n_is=200000, root_tol=settings.root_tol)
         try:
-            m_is, _ = solve_mu_star(samples, (x, y), beta, cfg, phi_sign=phi_sign)
+            m_is, _ = solve_mu_star(samples, (x, y), beta, cfg, sigma_fn=sigma_fn)
             worst_cross = max(worst_cross, abs(m_is - m_quad))
         except (BracketError, ConvergenceError):
             worst_cross = float("inf")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import predict
+from .network import forward, unpack
 
 
 @dataclass
@@ -52,11 +52,13 @@ def _samples_weights(measure):
     return thetas, None
 
 
-def _xy(z):
-    if hasattr(z, "x") and hasattr(z, "y"):
-        return np.atleast_1d(np.asarray(z.x, dtype=float)), float(z.y)
-    x, y = z
-    return np.atleast_1d(np.asarray(x, dtype=float)), float(y)
+def predict(measure, x) -> float:
+    """Network prediction m = <rho, sigma(x, .)> under an ensemble or measure."""
+    thetas, weights = _samples_weights(measure)
+    vals, _ = forward(thetas, x)
+    if weights is None:
+        return float(vals.mean())
+    return float(vals @ weights)
 
 
 def second_moment(measure) -> float:
@@ -70,39 +72,21 @@ def second_moment(measure) -> float:
 
 def cost_u(measure, z, lam: float) -> float:
     """Regularized instantaneous cost U(rho, z); see module docstring."""
-    x, y = _xy(z)
+    x, y = unpack(z)
     m = predict(measure, x)
     return m * m - 2.0 * y * m + 0.5 * lam * second_moment(measure)
 
 
 def cost_u_unreg(measure, z) -> float:
     """Cost without the L2 penalty: m^2 - 2 y m."""
-    x, y = _xy(z)
+    x, y = unpack(z)
     m = predict(measure, x)
     return m * m - 2.0 * y * m
 
 
-def oos_mse(predictions_or_snapshots, test) -> float:
-    """Mean squared prediction error over a test trajectory.
-
-    First argument is either a length-K array of per-step predictions
-    (recorded during an online run) or a list of (k, thetas) snapshots that
-    must cover every step 1..K; a coverage gap is an input error.
-    """
-    K = test.n_steps
-    arr = predictions_or_snapshots
-    if isinstance(arr, np.ndarray) or (
-        isinstance(arr, (list, tuple)) and arr and np.isscalar(arr[0])
-    ):
-        preds = np.asarray(arr, dtype=float)
-        if preds.shape != (K,):
-            raise ValueError(f"need {K} predictions, got shape {preds.shape}")
-    else:
-        by_k = {int(k): thetas for k, thetas in arr}
-        missing = [k for k in range(1, K + 1) if k not in by_k]
-        if missing:
-            raise ValueError(
-                f"snapshots must cover every test step; first gap at k={missing[0]}"
-            )
-        preds = np.array([predict(by_k[k], test.x[k - 1]) for k in range(1, K + 1)])
+def oos_mse(predictions, test) -> float:
+    """Mean squared error of per-step predictions (length K) on a test trajectory."""
+    preds = np.asarray(predictions, dtype=float)
+    if preds.shape != (test.n_steps,):
+        raise ValueError(f"need {test.n_steps} predictions, got shape {preds.shape}")
     return float(np.mean((preds - test.y) ** 2))

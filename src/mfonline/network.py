@@ -1,136 +1,30 @@
-"""Two-layer tanh neurons and mean-field network predictions.
+"""The two-layer tanh neuron: the one neuron kernel of the package.
 
-A single neuron with parameter theta = (a, w, b) maps a covariate x to
-``a * tanh(w @ x + b)``.  The network is the average of N such neurons,
-equivalently the integral of the neuron against an empirical or weighted
-measure over parameter space.  Parameters are handled as flat vectors of
-length d = n + 2 in the order (a, w_1..w_n, b); the Theta dataclass is the
-structured view at the API edges.
+A neuron with parameter theta = (a, w, b) maps a covariate x to
+``a * tanh(w @ x + b)``.  Parameters are flat vectors of length d = n + 2
+in the order (a, w_1..w_n, b), stacked as rows of an (N, d) array.  The
+network is the average of its neurons under an ensemble or a weighted
+measure; ``measures.predict`` takes that average.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class Theta:
-    """Structured neuron parameter: amplitude a, inner weights w, bias b."""
+def forward(thetas, X):
+    """Neuron values and activations of an (N, d) parameter array.
 
-    a: float
-    w: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if self.w.ndim != 1:
-            raise ValueError("w must be a 1-d vector")
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and np.all(np.isfinite(self.w))):
-            raise ValueError("theta components must be finite")
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(([self.a], self.w, [self.b]))
-
-    @staticmethod
-    def unflatten(vec) -> "Theta":
-        vec = np.asarray(vec, dtype=float)
-        if vec.ndim != 1 or vec.size < 3:
-            raise ValueError("flat theta must be a vector of length >= 3")
-        return Theta(a=float(vec[0]), w=vec[1:-1].copy(), b=float(vec[-1]))
-
-
-@dataclass
-class DataPoint:
-    """One stream observation: covariate x (vector) and response y (scalar)."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        self.y = float(self.y)
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Smooth clamp spec: maps v to level * tanh(v / level) when enabled."""
-
-    enabled: bool = False
-    level: float = 1.0
-
-    def __post_init__(self):
-        if self.level <= 0:
-            raise ValueError("truncation level must be positive")
-
-    def apply(self, v):
-        if not self.enabled:
-            return v
-        return smooth_truncate(v, self.level)
-
-
-def smooth_truncate(v, level):
-    """level * tanh(v / level): identity near 0, saturates at +-level."""
-    return level * np.tanh(np.asarray(v, dtype=float) / level)
-
-
-def _flat(theta):
-    if isinstance(theta, Theta):
-        return theta.flatten()
-    return np.asarray(theta, dtype=float)
-
-
-def sigma(x, theta) -> float:
-    """Neuron output a * tanh(w @ x + b) for one parameter point."""
-    t = _flat(theta)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t.size != x.size + 2:
-        raise ValueError(f"theta has length {t.size}, expected {x.size + 2}")
-    u = float(t[1:-1] @ x + t[-1])
-    return float(t[0] * np.tanh(u))
-
-
-def grad_sigma(x, theta) -> np.ndarray:
-    """Gradient of sigma in theta, flat order (a, w, b).
-
-    With u = w @ x + b: d/da = tanh(u), d/dw = a sech^2(u) x,
-    d/db = a sech^2(u).
+    X is one covariate (n,) or a batch (K, n).  Returns (a * tanh(u),
+    tanh(u)) with u = X @ w.T + b, each of shape (N,) or (K, N).
     """
-    t = _flat(theta)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t.size != x.size + 2:
-        raise ValueError(f"theta has length {t.size}, expected {x.size + 2}")
-    u = float(t[1:-1] @ x + t[-1])
-    th = np.tanh(u)
-    sech2 = 1.0 - th * th
-    g = np.empty_like(t)
-    g[0] = th
-    g[1:-1] = t[0] * sech2 * x
-    g[-1] = t[0] * sech2
-    return g
-
-
-def sigma_many(x, thetas) -> np.ndarray:
-    """Neuron outputs for a whole (N, d) parameter array at one covariate."""
     thetas = np.asarray(thetas, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if thetas.ndim != 2 or thetas.shape[1] != x.size + 2:
+    X = np.asarray(X, dtype=float)
+    if thetas.ndim != 2 or X.ndim not in (1, 2) or thetas.shape[1] != X.shape[-1] + 2:
         raise ValueError("thetas must be (N, n+2) for covariate dimension n")
-    u = thetas[:, 1:-1] @ x + thetas[:, -1]
-    return thetas[:, 0] * np.tanh(u)
+    th = np.tanh(X @ thetas[:, 1:-1].T + thetas[:, -1])
+    return thetas[:, 0] * th, th
 
 
-def predict(measure, x, weights=None) -> float:
-    """Network prediction: mean of sigma(x, .) under an ensemble or measure.
-
-    ``measure`` is either an (N, d) parameter array (uniform weights unless
-    ``weights`` is given) or any object with .samples and .weights attributes.
-    """
-    if hasattr(measure, "samples") and hasattr(measure, "weights"):
-        thetas = np.asarray(measure.samples, dtype=float)
-        weights = np.asarray(measure.weights, dtype=float)
-    else:
-        thetas = np.asarray(measure, dtype=float)
-    vals = sigma_many(x, thetas)
-    if weights is None:
-        return float(vals.mean())
-    return float(vals @ np.asarray(weights, dtype=float))
+def unpack(z):
+    """A data point z = (x, y) as a covariate vector and a float response."""
+    x, y = z
+    return np.atleast_1d(np.asarray(x, dtype=float)), float(y)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import oos_mse
+from .network import forward
 from .onpgd import OnpgdConfig, run_online
 from .seeding import substream
 
@@ -47,18 +48,10 @@ class OfflineFitConfig:
         return float(np.sqrt(self.beta / self.lam))
 
 
-def _forward(thetas, xs):
-    """Per-point neuron values: S[k, i] = sigma(x_k, theta_i)."""
-    a = thetas[:, 0]
-    u = xs @ thetas[:, 1:-1].T + thetas[:, -1]
-    th = np.tanh(u)
-    return a * th, th
-
-
 def batch_loss(thetas, traj, lam: float) -> float:
     """The batch objective L; see module docstring."""
     thetas = np.asarray(thetas, dtype=float)
-    vals, _ = _forward(thetas, traj.x)
+    vals, _ = forward(thetas, traj.x)
     m = vals.mean(axis=1)
     n = thetas.shape[0]
     penalty = 0.5 * lam / n * float(np.sum(thetas**2))
@@ -71,7 +64,7 @@ def batch_loss_grad(thetas, traj, lam: float) -> np.ndarray:
     n, d = thetas.shape
     K = traj.n_steps
     a = thetas[:, 0]
-    vals, th = _forward(thetas, traj.x)  # (K, N)
+    vals, th = forward(thetas, traj.x)  # (K, N)
     r = vals.mean(axis=1) - traj.y  # (K,)
     sech2 = 1.0 - th * th
     c = 2.0 / (K * n)
@@ -142,9 +135,8 @@ def compare_oos(train, test, onpgd_config: OnpgdConfig, offline_config: OfflineF
     mse_online = oos_mse(result.extra_pred, test)
 
     thetas, trace = fit_offline(train, offline_config, substream(seed, "offline"))
-    vals, _ = _forward(thetas, test.x)
-    preds = vals.mean(axis=1)
-    mse_offline = float(np.mean((preds - test.y) ** 2))
+    vals, _ = forward(thetas, test.x)
+    mse_offline = oos_mse(vals.mean(axis=1), test)
     return OosComparison(
         mse_online=mse_online,
         mse_offline=mse_offline,

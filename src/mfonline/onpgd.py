@@ -16,12 +16,12 @@ the initial draw), and the update at step k consumes z_k.  Snapshots and
 recorded predictions follow the same predict-then-update indexing.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import predict
+from .measures import predict
+from .network import forward, unpack
 from .seeding import substream
 
 
@@ -90,12 +90,13 @@ def init_ensemble(config: OnpgdConfig, dim: int, rng_or_seed) -> ParticleEnsembl
     return ParticleEnsemble(thetas=thetas, steps_taken=0)
 
 
-def _advance(thetas, x, y, config, noise):
-    """One vectorized Euler update; returns (new thetas, mean prediction)."""
+def _advance(thetas, x, y, config, noise, step_index):
+    """One vectorized Euler update; returns (new thetas, mean prediction).
+
+    Raises BlowUpError naming step_index if the new state is not finite.
+    """
+    vals, th = forward(thetas, x)
     a = thetas[:, 0]
-    u = thetas[:, 1:-1] @ x + thetas[:, -1]
-    th = np.tanh(u)
-    vals = a * th
     mean = vals.mean()
     if config.self_interaction:
         err = (mean - y) * np.ones_like(vals)
@@ -114,23 +115,13 @@ def _advance(thetas, x, y, config, noise):
     new = thetas + drift * config.dt
     if noise is not None:
         new = new + np.sqrt(2.0 * config.beta * config.dt) * noise
-    return new, float(mean)
-
-
-def _check_finite(thetas, step_index):
-    if not np.all(np.isfinite(thetas)):
-        bad = np.argwhere(~np.isfinite(thetas))[0]
+    if not np.all(np.isfinite(new)):
+        bad = np.argwhere(~np.isfinite(new))[0]
         raise BlowUpError(
             f"non-finite particle state at step {step_index}, "
             f"particle {bad[0]}, coordinate {bad[1]}"
         )
-
-
-def _point(z):
-    if hasattr(z, "x") and hasattr(z, "y"):
-        return np.atleast_1d(np.asarray(z.x, dtype=float)), float(z.y)
-    x, y = z
-    return np.atleast_1d(np.asarray(x, dtype=float)), float(y)
+    return new, float(mean)
 
 
 def step(ensemble: ParticleEnsemble, z, config: OnpgdConfig, rng=None, noise=None) -> ParticleEnsemble:
@@ -139,22 +130,19 @@ def step(ensemble: ParticleEnsemble, z, config: OnpgdConfig, rng=None, noise=Non
     Noise is drawn from rng as a single (N, d) block unless supplied
     explicitly, which makes permutation and hand-step checks exact.
     """
-    x, y = _point(z)
+    x, y = unpack(z)
     thetas = ensemble.thetas
-    if noise is None:
-        if config.beta > 0:
-            if rng is None:
-                raise ValueError("rng required when beta > 0 and noise not supplied")
-            noise = rng.standard_normal(thetas.shape)
-        else:
-            noise = None
-    else:
+    if noise is not None:
         noise = np.asarray(noise, dtype=float)
         if noise.shape != thetas.shape:
             raise ValueError("noise must have shape (N, d)")
-    new, _ = _advance(thetas, x, y, config, noise)
-    _check_finite(new, ensemble.steps_taken + 1)
-    return ParticleEnsemble(thetas=new, steps_taken=ensemble.steps_taken + 1)
+    elif config.beta > 0:
+        if rng is None:
+            raise ValueError("rng required when beta > 0 and noise not supplied")
+        noise = rng.standard_normal(thetas.shape)
+    steps_taken = ensemble.steps_taken + 1
+    new, _ = _advance(thetas, x, y, config, noise, steps_taken)
+    return ParticleEnsemble(thetas=new, steps_taken=steps_taken)
 
 
 @dataclass
@@ -215,22 +203,9 @@ def run_online(traj, config: OnpgdConfig, seed, snapshot_every=None, predict_xs=
         if extra_pred is not None:
             extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
         noise = rng_noise.standard_normal(thetas.shape) if config.beta > 0 else None
-        thetas, mean = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config, noise)
-        train_pred[k - 1] = mean
-        _check_finite(thetas, k)
+        thetas, train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config, noise, k)
 
     final = ParticleEnsemble(thetas=thetas, steps_taken=K)
     return OnlineRunResult(
         snapshots=snapshots, train_pred=train_pred, extra_pred=extra_pred, final=final
     )
-
-
-def snapshots_to_csv(snapshots, x_dim: int, path):
-    """Write (k, thetas) snapshots as rows k, particle_id, a, w1..wn, b."""
-    cols = ["k", "particle_id", "a"] + [f"w{j + 1}" for j in range(x_dim)] + ["b"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for k, thetas in snapshots:
-            for i, row in enumerate(thetas):
-                w.writerow([k, i] + [repr(float(v)) for v in row])

@@ -13,7 +13,6 @@ from mfonline.equilibrium import (
     default_sigma_fn,
     draw_prior_samples,
     importance_weights,
-    measure_to_csv,
     phi_hat,
     quadrature_free_energy,
     solve_mu_star,
@@ -22,7 +21,6 @@ from mfonline.equilibrium import (
     verify_dym_formula,
     verify_gap_decomposition,
 )
-from mfonline.measures import WeightedMeasure
 from mfonline.seeding import substream
 
 GRID = QuadratureGrid(lo=-8.0, hi=8.0, n_points=2001)
@@ -264,15 +262,3 @@ def test_rho_star_damping_validation():
     traj = Trajectory(dt=0.1, x=np.ones((2, 1)), y=np.zeros(2))
     with pytest.raises(ValueError):
         solve_rho_star(traj, samples, beta=0.1, damping=0.0)
-
-
-def test_measure_to_csv_roundtrip(tmp_path):
-    rng = substream(6, "csv")
-    samples = rng.normal(size=(4, 2))
-    weights = importance_weights(rng.normal(size=4))
-    path = tmp_path / "measure.csv"
-    measure_to_csv(WeightedMeasure(samples=samples, weights=weights), path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (4, 4)
-    assert np.array_equal(rows[:, 1:3], samples)
-    assert np.array_equal(rows[:, 3], weights)

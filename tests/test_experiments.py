@@ -14,7 +14,7 @@ import pytest
 from mfonline import cli
 import mfonline.experiments as exp
 from mfonline.config import OUT_ENV_VAR, Settings
-from mfonline.equilibrium import BracketError, LowEssWarning
+from mfonline.equilibrium import BracketError
 from mfonline.experiments import (
     generate_pair,
     run_generate,
@@ -272,8 +272,7 @@ def test_cli_verify_exit_codes(capsys):
     assert cli.main(["verify", "--seed", "1"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True
-    with pytest.warns(LowEssWarning):
-        assert cli.main(["verify", "--seed", "1", "--inject-bug"]) == 2
+    assert cli.main(["verify", "--seed", "1", "--inject-bug"]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is False
     failed = {c["name"]: c["ok"] for c in rep["checks"]}

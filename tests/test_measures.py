@@ -9,7 +9,7 @@ from mfonline.measures import (
     oos_mse,
     second_moment,
 )
-from mfonline.network import sigma_many
+from mfonline.network import forward
 
 
 def test_weighted_measure_validation():
@@ -44,7 +44,7 @@ def test_cost_u_hand_value():
     thetas = np.array([[1.0, 0.5, 0.0], [2.0, -0.5, 0.2]])
     z = (np.array([0.7]), 0.3)
     lam = 0.1
-    m = sigma_many(z[0], thetas).mean()
+    m = forward(thetas, z[0])[0].mean()
     expected = m * m - 2 * 0.3 * m + 0.5 * lam * second_moment(thetas)
     assert abs(cost_u(thetas, z, lam) - expected) < 1e-14
     assert abs(cost_u_unreg(thetas, z) - (m * m - 2 * 0.3 * m)) < 1e-14
@@ -60,7 +60,7 @@ def test_cost_u_weighted_measure():
     w /= w.sum()
     m = WeightedMeasure(samples=thetas, weights=w)
     z = (rng.normal(size=1), 0.5)
-    mv = sigma_many(z[0], thetas) @ w
+    mv = forward(thetas, z[0])[0] @ w
     expected = mv * mv - 2 * 0.5 * mv + 0.5 * 0.2 * (np.sum(thetas**2, axis=1) @ w)
     assert abs(cost_u(m, z, 0.2) - expected) < 1e-13
 
@@ -75,20 +75,3 @@ def test_oos_mse_from_predictions():
     assert abs(oos_mse(preds, test) - np.mean(test.y**2)) < 1e-15
     with pytest.raises(ValueError):
         oos_mse(np.zeros(2), test)
-
-
-def test_oos_mse_from_snapshots():
-    test = _tiny_test_traj()
-    rng = np.random.default_rng(4)
-    snaps = [(k, rng.normal(size=(5, 3))) for k in (1, 2, 3)]
-    got = oos_mse(snaps, test)
-    manual = np.mean(
-        [
-            (sigma_many(test.x[k - 1], th).mean() - test.y[k - 1]) ** 2
-            for k, th in snaps
-        ]
-    )
-    assert abs(got - manual) < 1e-14
-
-    with pytest.raises(ValueError, match="gap"):
-        oos_mse([(1, snaps[0][1]), (3, snaps[2][1])], test)

@@ -1,23 +1,16 @@
 import numpy as np
 import pytest
 
-from mfonline.measures import WeightedMeasure
-from mfonline.network import (
-    Theta,
-    TruncationSpec,
-    grad_sigma,
-    predict,
-    sigma,
-    sigma_many,
-    smooth_truncate,
-)
+from mfonline.measures import WeightedMeasure, predict
+from mfonline.network import forward
+from neuron_oracle import grad_sigma, sigma
 
 # high-precision reference: 2 * tanh(0.5493061) computed with mpmath at 30 digits
 FROZEN_SIGMA = 0.999999933498916
 
 
 def test_sigma_frozen_oracle():
-    val = sigma(np.array([0.5493061]), Theta(a=2.0, w=[1.0], b=0.0))
+    val = sigma(np.array([0.5493061]), [2.0, 1.0, 0.0])
     assert abs(val - FROZEN_SIGMA) < 1e-12
 
 
@@ -29,24 +22,6 @@ def test_sigma_matches_direct_formula():
         t = rng.normal(size=n + 2)
         expected = t[0] * np.tanh(t[1:-1] @ x + t[-1])
         assert abs(sigma(x, t) - expected) < 1e-14
-
-
-def test_theta_flatten_roundtrip():
-    t = Theta(a=1.5, w=np.array([0.2, -0.7, 3.0]), b=-0.4)
-    flat = t.flatten()
-    assert flat.shape == (5,)
-    back = Theta.unflatten(flat)
-    assert back.a == t.a and back.b == t.b
-    assert np.array_equal(back.w, t.w)
-
-
-def test_theta_validation():
-    with pytest.raises(ValueError):
-        Theta(a=np.nan, w=[1.0], b=0.0)
-    with pytest.raises(ValueError):
-        Theta(a=1.0, w=[[1.0]], b=0.0)
-    with pytest.raises(ValueError):
-        Theta.unflatten([1.0, 2.0])
 
 
 def test_grad_sigma_finite_differences():
@@ -66,13 +41,22 @@ def test_grad_sigma_finite_differences():
             assert abs(g[j] - fd) < 1e-7
 
 
-def test_sigma_many_matches_scalar():
+def test_forward_matches_scalar():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=3)
     thetas = rng.normal(size=(17, 5))
-    vals = sigma_many(x, thetas)
+    X = rng.normal(size=(4, 3))
+    vals, th = forward(thetas, X[0])
+    assert vals.shape == th.shape == (17,)
     for i in range(17):
-        assert abs(vals[i] - sigma(x, thetas[i])) < 1e-14
+        assert abs(vals[i] - sigma(X[0], thetas[i])) < 1e-14
+        assert abs(th[i] - grad_sigma(X[0], thetas[i])[0]) < 1e-14
+
+    vals, th = forward(thetas, X)
+    assert vals.shape == th.shape == (4, 17)
+    for k in range(4):
+        for i in range(17):
+            assert abs(vals[k, i] - sigma(X[k], thetas[i])) < 1e-14
+            assert abs(th[k, i] - grad_sigma(X[k], thetas[i])[0]) < 1e-14
 
 
 def test_dimension_mismatch_rejected():
@@ -81,32 +65,23 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         grad_sigma([1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        sigma_many([1.0], np.ones((4, 5)))
+        forward(np.ones((4, 5)), [1.0])
+    with pytest.raises(ValueError):
+        forward(np.ones((4, 5)), np.ones((6, 2)))
+    with pytest.raises(ValueError):
+        forward(np.ones(5), np.ones(3))
+    with pytest.raises(ValueError):
+        forward(np.ones((4, 3)), 1.0)  # a covariate is a vector, not a scalar
 
 
 def test_predict_uniform_and_weighted():
     rng = np.random.default_rng(2)
     x = rng.normal(size=2)
     thetas = rng.normal(size=(6, 4))
-    vals = sigma_many(x, thetas)
+    vals, _ = forward(thetas, x)
     assert abs(predict(thetas, x) - vals.mean()) < 1e-15
 
     w = rng.random(6)
     w /= w.sum()
     measure = WeightedMeasure(samples=thetas, weights=w)
     assert abs(predict(measure, x) - vals @ w) < 1e-15
-
-
-def test_smooth_truncate_behavior():
-    # identity to first order near zero, hard ceiling at the level
-    assert abs(smooth_truncate(1e-8, 2.0) - 1e-8) < 1e-16
-    assert abs(smooth_truncate(1e6, 2.0)) <= 2.0
-    assert smooth_truncate(-1e6, 2.0) >= -2.0
-
-    spec = TruncationSpec(enabled=False, level=1.0)
-    v = np.array([0.5, 100.0])
-    assert np.array_equal(spec.apply(v), v)
-    on = TruncationSpec(enabled=True, level=1.0)
-    assert np.all(np.abs(on.apply(v)) <= 1.0)
-    with pytest.raises(ValueError):
-        TruncationSpec(enabled=True, level=0.0)

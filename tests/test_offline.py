@@ -11,7 +11,7 @@ from mfonline.offline import (
     fit_offline,
 )
 from mfonline.onpgd import OnpgdConfig, init_ensemble, run_online
-from mfonline.network import sigma_many
+from mfonline.network import forward
 from mfonline.seeding import substream
 
 
@@ -23,7 +23,7 @@ def _small_traj(seed=0, K=8, n=2):
 def test_batch_loss_hand_value():
     traj = _small_traj()
     thetas = substream(1, "th").standard_normal((3, 4))
-    preds = np.array([sigma_many(x, thetas).mean() for x in traj.x])
+    preds = np.array([forward(thetas, x)[0].mean() for x in traj.x])
     expected = np.mean((preds - traj.y) ** 2) + 0.5 * 0.2 / 3 * np.sum(thetas**2)
     assert abs(batch_loss(thetas, traj, 0.2) - expected) < 1e-13
 

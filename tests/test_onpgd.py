@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mfonline.datastream import PeriodicConfig, gen_periodic
-from mfonline.network import grad_sigma, sigma
 from mfonline.onpgd import (
     BlowUpError,
     OnpgdConfig,
@@ -13,6 +12,7 @@ from mfonline.onpgd import (
     step,
 )
 from mfonline.seeding import substream
+from neuron_oracle import grad_sigma, sigma
 
 
 def test_config_validation():
@@ -41,7 +41,7 @@ def test_init_ensemble():
 
 def test_hand_euler_step():
     # two particles, scalar covariate, explicit noise: replicate the update
-    # term by term with the scalar sigma/grad_sigma API
+    # term by term with the scalar sigma/grad_sigma oracle
     cfg = OnpgdConfig(n_particles=2, lam=0.3, beta=0.5, dt=0.02)
     thetas = np.array([[0.4, -0.2, 0.1], [1.0, 0.6, -0.5]])
     x, y = np.array([0.8]), 0.25
@@ -153,7 +153,7 @@ def test_run_online_pre_update_convention():
     init = init_ensemble(cfg, train.x_dim + 2, substream(7, "init"))
     assert np.array_equal(res.snapshots[0][1], init.thetas)
     # recorded predictions at step 1 come from that same pre-update state
-    from mfonline.network import predict
+    from mfonline.measures import predict
 
     assert abs(res.train_pred[0] - predict(init.thetas, train.x[0])) < 1e-15
     assert abs(res.extra_pred[0] - predict(init.thetas, test.x[0])) < 1e-15
