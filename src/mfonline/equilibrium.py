@@ -11,8 +11,8 @@ N(0, prior_var I_d):
 
 * the hindsight measure for a whole trajectory, reweighting by the
   time-averaged tilt exp(-(2/(beta T)) sum_k (u_k - y_k) sigma(x_k, theta) dt)
-  where u_k is the measure's own prediction at x_k; solved by damped
-  fixed-point iteration on the vector u.
+  where u_k is the measure's own prediction at x_k; solved by L-BFGS on
+  the convex merit H whose gradient is the fixed-point residual.
 
 A deterministic 1-d Simpson quadrature oracle solves the same equilibrium
 for single-parameter neurons sigma(x, theta) = tanh(theta x) and backs the
@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .measures import WeightedMeasure
@@ -177,7 +178,11 @@ def solve_mu_star(samples, z, beta, config: IsSolverConfig, sigma_fn=None):
 @dataclass
 class RhoStarSolution:
     """Hindsight measure: predictions u along the trajectory, the weighted
-    sample measure, and the fixed-point iteration diagnostics."""
+    sample measure, and the L-BFGS diagnostics on the convex merit H.
+
+    ``residual_trace`` holds max_k |U(u)_k - u_k| at u = 0 and at every
+    accepted iterate after it, so ``n_iters == len(residual_trace)`` and
+    ``residual == residual_trace[-1]``."""
 
     u: np.ndarray
     measure: object
@@ -186,67 +191,114 @@ class RhoStarSolution:
     residual_trace: list = field(default_factory=list)
 
 
-def solve_rho_star(traj, samples, beta, damping=0.5, tol=1e-6, max_iters=500,
+class _HindsightMerit:
+    """Merit H(u) - H(a) of the hindsight fixed point and its gradient u - U(u).
+
+    The anchor a is the start of the current L-BFGS run.  Near a the merit
+    is evaluated as (|u|^2 - |a|^2) / 2 + (beta K / 2) log1p(sum_i w_i(a)
+    expm1(d_i)), with d the change of the exponents from a, so that it
+    resolves the small decreases of the final steps; logsumexp of the whole
+    exponent rounds them away once residuals near 1e-9.  The last
+    evaluation is kept, because L-BFGS asks again at each accepted iterate.
+    """
+
+    def __init__(self, S, y, beta):
+        K = S.shape[0]
+        self.S = S
+        self.coef = -2.0 / (beta * K)
+        self.scale = 0.5 * beta * K
+        u = np.zeros(K)
+        expo = self.coef * ((u - y) @ S)
+        self._keep(u, 0.0, expo, float(logsumexp(expo)))
+        self.anchor_at(u)
+
+    def _keep(self, u, h, expo, lse):
+        """Record the evaluation at u: merit h, exponents, their logsumexp."""
+        self.u, self.h, self.expo, self.lse = u.copy(), h, expo, lse
+        self.grad = u - self.S @ np.exp(expo - lse)
+
+    def anchor_at(self, u):
+        """Measure the merit from u; H(u) becomes 0, its gradient is unchanged."""
+        self(u)
+        self.anchor = (self.u, self.expo, self.lse, np.exp(self.expo - self.lse))
+        self.h = 0.0
+
+    def __call__(self, u):
+        if not np.array_equal(u, self.u):
+            a, expo_a, lse_a, w_a = self.anchor
+            d = self.coef * ((u - a) @ self.S)
+            expo = expo_a + d
+            # near a, expm1 cannot overflow and log1p(s) is well conditioned
+            s = float(w_a @ np.expm1(d)) if d.max() < 1.0 else np.inf
+            if -0.5 < s < 1.0:
+                gain = float(np.log1p(s))
+            else:
+                gain = float(logsumexp(expo)) - lse_a
+            h = 0.5 * float((u - a) @ (u + a)) + self.scale * gain
+            self._keep(u, h, expo, lse_a + gain)
+        return self.h, self.grad.copy()
+
+    def residual(self, u):
+        """Fixed-point residual max_k |U(u)_k - u_k| = max_k |grad H(u)_k|."""
+        return float(np.max(np.abs(self(u)[1])))
+
+
+def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
                    sigma_fn=None, ess_warn=10.0) -> RhoStarSolution:
-    """Hindsight benchmark over a whole trajectory by damped fixed point.
+    """Hindsight benchmark over a whole trajectory by L-BFGS on the convex merit H.
 
     The tilt integral uses one rectangle of width dt per data point, and
     T = K dt, so the per-sample exponent is -(2 / (beta K)) sum_k
-    (u_k - y_k) sigma(x_k, theta_i).  Iterates
-    u <- (1 - delta) u + delta U(u) from u = 0 until the fixed-point
-    residual max_k |U(u)_k - u_k| falls below tol.
-
-    The step is u + delta (U(u) - u), which is gradient descent with step
-    delta on the strictly convex merit
+    (u_k - y_k) sigma(x_k, theta_i).  The fixed point u = U(u) of the
+    reweighted predictions is the minimizer of the strictly convex merit
         H(u) = |u|^2 / 2 + (beta K / 2) logsumexp_i(-(2/(beta K)) S_i (u - y)),
-    whose gradient is exactly u - U(u).  A fixed delta can cycle when the
-    tilt is strong (the map is not a contraction at small beta), so delta
-    starts at ``damping`` each iteration and backtracks until H decreases;
-    that keeps the iteration form and makes it globally convergent.
+    whose gradient is exactly u - U(u).  L-BFGS (scipy's L-BFGS-B without
+    bounds) runs from u = 0 until the fixed-point residual
+    max_k |U(u)_k - u_k| = max_k |grad H(u)_k| falls to tol; a flat merit
+    never stops it.  If a run stops above tol because its line search can
+    no longer tell merit values apart, a fresh run starts from the last
+    iterate with the merit measured from there (``_HindsightMerit``).
+    ``max_iters`` counts residual checks, the one at u = 0 and one per
+    accepted step, so at most max_iters - 1 steps are taken.  Raises
+    ConvergenceError, carrying the residual trace, when the residual is
+    still above tol.
     """
-    if not 0 < damping <= 1:
-        raise ValueError("damping must be in (0, 1]")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     samples = np.asarray(samples, dtype=float)
     K = traj.n_steps
     fn = sigma_fn or default_sigma_fn
-    S = np.empty((samples.shape[0], K))
+    S = np.empty((K, samples.shape[0]))
     for k in range(K):
-        S[:, k] = fn(traj.x[k], samples)
-    coef = -2.0 / (beta * K)
-    scale = 0.5 * beta * K
-
-    def merit_and_map(u):
-        expo = coef * (S @ (u - traj.y))
-        h = 0.5 * float(u @ u) + scale * float(logsumexp(expo))
-        w = np.exp(expo - logsumexp(expo))
-        return h, S.T @ w
+        S[k] = fn(traj.x[k], samples)
+    merit = _HindsightMerit(S, traj.y, beta)
 
     u = np.zeros(K)
-    h, u_map = merit_and_map(u)
-    trace = []
-    for it in range(1, max_iters + 1):
-        r = u_map - u  # = -grad H
-        residual = float(np.max(np.abs(r)))
-        trace.append(residual)
-        if residual <= tol:
-            w_final = importance_weights(coef * (S @ (u - traj.y)), ess_warn)
-            measure = WeightedMeasure(samples=samples, weights=w_final)
-            return RhoStarSolution(
-                u=u, measure=measure, residual=residual, n_iters=it, residual_trace=trace
-            )
-        gg = float(r @ r)
-        delta = damping
-        for _ in range(60):
-            h_new, map_new = merit_and_map(u + delta * r)
-            if h_new <= h - 1e-4 * delta * gg:
-                break
-            delta *= 0.5
-        u = u + delta * r
-        h, u_map = h_new, map_new
-    raise ConvergenceError(
-        f"hindsight fixed point: residual {trace[-1]:.3e} > tol {tol} "
-        f"after {max_iters} iterations",
-        residual_trace=trace,
+    trace = [merit.residual(u)]
+    message = "no step taken"
+    while trace[-1] > tol and len(trace) < max_iters:
+        merit.anchor_at(u)
+        res = minimize(
+            merit, u, jac=True, method="L-BFGS-B",
+            callback=lambda intermediate_result: trace.append(merit.residual(intermediate_result.x)),
+            options={"gtol": tol, "ftol": 0.0, "maxiter": max_iters - len(trace)},
+        )
+        message = res.message
+        if np.array_equal(res.x, u):
+            break
+        u = res.x
+    residual = merit.residual(u)
+    if residual > tol:
+        raise ConvergenceError(
+            f"hindsight L-BFGS: residual {residual:.3e} > tol {tol} "
+            f"after {len(trace)} residual checks ({message})",
+            residual_trace=trace,
+        )
+    measure = WeightedMeasure(samples=samples, weights=importance_weights(merit.expo, ess_warn))
+    return RhoStarSolution(
+        u=u, measure=measure, residual=residual, n_iters=len(trace), residual_trace=trace
     )
 
 

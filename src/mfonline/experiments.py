@@ -205,7 +205,12 @@ def _sweep_cells(settings: Settings):
 
 
 def run_regret_sweep(settings: Settings) -> dict:
-    """Regret series and out-of-sample MSE per (N, beta, lambda) cell."""
+    """Regret series and out-of-sample MSE per (N, beta, lambda) cell.
+
+    With include_static each cell also reports its hindsight solves as
+    ``rho_star``: the iteration count of each trial that succeeded, in
+    trial order, the largest final residual and the smallest final ESS.
+    """
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-sweep")
     cells = _sweep_cells(settings)
 
@@ -234,6 +239,9 @@ def run_regret_sweep(settings: Settings) -> dict:
             for (bench, variant), series in bundle.series.items():
                 out[f"cumulative_T_{bench}_{variant}"] = float(series.cumulative[-1])
                 out[f"final_instantaneous_{bench}_{variant}"] = float(series.instantaneous[-1])
+            if bundle.rho_star is not None:
+                sol = bundle.rho_star
+                out["rho_star"] = (sol.n_iters, sol.residual, sol.measure.ess())
             return out
         except Exception as e:  # keep the sweep complete; no silent gaps
             return {"trial": trial, "cell": cell["name"], "error": f"{type(e).__name__}: {e}"}
@@ -255,6 +263,10 @@ def run_regret_sweep(settings: Settings) -> dict:
                 if key.startswith("cumulative_T_") or key.startswith("final_instantaneous_"):
                     vals = [r[key] for r in good]
                     agg[key] = {"mean": float(np.mean(vals)), "sd": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0}
+            if settings.include_static:
+                iters, residuals, ess = zip(*(r["rho_star"] for r in good))
+                agg["rho_star"] = {"iters": list(iters), "max_residual": max(residuals),
+                                   "min_ess": min(ess)}
         cell_reports.append(agg)
 
     report = {

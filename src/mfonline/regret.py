@@ -136,7 +136,11 @@ def regret_run(train, onpgd_config, is_config: IsSolverConfig, eval_stride: int,
     if include_static:
         rng = substream(seed, "static-benchmark")
         samples = draw_prior_samples(is_config.n_is, dim, is_config.prior_var, rng)
-        static_solution = solve_rho_star(train, samples, beta, **(rho_star_kwargs or {}))
+        try:
+            static_solution = solve_rho_star(train, samples, beta, **(rho_star_kwargs or {}))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"hindsight solve failed: {exc}",
+                                   residual_trace=exc.residual_trace) from exc
 
     for j, k in enumerate(ks):
         z = (train.x[k - 1], train.y[k - 1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfonline.datastream import NonlinearConfig, Trajectory, gen_nonlinear
+from mfonline.datastream import NonlinearConfig, PeriodicConfig, Trajectory, gen_nonlinear, gen_periodic
 from mfonline.equilibrium import (
     BracketError,
     ConvergenceError,
@@ -22,6 +22,7 @@ from mfonline.equilibrium import (
     verify_gap_decomposition,
 )
 from mfonline.seeding import substream
+from rho_oracle import damped_rho_star
 
 GRID = QuadratureGrid(lo=-8.0, hi=8.0, n_points=2001)
 
@@ -256,9 +257,61 @@ def test_rho_star_convergence_error_carries_trace():
     assert len(exc.value.residual_trace) == 1
 
 
-def test_rho_star_damping_validation():
+def test_rho_star_max_iters_counts_residual_checks():
+    train, _ = gen_periodic(PeriodicConfig(n_steps=60), seed=3)
+    samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
+    for max_iters in (2, 5):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_rho_star(train, samples, beta=0.005, tol=1e-10, max_iters=max_iters)
+        assert len(exc.value.residual_trace) == max_iters
+
+
+def test_rho_star_argument_validation():
     rng = substream(4, "d")
     samples = draw_prior_samples(10, 1, 0.2, rng)
     traj = Trajectory(dt=0.1, x=np.ones((2, 1)), y=np.zeros(2))
-    with pytest.raises(ValueError):
-        solve_rho_star(traj, samples, beta=0.1, damping=0.0)
+
+    def never(x, samples):
+        raise AssertionError("the neuron matrix was built before validation")
+
+    for kwargs in ({"tol": 0.0}, {"tol": -1e-6}, {"max_iters": 0}, {"max_iters": -3}):
+        with pytest.raises(ValueError):
+            solve_rho_star(traj, samples, beta=0.1, sigma_fn=never, **kwargs)
+
+
+def assert_matches_oracle(traj, samples, beta):
+    sol = solve_rho_star(traj, samples, beta, tol=1e-10)
+    u_ref, _, halvings = damped_rho_star(traj, samples, beta, tol=1e-10, max_iters=2000)
+    assert np.max(np.abs(sol.u - u_ref)) <= 1e-8
+    assert sol.residual <= 1e-10
+    assert sol.n_iters == len(sol.residual_trace)
+    assert sol.residual_trace[-1] == sol.residual
+    return halvings
+
+
+def test_rho_star_matches_oracle_on_nonlinear_window():
+    train, _ = gen_nonlinear(NonlinearConfig(n_steps=60), seed=14)
+    samples = draw_prior_samples(2000, train.x_dim + 2, 0.2, substream(14, "s"))
+    assert_matches_oracle(train, samples, beta=0.02)
+
+
+@pytest.mark.parametrize("n_steps,seed", [(40, 3), (60, 14), (100, 3)])
+def test_rho_star_matches_oracle_where_fixed_step_backtracks(n_steps, seed):
+    # at beta = 0.005 the tilt is strong: the damped step 0.5 overshoots and
+    # the oracle halves it many times, while L-BFGS needs no fixed step.
+    # Near tol = 1e-10 the decrease of H per step is also below the rounding
+    # of H itself, so a line search on H alone can stall before tol.
+    train, _ = gen_periodic(PeriodicConfig(n_steps=n_steps), seed=seed)
+    samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(seed, "p"))
+    assert assert_matches_oracle(train, samples, beta=0.005) > 0
+
+
+def test_rho_star_reaches_tol_where_the_oracle_stalls():
+    # the damped oracle stalls short of 1e-10 on this window (its Armijo
+    # test cannot resolve H there), so the residual, which certifies the
+    # unique fixed point of the strictly convex merit, is the check
+    train, _ = gen_periodic(PeriodicConfig(n_steps=60), seed=3)
+    samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
+    sol = solve_rho_star(train, samples, beta=0.005, tol=1e-10)
+    assert sol.residual <= 1e-10
+    assert sol.n_iters == len(sol.residual_trace) <= 50

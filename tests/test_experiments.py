@@ -200,6 +200,38 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     assert len(b1) == 2 * 3 + 1  # regret.csv per (cell, trial) plus report.json
 
 
+def test_static_sweep_reports_rho_star_and_keeps_bytes_across_threads(tmp_path):
+    s1 = small_settings(tmp_path / "t1", include_static=True, sweep_beta=[0.02, 0.05], threads=1)
+    s2 = small_settings(tmp_path / "t2", include_static=True, sweep_beta=[0.02, 0.05], threads=2)
+    rep = run_regret_sweep(s1)
+    run_regret_sweep(s2)
+    b1 = tree_bytes(os.path.join(str(tmp_path / "t1"), "periodic-sweep"))
+    b2 = tree_bytes(os.path.join(str(tmp_path / "t2"), "periodic-sweep"))
+    assert b1 == b2
+    for cell in rep["cells"]:
+        assert cell["failures"] == []
+        assert "cumulative_T_static_regularized" in cell
+        rho = cell["rho_star"]
+        assert set(rho) == {"iters", "max_residual", "min_ess"}
+        assert len(rho["iters"]) == 2 and all(1 <= n <= 500 for n in rho["iters"])
+        assert 0 <= rho["max_residual"] <= 1e-6
+        assert 1 <= rho["min_ess"] <= s1.n_is
+
+
+def test_static_sweep_failure_names_the_hindsight_solve(tmp_path, monkeypatch):
+    real = exp.regret_run
+
+    def one_check(*args, **kw):
+        return real(*args, rho_star_kwargs={"max_iters": 1}, **kw)
+
+    monkeypatch.setattr(exp, "regret_run", one_check)
+    rep = run_regret_sweep(small_settings(tmp_path, include_static=True, trials=1))
+    (cell,) = rep["cells"]
+    (rec,) = cell["failures"]
+    assert rec["error"].startswith("ConvergenceError: hindsight solve failed")
+    assert "rho_star" not in cell
+
+
 # ---------------------------------------------------------------------------
 # command-line interface.
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 import mfonline.regret as regret_mod
 from mfonline.datastream import NonlinearConfig, gen_nonlinear
-from mfonline.equilibrium import BracketError, IsSolverConfig, importance_weights
+from mfonline.equilibrium import BracketError, ConvergenceError, IsSolverConfig, importance_weights
 from mfonline.measures import WeightedMeasure, cost_u, cost_u_unreg, second_moment
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import (
@@ -166,6 +166,15 @@ def test_regret_run_solver_failure_names_index(monkeypatch):
     with pytest.raises(BracketError, match="subgrid index 0"):
         regret_run(train, OnpgdConfig(n_particles=5),
                    IsSolverConfig(prior_var=0.2, n_is=500), 20, seed=1)
+
+
+def test_regret_run_static_failure_is_named():
+    train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=52)
+    with pytest.raises(ConvergenceError, match="hindsight solve failed") as exc:
+        regret_run(train, OnpgdConfig(n_particles=5),
+                   IsSolverConfig(prior_var=0.2, n_is=500), 20, seed=1,
+                   include_static=True, rho_star_kwargs={"max_iters": 1})
+    assert len(exc.value.residual_trace) == 1
 
 
 def test_regret_to_csv(tmp_path):
