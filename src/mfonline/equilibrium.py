@@ -20,7 +20,6 @@ closed-form identity checks: the free-energy gap decomposition and the
 equilibrium prediction's response derivative.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +28,6 @@ from scipy.special import logsumexp
 
 from .measures import WeightedMeasure
 from .network import forward, unpack
-
-
-class LowEssWarning(RuntimeWarning):
-    """Importance weights have effective sample size below the flag level."""
 
 
 class BracketError(RuntimeError):
@@ -58,15 +53,13 @@ class IsSolverConfig:
     prior_var: float
     n_is: int = 20000
     root_tol: float = 1e-10
-    max_bracket_expansions: int = 60
-    ess_warn: float = 10.0
 
     def __post_init__(self):
-        if self.prior_var <= 0:
+        if not self.prior_var > 0:
             raise ValueError("prior_var must be positive")
-        if self.n_is < 2:
+        if not self.n_is >= 2:
             raise ValueError("n_is must be >= 2")
-        if self.root_tol <= 0:
+        if not self.root_tol > 0:
             raise ValueError("root_tol must be positive")
 
 
@@ -93,31 +86,22 @@ def default_sigma_fn(x, samples) -> np.ndarray:
     raise ValueError("d == 2 has no default neuron; pass sigma_fn explicitly")
 
 
-def importance_weights(exponents, ess_warn=None) -> np.ndarray:
+def importance_weights(exponents) -> np.ndarray:
     """Normalized weights exp(exponents) / sum, max-shifted for stability."""
     exponents = np.asarray(exponents, dtype=float)
-    w = np.exp(exponents - logsumexp(exponents))
-    if ess_warn is not None:
-        ess = 1.0 / np.sum(w**2)
-        if ess < ess_warn:
-            warnings.warn(
-                f"importance weights degenerate: ESS {ess:.2f} < {ess_warn}",
-                LowEssWarning,
-                stacklevel=2,
-            )
-    return w
+    return np.exp(exponents - logsumexp(exponents))
 
 
-def _phi_from_vals(m, svals, y, beta, ess_warn=None):
-    w = importance_weights(-(2.0 / beta) * (m - y) * svals, ess_warn)
+def _phi_from_vals(m, svals, y, beta):
+    w = importance_weights(-(2.0 / beta) * (m - y) * svals)
     return float(w @ svals), w
 
 
-def phi_hat(m, samples, z, beta, sigma_fn=None, ess_warn=10.0) -> float:
+def phi_hat(m, samples, z, beta, sigma_fn=None) -> float:
     """Sample fixed-point map: reweighted mean prediction at tilt level m."""
     x, y = unpack(z)
     svals = (sigma_fn or default_sigma_fn)(x, samples)
-    val, _ = _phi_from_vals(float(m), svals, y, beta, ess_warn)
+    val, _ = _phi_from_vals(float(m), svals, y, beta)
     return val
 
 
@@ -170,8 +154,8 @@ def solve_mu_star(samples, z, beta, config: IsSolverConfig, sigma_fn=None):
     def phi(m):
         return _phi_from_vals(m, svals, y, beta)[0]
 
-    m_star = _bisect_fixed_point(phi, lo, hi, config.root_tol, config.max_bracket_expansions)
-    _, w = _phi_from_vals(m_star, svals, y, beta, config.ess_warn)
+    m_star = _bisect_fixed_point(phi, lo, hi, config.root_tol, max_expansions=60)
+    _, w = _phi_from_vals(m_star, svals, y, beta)
     return m_star, WeightedMeasure(samples=samples, weights=w)
 
 
@@ -244,7 +228,7 @@ class _HindsightMerit:
 
 
 def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
-                   sigma_fn=None, ess_warn=10.0) -> RhoStarSolution:
+                   sigma_fn=None) -> RhoStarSolution:
     """Hindsight benchmark over a whole trajectory by L-BFGS on the convex merit H.
 
     The tilt integral uses one rectangle of width dt per data point, and
@@ -296,7 +280,7 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
             f"after {len(trace)} residual checks ({message})",
             residual_trace=trace,
         )
-    measure = WeightedMeasure(samples=samples, weights=importance_weights(merit.expo, ess_warn))
+    measure = WeightedMeasure(samples=samples, weights=importance_weights(merit.expo))
     return RhoStarSolution(
         u=u, measure=measure, residual=residual, n_iters=len(trace), residual_trace=trace
     )

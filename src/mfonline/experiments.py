@@ -38,6 +38,10 @@ from .seeding import substream
 from .stats import DegenerateDataError, paired_tests, summarize
 from .theory import BoundSpec, compute_constants
 
+# An importance-sampling benchmark solve with effective sample size below
+# this is counted as low in the regret-sweep report.
+LOW_ESS = 10.0
+
 
 def scenario_config(settings: Settings):
     if settings.scenario == "periodic":
@@ -78,6 +82,8 @@ def _pool_map(fn, items, threads):
 
 
 def _summary_dict(values):
+    if len(values) == 1:
+        return {"values": [float(values[0])]}
     s = summarize(values)
     return {"n": s.n, "mean": s.mean, "sd": s.sd, "ci_low": s.ci_low, "ci_high": s.ci_high}
 
@@ -178,8 +184,8 @@ def run_oos_compare(settings: Settings) -> dict:
         "trials": settings.trials,
         "cell": cell,
         "panel_a": {
-            "online": _summary_dict(online) if len(online) > 1 else {"values": online},
-            "offline": _summary_dict(offline_vals) if len(offline_vals) > 1 else {"values": offline_vals},
+            "online": _summary_dict(online),
+            "offline": _summary_dict(offline_vals),
         },
         "panel_b": _paired_dict(online, offline_vals),
         "per_trial": rows,
@@ -194,22 +200,37 @@ def run_oos_compare(settings: Settings) -> dict:
 
 
 def _sweep_cells(settings: Settings):
+    """The (N, beta, lambda) grid with each cell's learner and solver
+    configs, built here so that a bad sweep value fails before any trial."""
     ns = settings.sweep_n or [settings.n_particles]
     betas = settings.sweep_beta or [settings.beta]
     lams = settings.sweep_lam or [settings.lam]
     cells = []
     for n, beta, lam in product(ns, betas, lams):
-        cells.append({"n": int(n), "beta": float(beta), "lam": float(lam),
-                      "name": f"N{int(n)}_beta{beta:g}_lambda{lam:g}"})
+        n, beta, lam = int(n), float(beta), float(lam)
+        cells.append({
+            "n": n, "beta": beta, "lam": lam, "name": f"N{n}_beta{beta:g}_lambda{lam:g}",
+            "onpgd": OnpgdConfig(
+                n_particles=n, lam=lam, beta=beta, dt=settings.dt,
+                self_interaction=settings.self_interaction, init_sd=settings.init_sd,
+            ),
+            "is": IsSolverConfig(prior_var=beta / lam, n_is=settings.n_is,
+                                 root_tol=settings.root_tol),
+        })
     return cells
 
 
 def run_regret_sweep(settings: Settings) -> dict:
     """Regret series and out-of-sample MSE per (N, beta, lambda) cell.
 
-    With include_static each cell also reports its hindsight solves as
-    ``rho_star``: the iteration count of each trial that succeeded, in
-    trial order, the largest final residual and the smallest final ESS.
+    Every cell with a successful trial reports its dynamic benchmark
+    solves as ``mu_star``: the smallest ESS over all evaluation points of
+    all successful trials, and how many of those points have ESS below
+    LOW_ESS.  With include_static each cell also reports its hindsight
+    solves as ``rho_star``: the iteration count of each trial that
+    succeeded, in trial order, the largest final residual, the smallest
+    final ESS and the number of trials whose final ESS is below LOW_ESS.
+    A sweep value that no config accepts raises before any trial runs.
     """
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-sweep")
     cells = _sweep_cells(settings)
@@ -218,24 +239,16 @@ def run_regret_sweep(settings: Settings) -> dict:
         cell, trial = task
         try:
             train, test = generate_pair(settings, trial)
-            onpgd = OnpgdConfig(
-                n_particles=cell["n"], lam=cell["lam"], beta=cell["beta"],
-                dt=settings.dt, self_interaction=settings.self_interaction,
-                init_sd=settings.init_sd,
-            )
-            is_cfg = IsSolverConfig(
-                prior_var=cell["beta"] / cell["lam"], n_is=settings.n_is,
-                root_tol=settings.root_tol,
-            )
             bundle = regret_run(
-                train, onpgd, is_cfg, settings.eval_stride,
+                train, cell["onpgd"], cell["is"], settings.eval_stride,
                 cell_seed(settings, cell["name"], trial),
                 include_static=settings.include_static, test=test,
             )
             tdir = _trial_dir(root, cell["name"], trial)
             regret_to_csv(bundle, os.path.join(tdir, "regret.csv"), trial=trial,
                           n_particles=cell["n"], beta=cell["beta"], lam=cell["lam"])
-            out = {"trial": trial, "cell": cell["name"], "oos_mse": bundle.mse}
+            out = {"trial": trial, "cell": cell["name"], "oos_mse": bundle.mse,
+                   "mu_star_ess": bundle.mu_star_ess}
             for (bench, variant), series in bundle.series.items():
                 out[f"cumulative_T_{bench}_{variant}"] = float(series.cumulative[-1])
                 out[f"final_instantaneous_{bench}_{variant}"] = float(series.instantaneous[-1])
@@ -257,16 +270,18 @@ def run_regret_sweep(settings: Settings) -> dict:
         agg = {"name": cell["name"], "n": cell["n"], "beta": cell["beta"],
                "lambda": cell["lam"], "trials": len(mine), "failures": failures}
         if good:
-            agg["oos_mse"] = _summary_dict([r["oos_mse"] for r in good]) if len(good) > 1 else {
-                "values": [r["oos_mse"] for r in good]}
+            agg["oos_mse"] = _summary_dict([r["oos_mse"] for r in good])
             for key in sorted(good[0]):
                 if key.startswith("cumulative_T_") or key.startswith("final_instantaneous_"):
                     vals = [r[key] for r in good]
                     agg[key] = {"mean": float(np.mean(vals)), "sd": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0}
+            mu_ess = [e for r in good for e in r["mu_star_ess"]]
+            agg["mu_star"] = {"min_ess": min(mu_ess),
+                              "low_ess": sum(e < LOW_ESS for e in mu_ess)}
             if settings.include_static:
                 iters, residuals, ess = zip(*(r["rho_star"] for r in good))
                 agg["rho_star"] = {"iters": list(iters), "max_residual": max(residuals),
-                                   "min_ess": min(ess)}
+                                   "min_ess": min(ess), "low_ess": sum(e < LOW_ESS for e in ess)}
         cell_reports.append(agg)
 
     report = {

@@ -35,9 +35,9 @@ class OfflineFitConfig:
     beta: float = 0.02  # only sets the init scale; no noise is injected
 
     def __post_init__(self):
-        if self.n_particles < 1 or self.iters < 1:
+        if not (self.n_particles >= 1 and self.iters >= 1):
             raise ValueError("need at least one particle and one iteration")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
 
     def initial_sd(self) -> float:

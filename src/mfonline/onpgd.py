@@ -39,13 +39,13 @@ class OnpgdConfig:
     init_sd: float | None = None  # default sqrt(beta / lam)
 
     def __post_init__(self):
-        if self.n_particles < 1:
+        if not self.n_particles >= 1:
             raise ValueError("need at least one particle")
         if not self.self_interaction and self.n_particles < 2:
             raise ValueError("leave-one-out mean needs at least two particles")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.beta < 0 or self.lam < 0:
+        if not (self.beta >= 0 and self.lam >= 0):
             raise ValueError("beta and lam must be nonnegative")
         if self.init_sd is None and self.lam == 0:
             raise ValueError("lam = 0 has no Gibbs prior; give init_sd explicitly")
@@ -161,21 +161,13 @@ class OnlineRunResult:
     final: ParticleEnsemble
 
 
-def snapshot_indices(n_steps: int, snapshot_every: int) -> list:
-    """Data indices {1, E, 2E, ...} plus the final step, deduplicated."""
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
-    ks = {1, n_steps}
-    ks.update(range(snapshot_every, n_steps + 1, snapshot_every))
-    return sorted(ks)
-
-
-def run_online(traj, config: OnpgdConfig, seed, snapshot_every=None, predict_xs=None) -> OnlineRunResult:
+def run_online(traj, config: OnpgdConfig, seed, snapshot_at=(), predict_xs=None) -> OnlineRunResult:
     """Train on a trajectory, recording predictions and optional snapshots.
 
     seed feeds two substreams ("init", "noise"); an explicit Generator is
-    also accepted and then serves both.  predict_xs, when given, must be a
-    (K, n) covariate array evaluated with the pre-update state each step.
+    also accepted and then serves both.  snapshot_at lists the data indices
+    (1..K) whose pre-update states are kept.  predict_xs, when given, must
+    be a (K, n) covariate array evaluated with the pre-update state each step.
     """
     K = traj.n_steps
     dim = traj.x_dim + 2
@@ -186,7 +178,7 @@ def run_online(traj, config: OnpgdConfig, seed, snapshot_every=None, predict_xs=
         rng_noise = substream(seed, "noise")
     ens = init_ensemble(config, dim, rng_init)
 
-    want = set(snapshot_indices(K, snapshot_every)) if snapshot_every else set()
+    want = set(snapshot_at)
     if predict_xs is not None:
         predict_xs = np.asarray(predict_xs, dtype=float)
         if predict_xs.shape != (K, traj.x_dim):

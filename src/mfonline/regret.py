@@ -88,13 +88,15 @@ def eval_indices(n_steps: int, stride: int) -> list:
 @dataclass
 class RegretBundle:
     """All regret series for one training run, keyed (benchmark, variant),
-    plus the out-of-sample MSE when a test trajectory was supplied."""
+    plus the out-of-sample MSE when a test trajectory was supplied.  The
+    dynamic benchmark's predictions and ESS follow eval_ks."""
 
     eval_ks: list
     series: dict
     mse: float | None = None
     rho_star: object = None
     mu_star_values: list = field(default_factory=list)
+    mu_star_ess: list = field(default_factory=list)
 
     def get(self, benchmark="dynamic", variant="regularized") -> RegretSeries:
         return self.series[(benchmark, variant)]
@@ -116,13 +118,10 @@ def regret_run(train, onpgd_config, is_config: IsSolverConfig, eval_stride: int,
         train,
         onpgd_config,
         substream(seed, "onpgd") if not isinstance(seed, np.random.Generator) else seed,
-        snapshot_every=eval_stride,
+        snapshot_at=ks,
         predict_xs=test.x if test is not None else None,
     )
     snaps = dict(result.snapshots)
-    missing = [k for k in ks if k not in snaps]
-    if missing:
-        raise RuntimeError(f"snapshot gap at evaluation indices {missing}")
 
     dim = train.x_dim + 2
     lam = onpgd_config.lam
@@ -130,7 +129,7 @@ def regret_run(train, onpgd_config, is_config: IsSolverConfig, eval_stride: int,
     times = train.dt * np.asarray(ks, dtype=float)
 
     inst = {(b, v): np.empty(len(ks)) for b in BENCHMARKS for v in VARIANTS}
-    mu_values = []
+    mu_values, mu_ess = [], []
 
     static_solution = None
     if include_static:
@@ -152,6 +151,7 @@ def regret_run(train, onpgd_config, is_config: IsSolverConfig, eval_stride: int,
         except (BracketError, ConvergenceError) as exc:
             raise type(exc)(f"benchmark solve failed at subgrid index {j} (step {k}): {exc}") from exc
         mu_values.append(m_star)
+        mu_ess.append(mu_hat.ess())
         inst[("dynamic", "regularized")][j] = instantaneous_regret(thetas, mu_hat, z, lam, "regularized")
         inst[("dynamic", "unregularized")][j] = instantaneous_regret(thetas, mu_hat, z, lam, "unregularized")
         if include_static:
@@ -173,7 +173,7 @@ def regret_run(train, onpgd_config, is_config: IsSolverConfig, eval_stride: int,
 
     mse = oos_mse(result.extra_pred, test) if test is not None else None
     return RegretBundle(eval_ks=ks, series=series, mse=mse, rho_star=static_solution,
-                        mu_star_values=mu_values)
+                        mu_star_values=mu_values, mu_star_ess=mu_ess)
 
 
 def regret_to_csv(bundle: RegretBundle, path, trial=0, n_particles=None, beta=None, lam=None):

@@ -228,10 +228,10 @@ def test_c4_solver_cross_validation(verify_report, capsys):
     for _ in range(1000):
         z = (float(rng.uniform(0.5, 1.5)), float(rng.normal(0.0, 0.3)))
         m1, m2 = np.sort(rng.uniform(-1.5, 1.5, size=2))
-        # ESS flagging is off: extreme test levels degrade the weights on
-        # purpose, and the monotone property holds for the estimator itself
-        v1 = phi_hat(m1, samples, z, beta, ess_warn=None)
-        v2 = phi_hat(m2, samples, z, beta, ess_warn=None)
+        # extreme test levels degrade the weights on purpose, and the
+        # monotone property holds for the estimator itself
+        v1 = phi_hat(m1, samples, z, beta)
+        v2 = phi_hat(m2, samples, z, beta)
         if v2 > v1 + 1e-12:
             violations += 1
             worst_step = max(worst_step, v2 - v1)

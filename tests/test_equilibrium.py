@@ -7,7 +7,6 @@ from mfonline.equilibrium import (
     ConvergenceError,
     GridTooNarrowError,
     IsSolverConfig,
-    LowEssWarning,
     QuadratureGrid,
     _bisect_fixed_point,
     default_sigma_fn,
@@ -41,11 +40,6 @@ def test_importance_weights_huge_exponents_stable():
     assert abs(w[1] - 1.0) < 1e-14
 
 
-def test_low_ess_warning():
-    with pytest.warns(LowEssWarning):
-        importance_weights([0.0, -1000.0, -1000.0], ess_warn=10.0)
-
-
 def test_draw_prior_samples_moments():
     rng = substream(5, "prior")
     s = draw_prior_samples(100_000, 3, 0.2, rng)
@@ -72,7 +66,7 @@ def test_phi_hat_constant_sigma():
     # sigma == c for every sample makes the reweighted mean exactly c
     samples = np.zeros((50, 1))
     val = phi_hat(0.7, samples, (1.0, 0.2), beta=0.1,
-                  sigma_fn=lambda x, s: np.full(len(s), 0.4), ess_warn=None)
+                  sigma_fn=lambda x, s: np.full(len(s), 0.4))
     assert abs(val - 0.4) < 1e-14
 
 
@@ -84,8 +78,8 @@ def test_phi_hat_monotone_pairs():
         m1, m2 = np.sort(rng.uniform(-1.5, 1.5, size=2))
         if m1 == m2:
             continue
-        v1 = phi_hat(m1, samples, z, beta=0.02, ess_warn=None)
-        v2 = phi_hat(m2, samples, z, beta=0.02, ess_warn=None)
+        v1 = phi_hat(m1, samples, z, beta=0.02)
+        v2 = phi_hat(m2, samples, z, beta=0.02)
         assert v2 <= v1 + 1e-12
 
 
@@ -143,6 +137,13 @@ def test_grid_refinement_stability():
 def test_grid_too_narrow():
     with pytest.raises(GridTooNarrowError):
         solve_mu_star_quadrature((1.0, 0.3), 0.02, 0.1, QuadratureGrid(-0.5, 0.5, 201))
+
+
+def test_is_solver_config_validation():
+    for bad in (dict(prior_var=0.0), dict(prior_var=np.nan), dict(prior_var=0.2, n_is=1),
+                dict(prior_var=0.2, root_tol=0.0), dict(prior_var=0.2, root_tol=np.nan)):
+        with pytest.raises(ValueError):
+            IsSolverConfig(**bad)
 
 
 def test_quadrature_grid_validation():

@@ -211,11 +211,46 @@ def test_static_sweep_reports_rho_star_and_keeps_bytes_across_threads(tmp_path):
     for cell in rep["cells"]:
         assert cell["failures"] == []
         assert "cumulative_T_static_regularized" in cell
+        assert "mu_star" in cell
         rho = cell["rho_star"]
-        assert set(rho) == {"iters", "max_residual", "min_ess"}
+        assert set(rho) == {"iters", "max_residual", "min_ess", "low_ess"}
         assert len(rho["iters"]) == 2 and all(1 <= n <= 500 for n in rho["iters"])
         assert 0 <= rho["max_residual"] <= 1e-6
         assert 1 <= rho["min_ess"] <= s1.n_is
+        assert 0 <= rho["low_ess"] <= 2
+        assert (rho["low_ess"] > 0) == (rho["min_ess"] < exp.LOW_ESS)
+
+
+def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
+    real = exp.regret_run
+    ess = {}
+
+    def recording(train, onpgd, *args, **kw):
+        bundle = real(train, onpgd, *args, **kw)
+        ess.setdefault(onpgd.beta, []).extend(bundle.mu_star_ess)
+        return bundle
+
+    monkeypatch.setattr(exp, "regret_run", recording)
+    rep = run_regret_sweep(Settings(
+        scenario="periodic", seed=3, trials=2, out=str(tmp_path), n_steps=60,
+        n_particles=8, n_is=1200, eval_stride=20, sweep_beta=[0.005, 0.2]))
+    small, large = rep["cells"]
+    # beta = 0.005 tilts the prior samples hard: 3 of its 8 points degenerate
+    assert small["mu_star"]["low_ess"] == 3
+    assert large["mu_star"]["low_ess"] == 0
+    for cell in rep["cells"]:
+        values = ess[cell["beta"]]
+        assert len(values) == 2 * 4  # trials x points {1, 20, 40, 60}
+        assert cell["mu_star"] == {"min_ess": min(values),
+                                   "low_ess": sum(e < exp.LOW_ESS for e in values)}
+
+
+@pytest.mark.parametrize("bad", [dict(sweep_n=[0]), dict(sweep_beta=[0.02, float("nan")]),
+                                 dict(sweep_beta=[-0.1])])
+def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
+    with pytest.raises(ValueError):
+        run_regret_sweep(small_settings(tmp_path, **bad))
+    assert not os.path.exists(os.path.join(str(tmp_path), "periodic-sweep"))
 
 
 def test_static_sweep_failure_names_the_hindsight_solve(tmp_path, monkeypatch):
@@ -297,7 +332,17 @@ def test_cli_regret_sweep_flags(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in rep["cells"]] == [
         "N8_beta0.02_lambda0.1", "N8_beta0.05_lambda0.1"]
+    assert [len(c["oos_mse"]["values"]) for c in rep["cells"]] == [1, 1]  # one trial
     assert os.path.exists(tmp_path / "sweepout" / "bsweep" / "report.json")
+
+
+@pytest.mark.parametrize("flag, value", [("--sweep-n", "0"), ("--sweep-beta", "nan")])
+def test_cli_bad_sweep_value_exits_one(tmp_path, capsys, flag, value):
+    cfg = write_small_cfg(tmp_path)
+    out = tmp_path / "sweepout"
+    assert cli.main(["regret-sweep", "--config", cfg, "--out", str(out), flag, value]) == 1
+    assert "ValueError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_verify_exit_codes(capsys):

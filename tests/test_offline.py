@@ -76,6 +76,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OfflineFitConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
+        OfflineFitConfig(learning_rate=np.nan)
+    with pytest.raises(ValueError):
         OfflineFitConfig(lam=0.0).initial_sd()
     assert OfflineFitConfig(lam=0.0, init_sd=0.5).initial_sd() == 0.5
 

@@ -8,7 +8,6 @@ from mfonline.onpgd import (
     ParticleEnsemble,
     init_ensemble,
     run_online,
-    snapshot_indices,
     step,
 )
 from mfonline.seeding import substream
@@ -25,6 +24,9 @@ def test_config_validation():
     OnpgdConfig(lam=0.0, init_sd=1.0)
     with pytest.raises(ValueError):
         OnpgdConfig(self_interaction=False, n_particles=1)
+    for bad in (dict(dt=np.nan), dict(beta=np.nan), dict(lam=np.nan, init_sd=1.0)):
+        with pytest.raises(ValueError):
+            OnpgdConfig(**bad)
     assert abs(OnpgdConfig(lam=0.1, beta=0.02).initial_sd() - np.sqrt(0.2)) < 1e-15
 
 
@@ -134,18 +136,10 @@ def test_blow_up_detection():
             ens = step(ens, (np.array([0.1]), 0.0), cfg)
 
 
-def test_snapshot_indices():
-    assert snapshot_indices(10, 4) == [1, 4, 8, 10]
-    assert snapshot_indices(10, 10) == [1, 10]
-    assert snapshot_indices(10, 1) == list(range(1, 11))
-    with pytest.raises(ValueError):
-        snapshot_indices(10, 0)
-
-
 def test_run_online_pre_update_convention():
     train, test = gen_periodic(PeriodicConfig(n_steps=30), seed=41)
     cfg = OnpgdConfig(n_particles=12)
-    res = run_online(train, cfg, seed=7, snapshot_every=10, predict_xs=test.x)
+    res = run_online(train, cfg, seed=7, snapshot_at=[1, 10, 20, 30], predict_xs=test.x)
 
     ks = [k for k, _ in res.snapshots]
     assert ks == [1, 10, 20, 30]

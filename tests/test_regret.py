@@ -124,6 +124,8 @@ def test_eval_indices():
     assert eval_indices(1000, 100) == [1] + list(range(100, 1001, 100))
     assert eval_indices(40, 40) == [1, 40]
     assert eval_indices(45, 20) == [1, 20, 40, 45]
+    assert eval_indices(10, 4) == [1, 4, 8, 10]
+    assert eval_indices(10, 1) == list(range(1, 11))
     with pytest.raises(ValueError):
         eval_indices(10, 0)
     with pytest.raises(ValueError):
@@ -145,6 +147,8 @@ def test_regret_run_smoke():
         assert s.instantaneous.shape == (3,)
     assert bundle.mse is not None and bundle.mse > 0
     assert len(bundle.mu_star_values) == 3
+    assert len(bundle.mu_star_ess) == 3
+    assert all(1.0 <= e <= is_cfg.n_is for e in bundle.mu_star_ess)
     assert bundle.rho_star is not None
 
     # rerun is deterministic
