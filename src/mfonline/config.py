@@ -126,6 +126,15 @@ class Settings:
             raise ValueError("threads must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        # `not x >= 1` rather than `x < 1`, so that NaN fails too
+        if not self.n_steps >= 1:
+            raise ValueError("n_steps (data.n_steps) must be >= 1")
+        if not self.n_particles >= 1:
+            raise ValueError("n_particles (onpgd.n) must be >= 1")
+        if not self.dt > 0:
+            raise ValueError("dt (onpgd.dt) must be positive")
+        if not self.n_is >= 2:
+            raise ValueError("n_is (is.n) must be >= 2")
         if isinstance(self.init_sd, str):
             if self.init_sd != "gibbs":
                 raise ValueError("init_sd must be a positive number or 'gibbs'")

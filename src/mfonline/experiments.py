@@ -208,6 +208,8 @@ def _sweep_cells(settings: Settings):
     cells = []
     for n, beta, lam in product(ns, betas, lams):
         n, beta, lam = int(n), float(beta), float(lam)
+        if not lam > 0:  # the benchmark's prior variance is beta / lambda
+            raise ValueError(f"lambda must be positive, got {lam!r}")
         cells.append({
             "n": n, "beta": beta, "lam": lam, "name": f"N{n}_beta{beta:g}_lambda{lam:g}",
             "onpgd": OnpgdConfig(

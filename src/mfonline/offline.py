@@ -39,6 +39,8 @@ class OfflineFitConfig:
             raise ValueError("need at least one particle and one iteration")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if not (self.beta >= 0 and self.lam >= 0):
+            raise ValueError("beta and lam must be nonnegative")
 
     def initial_sd(self) -> float:
         if self.init_sd is not None:
@@ -48,30 +50,38 @@ class OfflineFitConfig:
         return float(np.sqrt(self.beta / self.lam))
 
 
-def batch_loss(thetas, traj, lam: float) -> float:
-    """The batch objective L; see module docstring."""
+def batch_loss(thetas, traj, lam: float, fwd=None) -> float:
+    """The batch objective L; see module docstring.
+
+    fwd is forward(thetas, traj.x), if the caller has it already.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    vals, _ = forward(thetas, traj.x)
+    vals, _ = forward(thetas, traj.x) if fwd is None else fwd
     m = vals.mean(axis=1)
     n = thetas.shape[0]
     penalty = 0.5 * lam / n * float(np.sum(thetas**2))
     return float(np.mean((m - traj.y) ** 2)) + penalty
 
 
-def batch_loss_grad(thetas, traj, lam: float) -> np.ndarray:
-    """Exact Euclidean gradient of batch_loss in the (N, d) particle array."""
+def batch_loss_grad(thetas, traj, lam: float, fwd=None, scratch=None) -> np.ndarray:
+    """Exact Euclidean gradient of batch_loss in the (N, d) particle array.
+
+    fwd is forward(thetas, traj.x), if the caller has it already; scratch,
+    a (K, N) float array, is overwritten instead of allocating one.
+    """
     thetas = np.asarray(thetas, dtype=float)
     n, d = thetas.shape
     K = traj.n_steps
     a = thetas[:, 0]
-    vals, th = forward(thetas, traj.x)  # (K, N)
+    vals, th = forward(thetas, traj.x) if fwd is None else fwd  # (K, N)
     r = vals.mean(axis=1) - traj.y  # (K,)
-    sech2 = 1.0 - th * th
+    p = np.multiply(th, th, out=scratch)
+    np.subtract(1.0, p, out=p)  # sech2
     c = 2.0 / (K * n)
 
     grad = np.empty_like(thetas)
     grad[:, 0] = c * (r @ th)
-    p = r[:, None] * sech2  # (K, N)
+    np.multiply(r[:, None], p, out=p)  # p = r * sech2, (K, N)
     grad[:, 1:-1] = c * a[:, None] * (p.T @ traj.x)
     grad[:, -1] = c * a * p.sum(axis=0)
     grad += (lam / n) * thetas
@@ -83,20 +93,26 @@ def fit_offline(traj, config: OfflineFitConfig, seed):
 
     loss_trace[j] is the loss before iteration j (length iters + 1, so the
     last entry is the final loss).  Divergence (non-finite or loss above
-    1e6) raises DivergenceError naming the iteration.
+    1e6) raises DivergenceError naming the iteration.  Each iteration runs
+    one forward pass, shared by the loss and the gradient, into (K, N)
+    buffers allocated once per call.
     """
     dim = traj.x_dim + 2
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "offline-init")
     thetas = config.initial_sd() * rng.standard_normal((config.n_particles, dim))
+    shape = (traj.n_steps, config.n_particles)
+    buffers, scratch = (np.empty(shape), np.empty(shape)), np.empty(shape)
 
     trace = np.empty(config.iters + 1)
     for j in range(config.iters):
-        loss = batch_loss(thetas, traj, config.lam)
+        fwd = forward(thetas, traj.x, out=buffers)
+        loss = batch_loss(thetas, traj, config.lam, fwd)
         trace[j] = loss
         if not np.isfinite(loss) or loss > 1e6:
             raise DivergenceError(f"batch loss {loss!r} at iteration {j}")
-        thetas = thetas - config.learning_rate * batch_loss_grad(thetas, traj, config.lam)
-    loss = batch_loss(thetas, traj, config.lam)
+        grad = batch_loss_grad(thetas, traj, config.lam, fwd, scratch)
+        thetas = thetas - config.learning_rate * grad
+    loss = batch_loss(thetas, traj, config.lam, forward(thetas, traj.x, out=buffers))
     trace[-1] = loss
     if not np.isfinite(loss) or loss > 1e6:
         raise DivergenceError(f"batch loss {loss!r} at final iteration")

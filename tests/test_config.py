@@ -78,6 +78,11 @@ def test_settings_validation():
         Settings(seed=2**64)
     with pytest.raises(ValueError, match="64-bit"):
         Settings(seed=-1)
+    for key, bad in (("n_steps", 0), ("n_particles", 0), ("dt", 0.0), ("dt", -0.02),
+                     ("dt", float("nan")), ("n_is", 1)):
+        with pytest.raises(ValueError, match=key):
+            Settings(**{key: bad})
+    Settings(n_steps=1, n_particles=1, dt=1e-3, n_is=2)  # the smallest accepted
 
 
 def test_init_sd_forms():

@@ -246,9 +246,11 @@ def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [dict(sweep_n=[0]), dict(sweep_beta=[0.02, float("nan")]),
-                                 dict(sweep_beta=[-0.1])])
+                                 dict(sweep_beta=[-0.1]), dict(sweep_lam=[0.0]),
+                                 dict(sweep_lam=[0.1, float("nan")])])
 def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
-    with pytest.raises(ValueError):
+    match = "lambda" if "sweep_lam" in bad else None
+    with pytest.raises(ValueError, match=match):
         run_regret_sweep(small_settings(tmp_path, **bad))
     assert not os.path.exists(os.path.join(str(tmp_path), "periodic-sweep"))
 
@@ -336,7 +338,8 @@ def test_cli_regret_sweep_flags(tmp_path, capsys):
     assert os.path.exists(tmp_path / "sweepout" / "bsweep" / "report.json")
 
 
-@pytest.mark.parametrize("flag, value", [("--sweep-n", "0"), ("--sweep-beta", "nan")])
+@pytest.mark.parametrize("flag, value", [("--sweep-n", "0"), ("--sweep-beta", "nan"),
+                                         ("--sweep-lambda", "0")])
 def test_cli_bad_sweep_value_exits_one(tmp_path, capsys, flag, value):
     cfg = write_small_cfg(tmp_path)
     out = tmp_path / "sweepout"

@@ -59,6 +59,25 @@ def test_forward_matches_scalar():
             assert abs(th[k, i] - grad_sigma(X[k], thetas[i])[0]) < 1e-14
 
 
+def test_forward_into_buffers_is_bitwise_equal():
+    rng = np.random.default_rng(4)
+    thetas = rng.normal(size=(9, 4))
+    for X in (rng.normal(size=(6, 2)), rng.normal(size=2)):
+        shape = X.shape[:-1] + (9,)
+        bufs = np.full(shape, np.nan), np.full(shape, np.nan)
+        vals, th = forward(thetas, X, out=bufs)
+        assert vals is bufs[0] and th is bufs[1]
+        want_vals, want_th = forward(thetas, X)
+        assert np.array_equal(vals, want_vals) and np.array_equal(th, want_th)
+        # the kernel's operations, written as one allocating expression
+        expr = np.tanh(X @ thetas[:, 1:-1].T + thetas[:, -1])
+        assert np.array_equal(th, expr) and np.array_equal(vals, thetas[:, 0] * expr)
+        # the buffers are reused, not read: a second call gives the same bits
+        forward(rng.normal(size=(9, 4)), X, out=bufs)
+        forward(thetas, X, out=bufs)
+        assert np.array_equal(bufs[0], want_vals) and np.array_equal(bufs[1], want_th)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         sigma([1.0, 2.0], [1.0, 1.0, 1.0])  # needs length 4

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from mfonline.datastream import PeriodicConfig, Trajectory, gen_periodic
+from mfonline.datastream import (
+    NonlinearConfig,
+    PeriodicConfig,
+    Trajectory,
+    gen_nonlinear,
+    gen_periodic,
+)
 from mfonline.offline import (
     DivergenceError,
     OfflineFitConfig,
@@ -62,6 +68,31 @@ def test_fit_deterministic():
     assert np.array_equal(tr1, tr2)
 
 
+def _two_pass_fit(traj, config, seed):
+    """Reference descent loop: batch_loss and batch_loss_grad each run
+    their own forward pass and allocate their own arrays."""
+    rng = substream(seed, "offline-init")
+    thetas = config.initial_sd() * rng.standard_normal((config.n_particles, traj.x_dim + 2))
+    trace = np.empty(config.iters + 1)
+    for j in range(config.iters):
+        trace[j] = batch_loss(thetas, traj, config.lam)
+        thetas = thetas - config.learning_rate * batch_loss_grad(thetas, traj, config.lam)
+    trace[-1] = batch_loss(thetas, traj, config.lam)
+    return thetas, trace
+
+
+@pytest.mark.parametrize("traj", [
+    gen_periodic(PeriodicConfig(n_steps=150), seed=2)[0],  # x_dim = 1
+    gen_nonlinear(NonlinearConfig(n_steps=150), seed=2)[0],  # x_dim = 3
+], ids=["periodic", "nonlinear"])
+def test_fit_matches_two_pass_oracle_bitwise(traj):
+    cfg = OfflineFitConfig(n_particles=12, iters=80)
+    thetas, trace = fit_offline(traj, cfg, seed=11)
+    want_thetas, want_trace = _two_pass_fit(traj, cfg, seed=11)
+    assert np.array_equal(thetas, want_thetas)
+    assert np.array_equal(trace, want_trace)
+
+
 def test_divergence_raises():
     traj = _small_traj(seed=6)
     cfg = OfflineFitConfig(n_particles=4, lam=0.1, iters=400, learning_rate=5e4)
@@ -77,6 +108,11 @@ def test_config_validation():
         OfflineFitConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         OfflineFitConfig(learning_rate=np.nan)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            OfflineFitConfig(lam=bad, init_sd=0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            OfflineFitConfig(beta=bad)
     with pytest.raises(ValueError):
         OfflineFitConfig(lam=0.0).initial_sd()
     assert OfflineFitConfig(lam=0.0, init_sd=0.5).initial_sd() == 0.5
