@@ -15,21 +15,18 @@ def forward(thetas, X, out=None):
 
     X is one covariate (n,) or a batch (K, n).  Returns (a * tanh(u),
     tanh(u)) with u = X @ w.T + b, each of shape (N,) or (K, N).  Given
-    out=(vals, th), two float arrays of that shape, the same operations
-    write into them and return them, so a loop allocates nothing per call.
+    out=(vals, th), two float arrays of that shape, the results are written
+    into them and they are returned, so a loop allocates nothing per call.
     """
     thetas = np.asarray(thetas, dtype=float)
     X = np.asarray(X, dtype=float)
     if thetas.ndim != 2 or X.ndim not in (1, 2) or thetas.shape[1] != X.shape[-1] + 2:
         raise ValueError("thetas must be (N, n+2) for covariate dimension n")
-    if out is None:  # allocating form: cheaper for the per-step (n,) calls
-        th = np.tanh(X @ thetas[:, 1:-1].T + thetas[:, -1])
-        return thetas[:, 0] * th, th
-    vals, th = out
-    np.matmul(X, thetas[:, 1:-1].T, out=th)
+    vals, th = out or (None, None)
+    th = np.matmul(X, thetas[:, 1:-1].T, out=th)
     th += thetas[:, -1]
     np.tanh(th, out=th)
-    np.multiply(thetas[:, 0], th, out=vals)
+    vals = np.multiply(thetas[:, 0], th, out=vals)
     return vals, th
 
 

@@ -63,11 +63,11 @@ def batch_loss(thetas, traj, lam: float, fwd=None) -> float:
     return float(np.mean((m - traj.y) ** 2)) + penalty
 
 
-def batch_loss_grad(thetas, traj, lam: float, fwd=None, scratch=None) -> np.ndarray:
+def batch_loss_grad(thetas, traj, lam: float, fwd=None) -> np.ndarray:
     """Exact Euclidean gradient of batch_loss in the (N, d) particle array.
 
-    fwd is forward(thetas, traj.x), if the caller has it already; scratch,
-    a (K, N) float array, is overwritten instead of allocating one.
+    fwd is forward(thetas, traj.x), if the caller has it already; its vals
+    array is overwritten with the gradient's (K, N) intermediates.
     """
     thetas = np.asarray(thetas, dtype=float)
     n, d = thetas.shape
@@ -75,7 +75,7 @@ def batch_loss_grad(thetas, traj, lam: float, fwd=None, scratch=None) -> np.ndar
     a = thetas[:, 0]
     vals, th = forward(thetas, traj.x) if fwd is None else fwd  # (K, N)
     r = vals.mean(axis=1) - traj.y  # (K,)
-    p = np.multiply(th, th, out=scratch)
+    p = np.multiply(th, th, out=vals)  # vals is not read again
     np.subtract(1.0, p, out=p)  # sech2
     c = 2.0 / (K * n)
 
@@ -101,7 +101,7 @@ def fit_offline(traj, config: OfflineFitConfig, seed):
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "offline-init")
     thetas = config.initial_sd() * rng.standard_normal((config.n_particles, dim))
     shape = (traj.n_steps, config.n_particles)
-    buffers, scratch = (np.empty(shape), np.empty(shape)), np.empty(shape)
+    buffers = (np.empty(shape), np.empty(shape))
 
     trace = np.empty(config.iters + 1)
     for j in range(config.iters):
@@ -110,7 +110,7 @@ def fit_offline(traj, config: OfflineFitConfig, seed):
         trace[j] = loss
         if not np.isfinite(loss) or loss > 1e6:
             raise DivergenceError(f"batch loss {loss!r} at iteration {j}")
-        grad = batch_loss_grad(thetas, traj, config.lam, fwd, scratch)
+        grad = batch_loss_grad(thetas, traj, config.lam, fwd)
         thetas = thetas - config.learning_rate * grad
     loss = batch_loss(thetas, traj, config.lam, forward(thetas, traj.x, out=buffers))
     trace[-1] = loss
