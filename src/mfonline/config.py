@@ -135,6 +135,9 @@ class Settings:
             raise ValueError("dt (onpgd.dt) must be positive")
         if not self.n_is >= 2:
             raise ValueError("n_is (is.n) must be >= 2")
+        # a stride beyond n_steps is left to each trial to report
+        if not self.eval_stride >= 1:
+            raise ValueError("eval_stride (regret.stride) must be >= 1")
         if isinstance(self.init_sd, str):
             if self.init_sd != "gibbs":
                 raise ValueError("init_sd must be a positive number or 'gibbs'")

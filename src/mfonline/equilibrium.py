@@ -23,7 +23,6 @@ equilibrium prediction's response derivative.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .measures import WeightedMeasure
@@ -247,6 +246,10 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
     ConvergenceError, carrying the residual trace, when the residual is
     still above tol.
     """
+    # imported here: scipy.optimize takes about 0.3 s to import, and only
+    # the hindsight benchmark needs it
+    from scipy.optimize import minimize
+
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:

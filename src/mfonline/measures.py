@@ -57,7 +57,7 @@ def predict(measure, x) -> float:
     thetas, weights = _samples_weights(measure)
     vals, _ = forward(thetas, x)
     if weights is None:
-        return float(vals.mean())
+        return float(vals.sum() / vals.size)  # the bits of vals.mean(), at half its call cost
     return float(vals @ weights)
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, ndtr
-from scipy.stats import rankdata
 
 
 class DegenerateDataError(ValueError):
@@ -70,6 +69,26 @@ def _t_test(diffs):
     return float(t), p
 
 
+def average_ranks(values) -> np.ndarray:
+    """Ranks 1..n of a vector, each tie given the mean of the ranks it spans.
+
+    A tie spanning sorted positions start..end-1 gets (start + end + 1) / 2,
+    an exact half, so the result is bitwise equal to
+    ``scipy.stats.rankdata(values, method="average")``, whose import costs
+    more than half a second; like it, any NaN makes every rank NaN.
+    """
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _wilcoxon_exact_p(ranks, w_plus):
     """Two-sided exact p by enumerating all 2^n sign assignments."""
     sums = np.zeros(1)
@@ -87,7 +106,7 @@ def _wilcoxon(diffs, exact_cutoff=12):
     n = diffs.size
     if n == 0:
         raise DegenerateDataError("all differences are zero")
-    ranks = rankdata(np.abs(diffs), method="average")
+    ranks = average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     if n <= exact_cutoff:
         return w_plus, _wilcoxon_exact_p(ranks, w_plus), True

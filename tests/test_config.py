@@ -79,10 +79,14 @@ def test_settings_validation():
     with pytest.raises(ValueError, match="64-bit"):
         Settings(seed=-1)
     for key, bad in (("n_steps", 0), ("n_particles", 0), ("dt", 0.0), ("dt", -0.02),
-                     ("dt", float("nan")), ("n_is", 1)):
+                     ("dt", float("nan")), ("n_is", 1), ("eval_stride", 0),
+                     ("eval_stride", -20), ("eval_stride", float("nan"))):
         with pytest.raises(ValueError, match=key):
             Settings(**{key: bad})
-    Settings(n_steps=1, n_particles=1, dt=1e-3, n_is=2)  # the smallest accepted
+    with pytest.raises(ValueError, match=r"regret\.stride"):
+        Settings(eval_stride=0)
+    Settings(n_steps=1, n_particles=1, dt=1e-3, n_is=2, eval_stride=1)  # the smallest accepted
+    Settings(n_steps=10, eval_stride=50)  # beyond n_steps: each trial reports it
 
 
 def test_init_sd_forms():

@@ -200,6 +200,46 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     assert len(b1) == 2 * 3 + 1  # regret.csv per (cell, trial) plus report.json
 
 
+def test_sweep_generates_each_trials_data_once(tmp_path, monkeypatch):
+    real = exp.generate_pair
+    calls = []
+
+    def counting(settings, trial):
+        calls.append(trial)
+        return real(settings, trial)
+
+    monkeypatch.setattr(exp, "generate_pair", counting)
+    trees = []
+    for threads in (1, 2):
+        calls.clear()
+        out = tmp_path / f"t{threads}"
+        rep = run_regret_sweep(small_settings(out, sweep_beta=[0.02, 0.05], threads=threads))
+        assert sorted(calls) == [0, 1]  # 2 cells x 2 trials, one draw per trial
+        assert all(cell["failures"] == [] for cell in rep["cells"])
+        trees.append(tree_bytes(str(out)))
+    assert trees[0] == trees[1]
+
+
+def test_sweep_reports_a_failed_data_draw_in_every_cell(tmp_path, monkeypatch):
+    real = exp.generate_pair
+
+    def flaky(settings, trial):
+        if trial == 1:
+            raise FloatingPointError("overflow in the covariate path")
+        return real(settings, trial)
+
+    monkeypatch.setattr(exp, "generate_pair", flaky)
+    s = small_settings(tmp_path, sweep_beta=[0.02, 0.05])
+    rep = run_regret_sweep(s)
+    for cell in rep["cells"]:
+        assert cell["failures"] == [
+            {"trial": 1, "error": "FloatingPointError: overflow in the covariate path"}]
+        assert len(cell["oos_mse"]["values"]) == 1  # trial 0 alone
+        sweep = os.path.join(s.out_dir(), "periodic-sweep", cell["name"])
+        assert os.path.exists(os.path.join(sweep, "trial000", "regret.csv"))
+        assert not os.path.exists(os.path.join(sweep, "trial001"))
+
+
 def test_static_sweep_reports_rho_star_and_keeps_bytes_across_threads(tmp_path):
     s1 = small_settings(tmp_path / "t1", include_static=True, sweep_beta=[0.02, 0.05], threads=1)
     s2 = small_settings(tmp_path / "t2", include_static=True, sweep_beta=[0.02, 0.05], threads=2)
@@ -339,7 +379,7 @@ def test_cli_regret_sweep_flags(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--sweep-n", "0"), ("--sweep-beta", "nan"),
-                                         ("--sweep-lambda", "0")])
+                                         ("--sweep-lambda", "0"), ("--stride", "0")])
 def test_cli_bad_sweep_value_exits_one(tmp_path, capsys, flag, value):
     cfg = write_small_cfg(tmp_path)
     out = tmp_path / "sweepout"

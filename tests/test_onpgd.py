@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mfonline.datastream import PeriodicConfig, gen_periodic
+from mfonline.datastream import NonlinearConfig, PeriodicConfig, gen_nonlinear, gen_periodic
+from mfonline.measures import predict
+from mfonline.network import forward
 from mfonline.onpgd import (
     BlowUpError,
     OnpgdConfig,
@@ -147,8 +149,6 @@ def test_run_online_pre_update_convention():
     init = init_ensemble(cfg, train.x_dim + 2, substream(7, "init"))
     assert np.array_equal(res.snapshots[0][1], init.thetas)
     # recorded predictions at step 1 come from that same pre-update state
-    from mfonline.measures import predict
-
     assert abs(res.train_pred[0] - predict(init.thetas, train.x[0])) < 1e-15
     assert abs(res.extra_pred[0] - predict(init.thetas, test.x[0])) < 1e-15
     assert res.final.steps_taken == 30
@@ -170,3 +170,67 @@ def test_run_online_rejects_bad_predict_xs():
     train, _ = gen_periodic(PeriodicConfig(n_steps=20), seed=2)
     with pytest.raises(ValueError):
         run_online(train, OnpgdConfig(), seed=1, predict_xs=np.zeros((5, 1)))
+
+
+def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
+    """Reference training pass: the Euler step as whole-array expressions,
+    each allocating its result, with the error as an (N,) vector in both
+    interaction modes.  Returns (thetas, train_pred, extra_pred, snapshots,
+    blow_up_step), stopping at the first step whose new state is not finite."""
+    thetas = init_ensemble(config, traj.x_dim + 2, substream(seed, "init")).thetas
+    rng_noise = substream(seed, "noise")
+    n = config.n_particles
+    train_pred, extra_pred, snapshots = np.empty(traj.n_steps), np.empty(traj.n_steps), []
+    for k in range(1, traj.n_steps + 1):
+        if k in snapshot_at:
+            snapshots.append((k, thetas.copy()))
+        extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
+        noise = rng_noise.standard_normal(thetas.shape) if config.beta > 0 else None
+        x, y = traj.x[k - 1], traj.y[k - 1]
+        vals, th = forward(thetas, x)
+        mean = vals.mean()
+        if config.self_interaction:
+            err = (mean - y) * np.ones_like(vals)
+        else:
+            err = (n * mean - vals) / (n - 1) - y
+        asech2 = thetas[:, 0] * (1.0 - th * th)
+        grad = np.column_stack([th, asech2[:, None] * x[None, :], asech2])
+        drift = -config.lam * thetas - 2.0 * err[:, None] * grad
+        new = thetas + drift * config.dt
+        if noise is not None:
+            new = new + np.sqrt(2.0 * config.beta * config.dt) * noise
+        if not np.all(np.isfinite(new)):
+            return thetas, train_pred, extra_pred, snapshots, k
+        train_pred[k - 1] = mean
+        thetas = new
+    return thetas, train_pred, extra_pred, snapshots, None
+
+
+@pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
+    train, test = gen_nonlinear(NonlinearConfig(n_steps=200), seed=6)
+    cfg = OnpgdConfig(n_particles=12, lam=0.1, beta=beta, dt=0.02,
+                      self_interaction=self_interaction, init_sd=1.0)
+    at = [1, 7, 100, 200]
+    res = run_online(train, cfg, seed=9, snapshot_at=at, predict_xs=test.x)
+    thetas, train_pred, extra_pred, snapshots, blow_up = _allocating_run(
+        train, cfg, 9, at, test.x)
+    assert blow_up is None
+    assert np.array_equal(res.final.thetas, thetas)
+    assert np.array_equal(res.train_pred, train_pred)
+    assert np.array_equal(res.extra_pred, extra_pred)
+    assert [k for k, _ in res.snapshots] == [k for k, _ in snapshots] == at
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(res.snapshots, snapshots))
+
+
+@pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
+def test_run_online_blow_up_names_the_oracle_step(self_interaction):
+    train, test = gen_periodic(PeriodicConfig(n_steps=200), seed=3)
+    cfg = OnpgdConfig(n_particles=3, lam=1e6, beta=0.0, dt=0.02,
+                      self_interaction=self_interaction, init_sd=1.0)
+    with np.errstate(over="ignore"):
+        *_, k = _allocating_run(train, cfg, 4, (), test.x)
+        assert k is not None
+        with pytest.raises(BlowUpError, match=f"at step {k}, particle"):
+            run_online(train, cfg, seed=4)

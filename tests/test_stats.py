@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as ss
 
-from mfonline.stats import DegenerateDataError, paired_tests, summarize
+from mfonline.stats import DegenerateDataError, average_ranks, paired_tests, summarize
 
 
 def test_summarize_hand_values():
@@ -53,6 +53,25 @@ def test_wilcoxon_all_positive_eight_pairs():
     assert r.wilcoxon_exact
     assert r.wilcoxon_stat == 36.0
     assert r.wilcoxon_pvalue == 2.0**-7
+
+
+def test_average_ranks_bitwise_equal_to_scipy():
+    rng = np.random.default_rng(4)
+    cases = [
+        rng.integers(0, 4, 40).astype(float),  # tie-heavy
+        np.round(rng.normal(0.0, 1.0, 200), 1),  # ties among spread values
+        rng.normal(0.0, 1.0, 25),  # no ties
+        np.array([2.5]),
+        np.full(9, 0.3),
+        np.array([]),
+        np.array([1.0, np.inf, 1.0, np.inf, 0.0]),
+        np.array([0.4, np.nan, 0.1]),  # NaN propagates to every rank
+    ]
+    for values in cases:
+        got = average_ranks(values)
+        want = ss.rankdata(values, method="average")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_wilcoxon_exact_matches_scipy():
