@@ -237,22 +237,10 @@ def run_regret_sweep(settings: Settings) -> dict:
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-sweep")
     cells = _sweep_cells(settings)
 
-    # a trial's data depends only on (seed, trial): generate it once and
-    # share it across the cells; a failure is reported by every cell
-    def data(trial):
-        try:
-            return generate_pair(settings, trial)
-        except Exception as e:
-            return f"{type(e).__name__}: {e}"
-
-    pairs = _pool_map(data, range(settings.trials), settings.threads)
-
     def one(task):
         cell, trial = task
-        if isinstance(pairs[trial], str):
-            return {"trial": trial, "cell": cell["name"], "error": pairs[trial]}
-        train, test = pairs[trial]
         try:
+            train, test = generate_pair(settings, trial)
             bundle = regret_run(
                 train, cell["onpgd"], cell["is"], settings.eval_stride,
                 cell_seed(settings, cell["name"], trial),

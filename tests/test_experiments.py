@@ -200,26 +200,6 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     assert len(b1) == 2 * 3 + 1  # regret.csv per (cell, trial) plus report.json
 
 
-def test_sweep_generates_each_trials_data_once(tmp_path, monkeypatch):
-    real = exp.generate_pair
-    calls = []
-
-    def counting(settings, trial):
-        calls.append(trial)
-        return real(settings, trial)
-
-    monkeypatch.setattr(exp, "generate_pair", counting)
-    trees = []
-    for threads in (1, 2):
-        calls.clear()
-        out = tmp_path / f"t{threads}"
-        rep = run_regret_sweep(small_settings(out, sweep_beta=[0.02, 0.05], threads=threads))
-        assert sorted(calls) == [0, 1]  # 2 cells x 2 trials, one draw per trial
-        assert all(cell["failures"] == [] for cell in rep["cells"])
-        trees.append(tree_bytes(str(out)))
-    assert trees[0] == trees[1]
-
-
 def test_sweep_reports_a_failed_data_draw_in_every_cell(tmp_path, monkeypatch):
     real = exp.generate_pair
 
