@@ -14,6 +14,11 @@ N(0, prior_var I_d):
   where u_k is the measure's own prediction at x_k; solved by L-BFGS on
   the convex merit H whose gradient is the fixed-point residual.
 
+Both normalize their weights with ``_logsumexp``, a numpy log-sum-exp
+that takes the same steps as ``scipy.special.logsumexp`` and so gives the
+same bits, without scipy's array-API dispatch on every bisection step or
+the import of ``scipy.special``.
+
 A deterministic 1-d Simpson quadrature oracle solves the same equilibrium
 for single-parameter neurons sigma(x, theta) = tanh(theta x) and backs the
 closed-form identity checks: the free-energy gap decomposition and the
@@ -23,7 +28,6 @@ equilibrium prediction's response derivative.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .measures import WeightedMeasure
 from .network import forward, unpack
@@ -85,10 +89,32 @@ def default_sigma_fn(x, samples) -> np.ndarray:
     raise ValueError("d == 2 has no default neuron; pass sigma_fn explicitly")
 
 
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) of a 1-d float array, bitwise equal to scipy's.
+
+    The max-split form of Blanchard, Higham & Higham (IMA J. Numer. Anal.
+    2021), step for step as ``scipy.special.logsumexp``: the m entries
+    equal to the maximum leave the sum, the rest is shifted by the maximum,
+    and the result is log1p(s / m) + log(m) + max.  Raises ValueError when
+    the maximum is not finite (a NaN entry, +inf, or all -inf), where
+    scipy would return NaN or an infinity.
+    """
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        raise ValueError(f"log-sum-exp needs a finite maximum, got {a_max!r}")
+    mask = a == a_max
+    m = np.float64(np.count_nonzero(mask))
+    t = a - a_max
+    t[mask] = -np.inf
+    np.exp(t, out=t)
+    return np.log1p(t.sum() / m) + np.log(m) + a_max
+
+
 def importance_weights(exponents) -> np.ndarray:
     """Normalized weights exp(exponents) / sum, max-shifted for stability."""
     exponents = np.asarray(exponents, dtype=float)
-    return np.exp(exponents - logsumexp(exponents))
+    w = exponents - _logsumexp(exponents)
+    return np.exp(w, out=w)
 
 
 def _phi_from_vals(m, svals, y, beta):
@@ -192,7 +218,7 @@ class _HindsightMerit:
         self.scale = 0.5 * beta * K
         u = np.zeros(K)
         expo = self.coef * ((u - y) @ S)
-        self._keep(u, 0.0, expo, float(logsumexp(expo)))
+        self._keep(u, 0.0, expo, float(_logsumexp(expo)))
         self.anchor_at(u)
 
     def _keep(self, u, h, expo, lse):
@@ -216,7 +242,7 @@ class _HindsightMerit:
             if -0.5 < s < 1.0:
                 gain = float(np.log1p(s))
             else:
-                gain = float(logsumexp(expo)) - lse_a
+                gain = float(_logsumexp(expo)) - lse_a
             h = 0.5 * float((u - a) @ (u + a)) + self.scale * gain
             self._keep(u, h, expo, lse_a + gain)
         return self.h, self.grad.copy()

@@ -32,7 +32,7 @@ from .equilibrium import (
     verify_gap_decomposition,
 )
 from .offline import OfflineFitConfig, compare_oos, loss_trace_to_csv
-from .onpgd import OnpgdConfig
+from .onpgd import BlowUpError, OnpgdConfig
 from .regret import regret_run, regret_to_csv
 from .seeding import substream
 from .stats import DegenerateDataError, paired_tests, summarize
@@ -41,6 +41,12 @@ from .theory import BoundSpec, compute_constants
 # An importance-sampling benchmark solve with effective sample size below
 # this is counted as low in the regret-sweep report.
 LOW_ESS = 10.0
+
+# A regret-sweep trial that raises one of these is recorded as failed and
+# the sweep goes on: numerical failures of the data, the learner or a
+# benchmark solve, and settings a trial rejects (a stride beyond the
+# horizon).  Anything else is a fault of the program and ends the sweep.
+TRIAL_ERRORS = (BlowUpError, BracketError, ConvergenceError, FloatingPointError, ValueError)
 
 
 def scenario_config(settings: Settings):
@@ -233,6 +239,8 @@ def run_regret_sweep(settings: Settings) -> dict:
     succeeded, in trial order, the largest final residual, the smallest
     final ESS and the number of trials whose final ESS is below LOW_ESS.
     A sweep value that no config accepts raises before any trial runs.
+    A trial that raises one of TRIAL_ERRORS is listed under its cell's
+    ``failures``; any other exception propagates and ends the sweep.
     """
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-sweep")
     cells = _sweep_cells(settings)
@@ -258,7 +266,7 @@ def run_regret_sweep(settings: Settings) -> dict:
                 sol = bundle.rho_star
                 out["rho_star"] = (sol.n_iters, sol.residual, sol.measure.ess())
             return out
-        except Exception as e:  # keep the sweep complete; no silent gaps
+        except TRIAL_ERRORS as e:  # keep the sweep complete; no silent gaps
             return {"trial": trial, "cell": cell["name"], "error": f"{type(e).__name__}: {e}"}
 
     tasks = [(cell, trial) for cell in cells for trial in range(settings.trials)]

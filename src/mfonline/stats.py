@@ -11,12 +11,14 @@ differences a - b:
   normal approximation with tie correction and continuity correction.
 
 All-zero differences make both tests degenerate and raise.
+
+``scipy.special`` is imported inside the two tests, so that the CLI
+loads it only when it first runs a paired test.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, ndtr
 
 
 class DegenerateDataError(ValueError):
@@ -56,6 +58,8 @@ def summarize(values) -> StatsSummary:
 
 
 def _t_test(diffs):
+    from scipy.special import betainc
+
     n = diffs.size
     mean = float(diffs.mean())
     sd = float(diffs.std(ddof=1))
@@ -102,6 +106,8 @@ def _wilcoxon_exact_p(ranks, w_plus):
 
 
 def _wilcoxon(diffs, exact_cutoff=12):
+    from scipy.special import ndtr
+
     diffs = diffs[diffs != 0.0]
     n = diffs.size
     if n == 0:

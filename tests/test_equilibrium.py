@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+import mfonline.equilibrium as equilibrium
 from mfonline.datastream import NonlinearConfig, PeriodicConfig, Trajectory, gen_nonlinear, gen_periodic
 from mfonline.equilibrium import (
     BracketError,
@@ -9,6 +11,7 @@ from mfonline.equilibrium import (
     IsSolverConfig,
     QuadratureGrid,
     _bisect_fixed_point,
+    _logsumexp,
     default_sigma_fn,
     draw_prior_samples,
     importance_weights,
@@ -21,6 +24,7 @@ from mfonline.equilibrium import (
     verify_gap_decomposition,
 )
 from mfonline.seeding import substream
+from mu_oracle import oracle_mu_star
 from rho_oracle import damped_rho_star
 
 GRID = QuadratureGrid(lo=-8.0, hi=8.0, n_points=2001)
@@ -38,6 +42,62 @@ def test_importance_weights_huge_exponents_stable():
     assert np.allclose(w, [0.5, 0.5])
     w = importance_weights([-1e5, 0.0, -1e5])
     assert abs(w[1] - 1.0) < 1e-14
+
+
+def _lse_cases():
+    rng = substream(17, "lse")
+    return {
+        "one": rng.normal(size=1),
+        "two": rng.normal(size=2),
+        "n20000": 40.0 * rng.normal(size=20000),
+        "two_tied_maxima": np.array([0.3, 1.7, -2.0, 1.7, 0.9]),
+        "all_equal": np.full(7, -0.25),
+        "plus_minus_1e5": np.array([1e5, -1e5, 1e5 - 3.0, -1e5 + 1.0]),
+        "minus_inf_entries": np.array([-np.inf, 0.4, -np.inf, -1.2]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_lse_cases()))
+def test_logsumexp_bitwise_equal_to_scipy(case):
+    a = _lse_cases()[case]
+    before = a.copy()
+    assert _logsumexp(a).tobytes() == np.float64(logsumexp(a)).tobytes()
+    assert np.array_equal(a, before)  # the input is left as it was
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_logsumexp_rejects_a_non_finite_maximum(bad):
+    with pytest.raises(ValueError, match="finite maximum"):
+        _logsumexp(np.array([0.5, bad, -1.0]))
+
+
+@pytest.mark.parametrize("case", sorted(_lse_cases()))
+def test_importance_weights_bitwise_equal_to_scipy(case):
+    e = _lse_cases()[case]
+    assert importance_weights(e).tobytes() == np.exp(e - logsumexp(e)).tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
+def test_solve_mu_star_bitwise_equal_to_scipy_oracle(beta):
+    cfg = IsSolverConfig(prior_var=beta / 0.1, n_is=20000)
+    samples = draw_prior_samples(cfg.n_is, 5, cfg.prior_var, substream(23, "mu", str(beta)))
+    z = (np.array([0.3, -0.2, 0.5]), 0.8)
+    m_star, measure = solve_mu_star(samples, z, beta, cfg)
+    m_ref, w_ref = oracle_mu_star(samples, z, beta, cfg.root_tol)
+    assert np.float64(m_star).tobytes() == np.float64(m_ref).tobytes()
+    assert measure.weights.tobytes() == w_ref.tobytes()
+
+
+def test_solve_rho_star_bitwise_equal_to_scipy_merit(monkeypatch):
+    train, _ = gen_periodic(PeriodicConfig(n_steps=40), seed=3)
+    samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
+    sol = solve_rho_star(train, samples, beta=0.005, tol=1e-10)
+    monkeypatch.setattr(equilibrium, "_logsumexp", lambda a: np.float64(logsumexp(a)))
+    ref = solve_rho_star(train, samples, beta=0.005, tol=1e-10)
+    assert sol.n_iters > 1
+    assert sol.u.tobytes() == ref.u.tobytes()
+    assert np.array(sol.residual_trace).tobytes() == np.array(ref.residual_trace).tobytes()
+    assert sol.measure.weights.tobytes() == ref.measure.weights.tobytes()
 
 
 def test_draw_prior_samples_moments():

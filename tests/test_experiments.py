@@ -189,6 +189,19 @@ def test_regret_sweep_records_failures(tmp_path, monkeypatch):
         assert rec["trial"] in (0, 1)
 
 
+def _raise_type_error(*args, **kw):
+    raise TypeError("regret_run() got an unexpected keyword argument")
+
+
+def test_regret_sweep_raises_on_a_programming_error(tmp_path, monkeypatch):
+    # only the numerical failures in TRIAL_ERRORS are recorded per trial;
+    # a TypeError is a fault of the program and must end the sweep
+    monkeypatch.setattr(exp, "regret_run", _raise_type_error)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        run_regret_sweep(small_settings(tmp_path, threads=2))
+    assert not os.path.exists(os.path.join(str(tmp_path), "periodic-sweep", "report.json"))
+
+
 def test_thread_count_does_not_change_bytes(tmp_path):
     s1 = small_settings(tmp_path / "t1", trials=3, sweep_beta=[0.02, 0.05], threads=1)
     s8 = small_settings(tmp_path / "t8", trials=3, sweep_beta=[0.02, 0.05], threads=8)
@@ -356,6 +369,13 @@ def test_cli_regret_sweep_flags(tmp_path, capsys):
         "N8_beta0.02_lambda0.1", "N8_beta0.05_lambda0.1"]
     assert [len(c["oos_mse"]["values"]) for c in rep["cells"]] == [1, 1]  # one trial
     assert os.path.exists(tmp_path / "sweepout" / "bsweep" / "report.json")
+
+
+def test_cli_regret_sweep_programming_error_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(exp, "regret_run", _raise_type_error)
+    cfg = write_small_cfg(tmp_path)
+    assert cli.main(["regret-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "TypeError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--sweep-n", "0"), ("--sweep-beta", "nan"),

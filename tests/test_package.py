@@ -8,21 +8,46 @@ import types
 import pytest
 
 import mfonline
+from mfonline.stats import paired_tests
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mfonline.__file__)))
 
 
-def test_cli_start_up_leaves_scipy_stats_and_optimize_unloaded():
-    code = ("import sys, mfonline.cli, mfonline.experiments\n"
-            "print(mfonline.cli.__file__)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'stats'], ['scipy', 'optimize'])))\n")
+def _fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    module_file, loaded = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_cli_start_up_leaves_scipy_unloaded():
+    code = ("import sys, mfonline.cli, mfonline.experiments\n"
+            "print(mfonline.cli.__file__)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    module_file, loaded = _fresh_interpreter(code)
     assert module_file.startswith(SRC + os.sep)
     assert loaded == "[]"
+
+
+A = [1.0, 2.5, 0.3, 4.0, 2.2, 1.1, 0.7]
+B = [0.5, 2.0, 0.9, 3.0, 1.0, 1.4, 0.1]
+
+
+def test_paired_tests_loads_scipy_special_at_six_pairs():
+    # fewer than 6 pairs are rejected before scipy.special is needed
+    code = ("import sys\n"
+            "from mfonline.stats import paired_tests\n"
+            "try:\n"
+            "    paired_tests([1.0] * 5, [0.0] * 5)\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "print('scipy.special' in sys.modules)\n"
+            f"r = paired_tests({A}, {B})\n"
+            "print('scipy.special' in sys.modules)\n"
+            "print(repr(r))\n")
+    before, after, result = _fresh_interpreter(code)
+    assert (before, after) == ("False", "True")
+    assert result == repr(paired_tests(A, B))
 
 
 # the package's public names: every submodule but cli and experiments,
