@@ -14,7 +14,6 @@ beta times a KL term, which is nonnegative and computable two ways.
 import numpy as np
 
 from mfonline.equilibrium import (
-    IsSolverConfig,
     QuadratureGrid,
     draw_prior_samples,
     quadrature_free_energy,
@@ -34,7 +33,7 @@ print(f"quadrature:  m* = {m_quad:+.6f}   density mass = {grid.integrate(mu):.12
 
 rng = substream(99, "demo-is")
 samples = draw_prior_samples(200000, 1, beta / lam, rng)
-m_is, measure = solve_mu_star(samples, z, beta, IsSolverConfig(prior_var=beta / lam, n_is=200000))
+m_is, measure = solve_mu_star(samples, z, beta)
 print(f"sampling:    m* = {m_is:+.6f}   ESS = {measure.ess():.0f} of {len(samples)}")
 print(f"route gap: {abs(m_is - m_quad):.2e}  (tolerance in the verify suite: 3e-3)")
 

@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from mfonline.datastream import NonlinearConfig, gen_nonlinear
-from mfonline.equilibrium import IsSolverConfig
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import regret_run
 from mfonline.seeding import substream
@@ -32,9 +31,8 @@ def cum_regret(lam, init_sd, trial):
     data_seed = int(substream(1, "data", trial).integers(2**63))
     train, _ = gen_nonlinear(NonlinearConfig(), data_seed)
     cfg = OnpgdConfig(n_particles=40, lam=lam, beta=0.02, init_sd=init_sd)
-    is_cfg = IsSolverConfig(prior_var=0.02 / lam, n_is=N_IS)
     seed = int(substream(1, "demo-regret", f"{lam}-{init_sd}", trial).integers(2**63))
-    b = regret_run(train, cfg, is_cfg, STRIDE, seed)
+    b = regret_run(train, cfg, STRIDE, seed, n_is=N_IS)
     return b.get("dynamic", "regularized").cumulative[-1]
 
 
@@ -51,9 +49,8 @@ print()
 print("one full-resolution series (unit init, lambda=0.1, first seed):")
 data_seed = int(substream(1, "data", 0).integers(2**63))
 train, _ = gen_nonlinear(NonlinearConfig(), data_seed)
-b = regret_run(train, OnpgdConfig(n_particles=40, init_sd=1.0),
-               IsSolverConfig(prior_var=0.2, n_is=N_IS), 100,
-               int(substream(1, "demo-series").integers(2**63)))
+b = regret_run(train, OnpgdConfig(n_particles=40, init_sd=1.0), 100,
+               int(substream(1, "demo-series").integers(2**63)), n_is=N_IS)
 reg = b.get("dynamic", "regularized")
 for k, inst, cum in zip(b.eval_ks, reg.instantaneous, reg.cumulative):
     t = k * train.dt

@@ -20,7 +20,7 @@ _EXPORTS = {
          "Trajectory", "euler_ou_path", "gen_nonlinear", "gen_periodic",
          "response_second_moment"), "datastream"),
     **dict.fromkeys(
-        ("equilibrium", "IsSolverConfig", "QuadratureGrid", "RhoStarSolution",
+        ("equilibrium", "QuadratureGrid", "RhoStarSolution",
          "draw_prior_samples", "phi_hat", "quadrature_free_energy", "solve_mu_star",
          "solve_mu_star_quadrature", "solve_rho_star", "verify_dym_formula",
          "verify_gap_decomposition"), "equilibrium"),
@@ -32,8 +32,7 @@ _EXPORTS = {
         ("offline", "OfflineFitConfig", "batch_loss", "batch_loss_grad", "compare_oos",
          "fit_offline"), "offline"),
     **dict.fromkeys(
-        ("onpgd", "OnpgdConfig", "ParticleEnsemble", "init_ensemble", "run_online", "step"),
-        "onpgd"),
+        ("onpgd", "OnpgdConfig", "init_ensemble", "run_online"), "onpgd"),
     **dict.fromkeys(
         ("regret", "RegretBundle", "RegretSeries", "cumulative_regret", "instantaneous_regret",
          "regret_run"), "regret"),

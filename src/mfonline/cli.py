@@ -78,8 +78,7 @@ def _overrides(args):
                       ("sweep_lambda", "sweep.lambda")):
         v = getattr(args, flag, None)
         if v is not None:
-            coerced = _coerce(v)
-            over[key] = coerced if isinstance(coerced, list) else [coerced]
+            over[key] = _coerce(v)
     return over
 
 

@@ -144,9 +144,12 @@ class Settings:
             self.init_sd = None
         if self.init_sd is not None and not self.init_sd > 0:
             raise ValueError("init_sd must be a positive number or 'gibbs'")
+        if not self.root_tol > 0:
+            raise ValueError("root_tol (is.root_tol) must be positive")
+        # a scalar sweep value, 0 included, is a one-value sweep
         for name in ("sweep_n", "sweep_beta", "sweep_lam"):
             v = getattr(self, name)
-            if v and not isinstance(v, list):
+            if not isinstance(v, list):
                 setattr(self, name, [v])
 
     def out_dir(self) -> str:

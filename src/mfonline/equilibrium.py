@@ -1,7 +1,8 @@
 """Equilibrium and hindsight benchmark measures, plus identity verifiers.
 
 Two Gibbs-type benchmarks are solved by importance sampling from the prior
-N(0, prior_var I_d):
+N(0, prior_var I_d), where prior_var = beta / lam is fixed by the
+learner's temperature and penalty:
 
 * the instantaneous equilibrium for one data point z = (x, y).  Its mean
   prediction m* satisfies the scalar fixed point m = Phi(m) where Phi
@@ -47,23 +48,6 @@ class ConvergenceError(RuntimeError):
 
 class GridTooNarrowError(ValueError):
     """Quadrature grid endpoints carry non-negligible density mass."""
-
-
-@dataclass(frozen=True)
-class IsSolverConfig:
-    """Importance-sampling solver knobs; prior_var is beta / lam."""
-
-    prior_var: float
-    n_is: int = 20000
-    root_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.prior_var > 0:
-            raise ValueError("prior_var must be positive")
-        if not self.n_is >= 2:
-            raise ValueError("n_is must be >= 2")
-        if not self.root_tol > 0:
-            raise ValueError("root_tol must be positive")
 
 
 def draw_prior_samples(n: int, dim: int, prior_var: float, rng) -> np.ndarray:
@@ -163,12 +147,12 @@ def _bisect_fixed_point(phi, lo, hi, root_tol, max_expansions, max_iters=300):
     raise ConvergenceError(f"bisection stalled: interval [{lo}, {hi}]")
 
 
-def solve_mu_star(samples, z, beta, config: IsSolverConfig, sigma_fn=None):
+def solve_mu_star(samples, z, beta, root_tol=1e-10, sigma_fn=None):
     """Instantaneous equilibrium from prior samples at one data point.
 
     Returns (m_star, measure): the fixed-point prediction and the weighted
     sample measure at that tilt.  Post: the measure's reweighted mean
-    prediction reproduces m_star within config.root_tol.
+    prediction reproduces m_star within root_tol.
     """
     x, y = unpack(z)
     samples = np.asarray(samples, dtype=float)
@@ -179,7 +163,7 @@ def solve_mu_star(samples, z, beta, config: IsSolverConfig, sigma_fn=None):
     def phi(m):
         return _phi_from_vals(m, svals, y, beta)[0]
 
-    m_star = _bisect_fixed_point(phi, lo, hi, config.root_tol, max_expansions=60)
+    m_star = _bisect_fixed_point(phi, lo, hi, root_tol, max_expansions=60)
     _, w = _phi_from_vals(m_star, svals, y, beta)
     return m_star, WeightedMeasure(samples=samples, weights=w)
 

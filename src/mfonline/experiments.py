@@ -22,7 +22,6 @@ from .datastream import NonlinearConfig, PeriodicConfig, gen_nonlinear, gen_peri
 from .equilibrium import (
     BracketError,
     ConvergenceError,
-    IsSolverConfig,
     QuadratureGrid,
     default_sigma_fn,
     draw_prior_samples,
@@ -206,15 +205,18 @@ def run_oos_compare(settings: Settings) -> dict:
 
 
 def _sweep_cells(settings: Settings):
-    """The (N, beta, lambda) grid with each cell's learner and solver
-    configs, built here so that a bad sweep value fails before any trial."""
+    """The (N, beta, lambda) grid with each cell's learner config, built
+    here so that a bad sweep value fails before any trial."""
     ns = settings.sweep_n or [settings.n_particles]
     betas = settings.sweep_beta or [settings.beta]
     lams = settings.sweep_lam or [settings.lam]
     cells = []
     for n, beta, lam in product(ns, betas, lams):
         n, beta, lam = int(n), float(beta), float(lam)
-        if not lam > 0:  # the benchmark's prior variance is beta / lambda
+        # the benchmark's prior variance is beta / lambda
+        if not beta > 0:
+            raise ValueError(f"beta must be positive, got {beta!r}")
+        if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam!r}")
         cells.append({
             "n": n, "beta": beta, "lam": lam, "name": f"N{n}_beta{beta:g}_lambda{lam:g}",
@@ -222,8 +224,6 @@ def _sweep_cells(settings: Settings):
                 n_particles=n, lam=lam, beta=beta, dt=settings.dt,
                 self_interaction=settings.self_interaction, init_sd=settings.init_sd,
             ),
-            "is": IsSolverConfig(prior_var=beta / lam, n_is=settings.n_is,
-                                 root_tol=settings.root_tol),
         })
     return cells
 
@@ -250,9 +250,9 @@ def run_regret_sweep(settings: Settings) -> dict:
         try:
             train, test = generate_pair(settings, trial)
             bundle = regret_run(
-                train, cell["onpgd"], cell["is"], settings.eval_stride,
-                cell_seed(settings, cell["name"], trial),
-                include_static=settings.include_static, test=test,
+                train, cell["onpgd"], settings.eval_stride,
+                cell_seed(settings, cell["name"], trial), n_is=settings.n_is,
+                root_tol=settings.root_tol, include_static=settings.include_static, test=test,
             )
             tdir = _trial_dir(root, cell["name"], trial)
             regret_to_csv(bundle, os.path.join(tdir, "regret.csv"), trial=trial,
@@ -371,9 +371,8 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
         y = srng.normal(0.0, 0.3)
         m_quad, _ = solve_mu_star_quadrature((x, y), beta, lam, grid)
         samples = draw_prior_samples(200000, 1, beta / lam, srng)
-        cfg = IsSolverConfig(prior_var=beta / lam, n_is=200000, root_tol=settings.root_tol)
         try:
-            m_is, _ = solve_mu_star(samples, (x, y), beta, cfg, sigma_fn=sigma_fn)
+            m_is, _ = solve_mu_star(samples, (x, y), beta, settings.root_tol, sigma_fn=sigma_fn)
             worst_cross = max(worst_cross, abs(m_is - m_quad))
         except (BracketError, ConvergenceError):
             worst_cross = float("inf")

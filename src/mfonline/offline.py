@@ -17,7 +17,7 @@ import numpy as np
 
 from .measures import oos_mse
 from .network import forward
-from .onpgd import OnpgdConfig, run_online
+from .onpgd import OnpgdConfig, init_ensemble, run_online
 from .seeding import substream
 
 
@@ -88,8 +88,9 @@ def batch_loss_grad(thetas, traj, lam: float, fwd=None) -> np.ndarray:
     return grad
 
 
-def fit_offline(traj, config: OfflineFitConfig, seed):
-    """Full-batch descent from the Gibbs init; returns (thetas, loss_trace).
+def fit_offline(traj, config: OfflineFitConfig, rng):
+    """Full-batch descent from a Gibbs init drawn from the Generator rng;
+    returns (thetas, loss_trace).
 
     loss_trace[j] is the loss before iteration j (length iters + 1, so the
     last entry is the final loss).  Divergence (non-finite or loss above
@@ -97,9 +98,7 @@ def fit_offline(traj, config: OfflineFitConfig, seed):
     one forward pass, shared by the loss and the gradient, into (K, N)
     buffers allocated once per call.
     """
-    dim = traj.x_dim + 2
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "offline-init")
-    thetas = config.initial_sd() * rng.standard_normal((config.n_particles, dim))
+    thetas = init_ensemble(config, traj.x_dim + 2, rng)
     shape = (traj.n_steps, config.n_particles)
     buffers = (np.empty(shape), np.empty(shape))
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import predict
-from .network import forward, unpack
-from .seeding import substream
+from .network import forward
 
 
 class BlowUpError(RuntimeError):
@@ -56,38 +55,15 @@ class OnpgdConfig:
         return float(np.sqrt(self.beta / self.lam))
 
 
-@dataclass
-class ParticleEnsemble:
-    """Particle states (N, d) plus the number of update steps taken."""
+def init_ensemble(config, dim: int, rng) -> np.ndarray:
+    """Draw N particles iid from N(0, initial_sd^2 I_dim) as an (N, dim) array.
 
-    thetas: np.ndarray
-    steps_taken: int = 0
-
-    def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, dtype=float)
-        if self.thetas.ndim != 2:
-            raise ValueError("thetas must be (N, d)")
-
-    @property
-    def n_particles(self) -> int:
-        return self.thetas.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.thetas.shape[1]
-
-
-def init_ensemble(config: OnpgdConfig, dim: int, rng_or_seed) -> ParticleEnsemble:
-    """Draw N particles iid from N(0, initial_sd^2 I_dim)."""
+    config is an OnpgdConfig or an OfflineFitConfig: anything with
+    n_particles and initial_sd().
+    """
     if dim < 3:
         raise ValueError("flat neuron dimension is n + 2 >= 3")
-    rng = (
-        rng_or_seed
-        if isinstance(rng_or_seed, np.random.Generator)
-        else np.random.default_rng(rng_or_seed)
-    )
-    thetas = config.initial_sd() * rng.standard_normal((config.n_particles, dim))
-    return ParticleEnsemble(thetas=thetas, steps_taken=0)
+    return config.initial_sd() * rng.standard_normal((config.n_particles, dim))
 
 
 def _advance(thetas, x, y, config, noise, step_index):
@@ -131,27 +107,6 @@ def _advance(thetas, x, y, config, noise, step_index):
     return new, float(mean)
 
 
-def step(ensemble: ParticleEnsemble, z, config: OnpgdConfig, rng=None, noise=None) -> ParticleEnsemble:
-    """One Euler update consuming data point z = (x, y); returns a new ensemble.
-
-    Noise is drawn from rng as a single (N, d) block unless supplied
-    explicitly, which makes permutation and hand-step checks exact.
-    """
-    x, y = unpack(z)
-    thetas = ensemble.thetas
-    if noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != thetas.shape:
-            raise ValueError("noise must have shape (N, d)")
-    elif config.beta > 0:
-        if rng is None:
-            raise ValueError("rng required when beta > 0 and noise not supplied")
-        noise = rng.standard_normal(thetas.shape)
-    steps_taken = ensemble.steps_taken + 1
-    new, _ = _advance(thetas, x, y, config, noise, steps_taken)
-    return ParticleEnsemble(thetas=new, steps_taken=steps_taken)
-
-
 @dataclass
 class OnlineRunResult:
     """Outputs of one training pass.
@@ -159,31 +114,25 @@ class OnlineRunResult:
     snapshots: list of (k, thetas) pre-update states at the requested
     indices.  train_pred[k-1] is the pre-update full-mean prediction at the
     train covariate x_k; extra_pred the same at the supplied covariates
-    (e.g. a test path).  final is the ensemble after all K steps.
+    (e.g. a test path).  final is the (N, d) particle array after all K steps.
     """
 
     snapshots: list
     train_pred: np.ndarray
     extra_pred: np.ndarray | None
-    final: ParticleEnsemble
+    final: np.ndarray
 
 
-def run_online(traj, config: OnpgdConfig, seed, snapshot_at=(), predict_xs=None) -> OnlineRunResult:
+def run_online(traj, config: OnpgdConfig, rng, snapshot_at=(), predict_xs=None) -> OnlineRunResult:
     """Train on a trajectory, recording predictions and optional snapshots.
 
-    seed feeds two substreams ("init", "noise"); an explicit Generator is
-    also accepted and then serves both.  snapshot_at lists the data indices
-    (1..K) whose pre-update states are kept.  predict_xs, when given, must
-    be a (K, n) covariate array evaluated with the pre-update state each step.
+    The Generator rng draws the initial ensemble and then one (N, d) noise
+    block per step.  snapshot_at lists the data indices (1..K) whose
+    pre-update states are kept.  predict_xs, when given, must be a (K, n)
+    covariate array evaluated with the pre-update state each step.
     """
     K = traj.n_steps
-    dim = traj.x_dim + 2
-    if isinstance(seed, np.random.Generator):
-        rng_init = rng_noise = seed
-    else:
-        rng_init = substream(seed, "init")
-        rng_noise = substream(seed, "noise")
-    ens = init_ensemble(config, dim, rng_init)
+    thetas = init_ensemble(config, traj.x_dim + 2, rng)
 
     want = set(snapshot_at)
     if predict_xs is not None:
@@ -195,16 +144,14 @@ def run_online(traj, config: OnpgdConfig, seed, snapshot_at=(), predict_xs=None)
     train_pred = np.empty(K)
     extra_pred = np.empty(K) if predict_xs is not None else None
 
-    thetas = ens.thetas
     for k in range(1, K + 1):
         if k in want:
             snapshots.append((k, thetas.copy()))
         if extra_pred is not None:
             extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
-        noise = rng_noise.standard_normal(thetas.shape) if config.beta > 0 else None
+        noise = rng.standard_normal(thetas.shape) if config.beta > 0 else None
         thetas, train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config, noise, k)
 
-    final = ParticleEnsemble(thetas=thetas, steps_taken=K)
     return OnlineRunResult(
-        snapshots=snapshots, train_pred=train_pred, extra_pred=extra_pred, final=final
+        snapshots=snapshots, train_pred=train_pred, extra_pred=extra_pred, final=thetas
     )

@@ -8,6 +8,9 @@ horizon by the trapezoid rule on the evaluation subgrid.  Two benchmarks:
   point's data (fresh prior samples per point, seeded by the point index);
 * static: one hindsight measure solved from the whole training trajectory.
 
+Both are Gibbs measures of the learner's own free energy, so their prior
+N(0, (beta / lam) I_d) is taken from the learner's config.
+
 Each comes in a regularized (penalty included on both sides) and an
 unregularized variant.  Evaluation uses the pre-update ensemble states on
 the subgrid {1, stride, 2 stride, ..., K}, so the first point is the
@@ -22,7 +25,6 @@ import numpy as np
 from .equilibrium import (
     BracketError,
     ConvergenceError,
-    IsSolverConfig,
     draw_prior_samples,
     solve_mu_star,
     solve_rho_star,
@@ -95,48 +97,55 @@ class RegretBundle:
     series: dict
     mse: float | None = None
     rho_star: object = None
-    mu_star_values: list = field(default_factory=list)
     mu_star_ess: list = field(default_factory=list)
 
     def get(self, benchmark="dynamic", variant="regularized") -> RegretSeries:
         return self.series[(benchmark, variant)]
 
 
-def regret_run(train, onpgd_config, is_config: IsSolverConfig, eval_stride: int, seed,
-               include_static=False, test=None, rho_star_kwargs=None) -> RegretBundle:
+def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_tol=1e-10,
+               include_static=False, test=None) -> RegretBundle:
     """Train online on ``train`` and measure regret on the subgrid.
 
-    Dynamic benchmark: fresh prior samples are drawn per evaluation point
-    from a substream keyed by the point's ordinal, so threading over trials
-    or points cannot change results.  Static benchmark (include_static)
-    solves the hindsight measure once from its own substream.  With
-    ``test`` given, out-of-sample predictions are recorded during the run.
+    seed is an integer; the learner and each benchmark draw from their
+    own named substream of it.  Both benchmarks reweight n_is samples of
+    the prior N(0, (beta / lam) I_d) of ``onpgd_config``.  Dynamic
+    benchmark: fresh prior samples are drawn per evaluation point from a
+    substream keyed by the point's ordinal, so threading over trials or
+    points cannot change results; each point's fixed point is solved to
+    root_tol.  Static benchmark (include_static) solves the hindsight
+    measure once from its own substream.  With ``test`` given,
+    out-of-sample predictions are recorded during the run.
     """
+    lam = onpgd_config.lam
+    beta = onpgd_config.beta
+    if not (beta > 0 and lam > 0):
+        raise ValueError(f"the benchmark prior N(0, beta / lam) needs beta > 0 and lam > 0, "
+                         f"got beta={beta!r}, lam={lam!r}")
     K = train.n_steps
     ks = eval_indices(K, eval_stride)
     result = run_online(
         train,
         onpgd_config,
-        substream(seed, "onpgd") if not isinstance(seed, np.random.Generator) else seed,
+        substream(seed, "onpgd"),
         snapshot_at=ks,
         predict_xs=test.x if test is not None else None,
     )
     snaps = dict(result.snapshots)
 
     dim = train.x_dim + 2
-    lam = onpgd_config.lam
-    beta = onpgd_config.beta
+    prior_var = beta / lam
     times = train.dt * np.asarray(ks, dtype=float)
 
     inst = {(b, v): np.empty(len(ks)) for b in BENCHMARKS for v in VARIANTS}
-    mu_values, mu_ess = [], []
+    mu_ess = []
 
     static_solution = None
     if include_static:
         rng = substream(seed, "static-benchmark")
-        samples = draw_prior_samples(is_config.n_is, dim, is_config.prior_var, rng)
+        samples = draw_prior_samples(n_is, dim, prior_var, rng)
         try:
-            static_solution = solve_rho_star(train, samples, beta, **(rho_star_kwargs or {}))
+            static_solution = solve_rho_star(train, samples, beta)
         except ConvergenceError as exc:
             raise ConvergenceError(f"hindsight solve failed: {exc}",
                                    residual_trace=exc.residual_trace) from exc
@@ -145,12 +154,11 @@ def regret_run(train, onpgd_config, is_config: IsSolverConfig, eval_stride: int,
         z = (train.x[k - 1], train.y[k - 1])
         thetas = snaps[k]
         rng = substream(seed, "dynamic-benchmark", j)
-        samples = draw_prior_samples(is_config.n_is, dim, is_config.prior_var, rng)
+        samples = draw_prior_samples(n_is, dim, prior_var, rng)
         try:
-            m_star, mu_hat = solve_mu_star(samples, z, beta, is_config)
+            _, mu_hat = solve_mu_star(samples, z, beta, root_tol)
         except (BracketError, ConvergenceError) as exc:
             raise type(exc)(f"benchmark solve failed at subgrid index {j} (step {k}): {exc}") from exc
-        mu_values.append(m_star)
         mu_ess.append(mu_hat.ess())
         inst[("dynamic", "regularized")][j] = instantaneous_regret(thetas, mu_hat, z, lam, "regularized")
         inst[("dynamic", "unregularized")][j] = instantaneous_regret(thetas, mu_hat, z, lam, "unregularized")
@@ -173,7 +181,7 @@ def regret_run(train, onpgd_config, is_config: IsSolverConfig, eval_stride: int,
 
     mse = oos_mse(result.extra_pred, test) if test is not None else None
     return RegretBundle(eval_ks=ks, series=series, mse=mse, rho_star=static_solution,
-                        mu_star_values=mu_values, mu_star_ess=mu_ess)
+                        mu_star_ess=mu_ess)
 
 
 def regret_to_csv(bundle: RegretBundle, path, trial=0, n_particles=None, beta=None, lam=None):

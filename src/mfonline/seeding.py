@@ -6,6 +6,10 @@ scheduled across threads.  A substream is identified by a path of labels,
 e.g. ``substream(seed, "trial", 3, "noise")``.  Labels are hashed to 32-bit
 words and fed to numpy's SeedSequence as a spawn key, which is stable
 across platforms and numpy versions.
+
+Substreams are cut at the top: the experiment runners, ``compare_oos`` and
+``regret_run`` take integer seeds and name their substreams; everything
+they call takes the resulting Generator.
 """
 
 import zlib

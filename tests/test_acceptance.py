@@ -28,7 +28,6 @@ from mfonline.datastream import (
     gen_periodic,
 )
 from mfonline.equilibrium import (
-    IsSolverConfig,
     QuadratureGrid,
     draw_prior_samples,
     phi_hat,
@@ -37,7 +36,7 @@ from mfonline.equilibrium import (
 from mfonline.experiments import run_regret_sweep, run_verify
 from mfonline.measures import WeightedMeasure, second_moment
 from mfonline.offline import OfflineFitConfig, batch_loss, batch_loss_grad, compare_oos
-from mfonline.onpgd import OnpgdConfig, ParticleEnsemble, init_ensemble, step
+from mfonline.onpgd import OnpgdConfig, _advance, init_ensemble
 from mfonline.regret import cumulative_regret, instantaneous_regret, regret_run
 from mfonline.seeding import substream
 from mfonline.stats import paired_tests
@@ -118,11 +117,10 @@ def regret_cells():
     for name, p in CELLS.items():
         onpgd = OnpgdConfig(n_particles=p["n"], lam=p["lam"], beta=p["beta"],
                             init_sd=INIT_SD)
-        is_cfg = IsSolverConfig(prior_var=p["beta"] / p["lam"])
 
         def one(trial):
             train, test = data_pair("nonlinear", trial)
-            b = regret_run(train, onpgd, is_cfg, 100, cell_seed(name, trial), test=test)
+            b = regret_run(train, onpgd, 100, cell_seed(name, trial), test=test)
             reg = b.get("dynamic", "regularized")
             unreg = b.get("dynamic", "unregularized")
             return {
@@ -299,25 +297,25 @@ def test_c6_property_suite(tmp_path_factory, capsys):
 
     # injected noise variance matches 2 beta dt within 2%
     cfg = OnpgdConfig(n_particles=50_000, lam=0.1, beta=0.02, dt=0.02)
-    thetas = init_ensemble(cfg, 3, substream(11, "init")).thetas
-    z = (np.array([0.8]), -0.1)
-    det = step(ParticleEnsemble(thetas.copy()), z, cfg, noise=np.zeros_like(thetas))
-    rnd = step(ParticleEnsemble(thetas.copy()), z, cfg, rng=substream(11, "noise"))
+    thetas = init_ensemble(cfg, 3, substream(11, "init"))
+    x, y = np.array([0.8]), -0.1
+    det, _ = _advance(thetas, x, y, cfg, np.zeros_like(thetas), 1)
+    rnd, _ = _advance(thetas, x, y, cfg, substream(11, "noise").standard_normal(thetas.shape), 1)
     target = 2.0 * cfg.beta * cfg.dt
-    rel = abs((rnd.thetas - det.thetas).var() - target) / target
+    rel = abs((rnd - det).var() - target) / target
     checks.append(("noise variance 2*beta*dt", rel < 0.02, f"rel err {rel:.4f}"))
 
     # pure confinement contracts geometrically, bit for bit
     cfg = OnpgdConfig(n_particles=5, lam=0.2, beta=0.0, dt=0.1, init_sd=1.0)
     thetas = substream(11, "decay").standard_normal((5, 3))
     thetas[:, 0] = 0.0  # zero amplitudes kill the interaction term
-    ens = ParticleEnsemble(thetas.copy())
+    ens = thetas.copy()
     expected = thetas.copy()
-    for _ in range(9):
-        ens = step(ens, (np.array([0.7]), 0.0), cfg)
+    for k in range(1, 10):
+        ens, _ = _advance(ens, np.array([0.7]), 0.0, cfg, None, k)
         expected = expected + (-cfg.lam * expected) * cfg.dt
-    exact = np.array_equal(ens.thetas, expected)
-    closed = np.max(np.abs(ens.thetas - thetas * (1 - cfg.lam * cfg.dt) ** 9))
+    exact = np.array_equal(ens, expected)
+    closed = np.max(np.abs(ens - thetas * (1 - cfg.lam * cfg.dt) ** 9))
     checks.append(("geometric decay exact", exact and closed < 1e-14,
                    f"closed-form gap {closed:.1e}"))
 

@@ -101,6 +101,16 @@ def test_init_sd_forms():
     assert s.init_sd is None
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-10, float("nan")])
+def test_root_tol_must_be_positive(tmp_path, bad):
+    with pytest.raises(ValueError, match=r"is\.root_tol"):
+        Settings(root_tol=bad)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"is.root_tol = {bad!r}\n")
+    with pytest.raises(ValueError, match=r"is\.root_tol"):
+        build_settings(config_path=path)
+
+
 def test_sweep_scalars_become_lists(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("sweep.beta = 0.02\nsweep.n = 20, 200\n")
@@ -108,3 +118,7 @@ def test_sweep_scalars_become_lists(tmp_path):
     assert s.sweep_beta == [0.02]
     assert s.sweep_n == [20, 200]
     assert s.sweep_lam == []
+    # a zero is a value too, not an empty sweep
+    path.write_text("sweep.beta = 0\nsweep.lambda = 0.0\n")
+    s = build_settings(config_path=path)
+    assert s.sweep_beta == [0] and s.sweep_lam == [0.0]

@@ -8,7 +8,6 @@ from mfonline.equilibrium import (
     BracketError,
     ConvergenceError,
     GridTooNarrowError,
-    IsSolverConfig,
     QuadratureGrid,
     _bisect_fixed_point,
     _logsumexp,
@@ -79,11 +78,10 @@ def test_importance_weights_bitwise_equal_to_scipy(case):
 
 @pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
 def test_solve_mu_star_bitwise_equal_to_scipy_oracle(beta):
-    cfg = IsSolverConfig(prior_var=beta / 0.1, n_is=20000)
-    samples = draw_prior_samples(cfg.n_is, 5, cfg.prior_var, substream(23, "mu", str(beta)))
+    samples = draw_prior_samples(20000, 5, beta / 0.1, substream(23, "mu", str(beta)))
     z = (np.array([0.3, -0.2, 0.5]), 0.8)
-    m_star, measure = solve_mu_star(samples, z, beta, cfg)
-    m_ref, w_ref = oracle_mu_star(samples, z, beta, cfg.root_tol)
+    m_star, measure = solve_mu_star(samples, z, beta, 1e-10)
+    m_ref, w_ref = oracle_mu_star(samples, z, beta, 1e-10)
     assert np.float64(m_star).tobytes() == np.float64(m_ref).tobytes()
     assert measure.weights.tobytes() == w_ref.tobytes()
 
@@ -156,13 +154,12 @@ def test_bisect_bracket_error():
 
 def test_solve_mu_star_fixed_point_residual():
     rng = substream(11, "mu")
-    cfg = IsSolverConfig(prior_var=0.2, n_is=20000)
-    samples = draw_prior_samples(cfg.n_is, 1, cfg.prior_var, rng)
+    samples = draw_prior_samples(20000, 1, 0.2, rng)
     z = (1.2, 0.4)
-    m_star, measure = solve_mu_star(samples, z, beta=0.02, config=cfg)
+    m_star, measure = solve_mu_star(samples, z, beta=0.02, root_tol=1e-10)
     # the returned measure reproduces the fixed point
     svals = np.tanh(1.2 * samples[:, 0])
-    assert abs(float(measure.weights @ svals) - m_star) <= cfg.root_tol
+    assert abs(float(measure.weights @ svals) - m_star) <= 1e-10
     assert abs(measure.weights.sum() - 1.0) < 1e-12
 
 
@@ -179,9 +176,8 @@ def test_is_vs_quadrature_single_instance():
     z = (1.0, 0.3)
     beta, lam = 0.02, 0.1
     m_quad, _ = solve_mu_star_quadrature(z, beta, lam, GRID)
-    cfg = IsSolverConfig(prior_var=beta / lam, n_is=100_000)
-    samples = draw_prior_samples(cfg.n_is, 1, cfg.prior_var, substream(3, "cross"))
-    m_is, _ = solve_mu_star(samples, z, beta, cfg)
+    samples = draw_prior_samples(100_000, 1, beta / lam, substream(3, "cross"))
+    m_is, _ = solve_mu_star(samples, z, beta)
     assert abs(m_is - m_quad) <= 3e-3
 
 
@@ -197,13 +193,6 @@ def test_grid_refinement_stability():
 def test_grid_too_narrow():
     with pytest.raises(GridTooNarrowError):
         solve_mu_star_quadrature((1.0, 0.3), 0.02, 0.1, QuadratureGrid(-0.5, 0.5, 201))
-
-
-def test_is_solver_config_validation():
-    for bad in (dict(prior_var=0.0), dict(prior_var=np.nan), dict(prior_var=0.2, n_is=1),
-                dict(prior_var=0.2, root_tol=0.0), dict(prior_var=0.2, root_tol=np.nan)):
-        with pytest.raises(ValueError):
-            IsSolverConfig(**bad)
 
 
 def test_quadrature_grid_validation():
@@ -294,8 +283,7 @@ def test_rho_star_matches_mu_star_on_one_point():
     traj = Trajectory(dt=0.3, x=np.array([[1.1]]), y=np.array([0.4]))
     beta = 0.5
     sol = solve_rho_star(traj, samples, beta, tol=1e-10)
-    cfg = IsSolverConfig(prior_var=0.5, n_is=20000, root_tol=1e-10)
-    m_star, _ = solve_mu_star(samples, (traj.x[0], traj.y[0]), beta, cfg)
+    m_star, _ = solve_mu_star(samples, (traj.x[0], traj.y[0]), beta, root_tol=1e-10)
     assert abs(sol.u[0] - m_star) < 1e-8
 
 

@@ -5,6 +5,7 @@ whole file stays in the seconds range; statistical quality is not at
 stake here, only wiring, file layout, failure handling and exit codes.
 """
 
+import functools
 import json
 import os
 
@@ -13,6 +14,7 @@ import pytest
 
 from mfonline import cli
 import mfonline.experiments as exp
+import mfonline.regret as regret
 from mfonline.config import OUT_ENV_VAR, Settings
 from mfonline.equilibrium import BracketError
 from mfonline.experiments import (
@@ -172,10 +174,10 @@ def test_regret_sweep_cell_grid(tmp_path):
 def test_regret_sweep_records_failures(tmp_path, monkeypatch):
     real = exp.regret_run
 
-    def flaky(train, onpgd, is_cfg, stride, seed, **kw):
+    def flaky(train, onpgd, stride, seed, **kw):
         if onpgd.beta == 0.05:
             raise BracketError("no sign change in the expanded bracket")
-        return real(train, onpgd, is_cfg, stride, seed, **kw)
+        return real(train, onpgd, stride, seed, **kw)
 
     monkeypatch.setattr(exp, "regret_run", flaky)
     s = small_settings(tmp_path, sweep_beta=[0.02, 0.05])
@@ -280,21 +282,17 @@ def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("bad", [dict(sweep_n=[0]), dict(sweep_beta=[0.02, float("nan")]),
                                  dict(sweep_beta=[-0.1]), dict(sweep_lam=[0.0]),
-                                 dict(sweep_lam=[0.1, float("nan")])])
+                                 dict(sweep_lam=[0.1, float("nan")]), dict(sweep_beta=[0.0])])
 def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
-    match = "lambda" if "sweep_lam" in bad else None
+    match = {"sweep_lam": "lambda", "sweep_beta": "beta"}.get(next(iter(bad)))
     with pytest.raises(ValueError, match=match):
         run_regret_sweep(small_settings(tmp_path, **bad))
     assert not os.path.exists(os.path.join(str(tmp_path), "periodic-sweep"))
 
 
 def test_static_sweep_failure_names_the_hindsight_solve(tmp_path, monkeypatch):
-    real = exp.regret_run
-
-    def one_check(*args, **kw):
-        return real(*args, rho_star_kwargs={"max_iters": 1}, **kw)
-
-    monkeypatch.setattr(exp, "regret_run", one_check)
+    real = regret.solve_rho_star
+    monkeypatch.setattr(regret, "solve_rho_star", functools.partial(real, max_iters=1))
     rep = run_regret_sweep(small_settings(tmp_path, include_static=True, trials=1))
     (cell,) = rep["cells"]
     (rec,) = cell["failures"]
@@ -384,6 +382,16 @@ def test_cli_bad_sweep_value_exits_one(tmp_path, capsys, flag, value):
     cfg = write_small_cfg(tmp_path)
     out = tmp_path / "sweepout"
     assert cli.main(["regret-sweep", "--config", cfg, "--out", str(out), flag, value]) == 1
+    assert "ValueError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["sweep.beta = 0", "sweep.lambda = 0.0"])
+def test_cli_zero_sweep_value_in_config_exits_one(tmp_path, capsys, line):
+    # a falsy scalar is still a one-value sweep, and a bad one, not "no sweep"
+    cfg = write_small_cfg(tmp_path, line + "\n")
+    out = tmp_path / "sweepout"
+    assert cli.main(["regret-sweep", "--config", cfg, "--out", str(out)]) == 1
     assert "ValueError" in capsys.readouterr().err
     assert not out.exists()
 

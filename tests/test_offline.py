@@ -16,7 +16,7 @@ from mfonline.offline import (
     compare_oos,
     fit_offline,
 )
-from mfonline.onpgd import OnpgdConfig, init_ensemble, run_online
+from mfonline.onpgd import OnpgdConfig, run_online
 from mfonline.network import forward
 from mfonline.seeding import substream
 
@@ -53,7 +53,7 @@ def test_batch_loss_grad_finite_differences():
 def test_descent_decreases_loss():
     traj = _small_traj(seed=9, K=20, n=1)
     cfg = OfflineFitConfig(n_particles=6, lam=0.1, iters=60, learning_rate=0.01)
-    _, trace = fit_offline(traj, cfg, seed=3)
+    _, trace = fit_offline(traj, cfg, substream(3, "offline-init"))
     assert trace.shape == (61,)
     # small step on a smooth objective: monotone within fp slack
     assert np.all(np.diff(trace) <= 1e-12)
@@ -62,8 +62,8 @@ def test_descent_decreases_loss():
 def test_fit_deterministic():
     traj = _small_traj(seed=4)
     cfg = OfflineFitConfig(n_particles=5, iters=30)
-    t1, tr1 = fit_offline(traj, cfg, seed=8)
-    t2, tr2 = fit_offline(traj, cfg, seed=8)
+    t1, tr1 = fit_offline(traj, cfg, substream(8, "offline-init"))
+    t2, tr2 = fit_offline(traj, cfg, substream(8, "offline-init"))
     assert np.array_equal(t1, t2)
     assert np.array_equal(tr1, tr2)
 
@@ -87,7 +87,7 @@ def _two_pass_fit(traj, config, seed):
 ], ids=["periodic", "nonlinear"])
 def test_fit_matches_two_pass_oracle_bitwise(traj):
     cfg = OfflineFitConfig(n_particles=12, iters=80)
-    thetas, trace = fit_offline(traj, cfg, seed=11)
+    thetas, trace = fit_offline(traj, cfg, substream(11, "offline-init"))
     want_thetas, want_trace = _two_pass_fit(traj, cfg, seed=11)
     assert np.array_equal(thetas, want_thetas)
     assert np.array_equal(trace, want_trace)
@@ -98,7 +98,7 @@ def test_divergence_raises():
     cfg = OfflineFitConfig(n_particles=4, lam=0.1, iters=400, learning_rate=5e4)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            fit_offline(traj, cfg, seed=1)
+            fit_offline(traj, cfg, substream(1, "offline-init"))
 
 
 def test_config_validation():

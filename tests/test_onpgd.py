@@ -3,16 +3,14 @@ import pytest
 
 from mfonline.datastream import NonlinearConfig, PeriodicConfig, gen_nonlinear, gen_periodic
 from mfonline.network import forward
-from mfonline.onpgd import (
-    BlowUpError,
-    OnpgdConfig,
-    ParticleEnsemble,
-    init_ensemble,
-    run_online,
-    step,
-)
+from mfonline.onpgd import BlowUpError, OnpgdConfig, _advance, init_ensemble, run_online
 from mfonline.seeding import substream
 from neuron_oracle import grad_sigma, sigma
+
+
+def step(thetas, z, cfg, noise=None, k=1):
+    """One Euler update of the kernel run_online runs; returns the new array."""
+    return _advance(thetas, z[0], z[1], cfg, noise, k)[0]
 
 
 def test_config_validation():
@@ -33,10 +31,9 @@ def test_config_validation():
 
 def test_init_ensemble():
     cfg = OnpgdConfig(n_particles=5000, lam=0.1, beta=0.02)
-    ens = init_ensemble(cfg, 4, substream(0, "i"))
-    assert ens.thetas.shape == (5000, 4)
-    assert ens.steps_taken == 0
-    sd = ens.thetas.std()
+    thetas = init_ensemble(cfg, 4, substream(0, "i"))
+    assert thetas.shape == (5000, 4)
+    sd = thetas.std()
     assert abs(sd - cfg.initial_sd()) / cfg.initial_sd() < 0.05
     with pytest.raises(ValueError):
         init_ensemble(cfg, 2, substream(0, "i"))
@@ -57,9 +54,8 @@ def test_hand_euler_step():
         drift = -cfg.lam * t - 2.0 * (m - y) * grad_sigma(x, t)
         expected[i] = t + drift * cfg.dt + np.sqrt(2 * cfg.beta * cfg.dt) * noise[i]
 
-    out = step(ParticleEnsemble(thetas), (x, y), cfg, noise=noise)
-    assert out.steps_taken == 1
-    assert np.max(np.abs(out.thetas - expected)) < 1e-12
+    out = step(thetas, (x, y), cfg, noise=noise)
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_leave_one_out_interaction():
@@ -72,19 +68,19 @@ def test_leave_one_out_interaction():
     for i, t in enumerate(thetas):
         others = vals[np.arange(3) != i].mean()
         expected[i] = t + (-2.0 * (others - y) * grad_sigma(x, t)) * cfg.dt
-    out = step(ParticleEnsemble(thetas), (x, y), cfg)
-    assert np.max(np.abs(out.thetas - expected)) < 1e-13
+    out = step(thetas, (x, y), cfg)
+    assert np.max(np.abs(out - expected)) < 1e-13
 
 
 def test_noise_variance_two_percent():
     # difference between a noisy step and the noiseless step isolates the
     # injected noise term, whose variance must be 2 beta dt
     cfg = OnpgdConfig(n_particles=50_000, lam=0.1, beta=0.02, dt=0.02)
-    thetas = init_ensemble(cfg, 3, substream(1, "init")).thetas
+    thetas = init_ensemble(cfg, 3, substream(1, "init"))
     z = (np.array([0.5]), 0.2)
-    det = step(ParticleEnsemble(thetas.copy()), z, cfg, noise=np.zeros_like(thetas))
-    rnd = step(ParticleEnsemble(thetas.copy()), z, cfg, rng=substream(1, "noise"))
-    diff = rnd.thetas - det.thetas
+    det = step(thetas, z, cfg, noise=np.zeros_like(thetas))
+    rnd = step(thetas, z, cfg, noise=substream(1, "noise").standard_normal(thetas.shape))
+    diff = rnd - det
     target = 2.0 * cfg.beta * cfg.dt
     assert abs(diff.var() - target) / target < 0.02
 
@@ -96,14 +92,14 @@ def test_geometric_decay_exact():
     cfg = OnpgdConfig(n_particles=4, lam=0.25, beta=0.0, dt=0.1, init_sd=1.0)
     thetas = substream(3, "t").standard_normal((4, 3))
     thetas[:, 0] = 0.0
-    ens = ParticleEnsemble(thetas.copy())
+    ens = thetas.copy()
     expected = thetas.copy()
     for _ in range(7):
         ens = step(ens, (np.array([0.7]), 0.0), cfg)
         expected = expected + (-cfg.lam * expected) * cfg.dt
-    assert np.array_equal(ens.thetas, expected)
+    assert np.array_equal(ens, expected)
     closed_form = thetas * (1.0 - cfg.lam * cfg.dt) ** 7
-    assert np.max(np.abs(ens.thetas - closed_form)) < 1e-14
+    assert np.max(np.abs(ens - closed_form)) < 1e-14
 
 
 def test_permutation_equivariance():
@@ -113,64 +109,56 @@ def test_permutation_equivariance():
     z = (np.array([0.2, -0.5]), 0.3)
     perm = np.array([4, 2, 0, 5, 1, 3])
 
-    plain = step(ParticleEnsemble(thetas), z, cfg, noise=noise)
-    permuted = step(ParticleEnsemble(thetas[perm]), z, cfg, noise=noise[perm])
-    assert np.array_equal(plain.thetas[perm], permuted.thetas)
-
-
-def test_step_argument_errors():
-    cfg = OnpgdConfig(n_particles=2, lam=0.1, beta=0.02)
-    ens = ParticleEnsemble(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        step(ens, (np.array([1.0]), 0.0), cfg)  # beta > 0 needs rng or noise
-    with pytest.raises(ValueError):
-        step(ens, (np.array([1.0]), 0.0), cfg, noise=np.zeros((3, 3)))
+    plain = step(thetas, z, cfg, noise=noise)
+    permuted = step(thetas[perm], z, cfg, noise=noise[perm])
+    assert np.array_equal(plain[perm], permuted)
 
 
 def test_blow_up_detection():
     # lam dt >> 2 makes the confinement step expansive; divergence must be
     # caught and reported, not returned as inf
     cfg = OnpgdConfig(n_particles=2, lam=1e6, beta=0.0, dt=0.02, init_sd=1.0)
-    ens = ParticleEnsemble(substream(4, "t").standard_normal((2, 3)))
+    ens = substream(4, "t").standard_normal((2, 3))
     with np.errstate(over="ignore"), pytest.raises(BlowUpError, match="step"):
-        for _ in range(200):
-            ens = step(ens, (np.array([0.1]), 0.0), cfg)
+        for k in range(1, 201):
+            ens = step(ens, (np.array([0.1]), 0.0), cfg, k=k)
 
 
 def test_run_online_pre_update_convention():
     train, test = gen_periodic(PeriodicConfig(n_steps=30), seed=41)
     cfg = OnpgdConfig(n_particles=12)
-    res = run_online(train, cfg, seed=7, snapshot_at=[1, 10, 20, 30], predict_xs=test.x)
+    res = run_online(train, cfg, substream(7, "onpgd"), snapshot_at=[1, 10, 20, 30],
+                     predict_xs=test.x)
 
     ks = [k for k, _ in res.snapshots]
     assert ks == [1, 10, 20, 30]
-    # snapshot at k = 1 is the untouched init draw
-    init = init_ensemble(cfg, train.x_dim + 2, substream(7, "init"))
-    assert np.array_equal(res.snapshots[0][1], init.thetas)
+    # snapshot at k = 1 is the untouched init draw, the first draw of the stream
+    init = init_ensemble(cfg, train.x_dim + 2, substream(7, "onpgd"))
+    assert np.array_equal(res.snapshots[0][1], init)
     # recorded predictions at step 1 come from that same pre-update state
     from mfonline.measures import predict
 
-    assert abs(res.train_pred[0] - predict(init.thetas, train.x[0])) < 1e-15
-    assert abs(res.extra_pred[0] - predict(init.thetas, test.x[0])) < 1e-15
-    assert res.final.steps_taken == 30
-    assert np.all(np.isfinite(res.final.thetas))
+    assert abs(res.train_pred[0] - predict(init, train.x[0])) < 1e-15
+    assert abs(res.extra_pred[0] - predict(init, test.x[0])) < 1e-15
+    assert res.final.shape == init.shape
+    assert np.all(np.isfinite(res.final))
 
 
 def test_run_online_deterministic_and_stable():
     train, _ = gen_periodic(PeriodicConfig(), seed=2)
     cfg = OnpgdConfig()
-    r1 = run_online(train, cfg, seed=5)
-    r2 = run_online(train, cfg, seed=5)
-    assert np.array_equal(r1.final.thetas, r2.final.thetas)
+    r1 = run_online(train, cfg, substream(5, "onpgd"))
+    r2 = run_online(train, cfg, substream(5, "onpgd"))
+    assert np.array_equal(r1.final, r2.final)
     assert np.array_equal(r1.train_pred, r2.train_pred)
     # defaults stay well-behaved over the full horizon
-    assert np.max(np.abs(r1.final.thetas)) < 50.0
+    assert np.max(np.abs(r1.final)) < 50.0
 
 
 def test_run_online_rejects_bad_predict_xs():
     train, _ = gen_periodic(PeriodicConfig(n_steps=20), seed=2)
     with pytest.raises(ValueError):
-        run_online(train, OnpgdConfig(), seed=1, predict_xs=np.zeros((5, 1)))
+        run_online(train, OnpgdConfig(), substream(1, "onpgd"), predict_xs=np.zeros((5, 1)))
 
 
 def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
@@ -178,15 +166,15 @@ def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
     each allocating its result, with the error as an (N,) vector in both
     interaction modes.  Returns (thetas, train_pred, extra_pred, snapshots,
     blow_up_step), stopping at the first step whose new state is not finite."""
-    thetas = init_ensemble(config, traj.x_dim + 2, substream(seed, "init")).thetas
-    rng_noise = substream(seed, "noise")
+    rng = substream(seed, "onpgd")
+    thetas = config.initial_sd() * rng.standard_normal((config.n_particles, traj.x_dim + 2))
     n = config.n_particles
     train_pred, extra_pred, snapshots = np.empty(traj.n_steps), np.empty(traj.n_steps), []
     for k in range(1, traj.n_steps + 1):
         if k in snapshot_at:
             snapshots.append((k, thetas.copy()))
         extra_pred[k - 1] = forward(thetas, predict_xs[k - 1])[0].mean()
-        noise = rng_noise.standard_normal(thetas.shape) if config.beta > 0 else None
+        noise = rng.standard_normal(thetas.shape) if config.beta > 0 else None
         x, y = traj.x[k - 1], traj.y[k - 1]
         vals, th = forward(thetas, x)
         mean = vals.mean()
@@ -214,11 +202,11 @@ def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
     cfg = OnpgdConfig(n_particles=12, lam=0.1, beta=beta, dt=0.02,
                       self_interaction=self_interaction, init_sd=1.0)
     at = [1, 7, 100, 200]
-    res = run_online(train, cfg, seed=9, snapshot_at=at, predict_xs=test.x)
+    res = run_online(train, cfg, substream(9, "onpgd"), snapshot_at=at, predict_xs=test.x)
     thetas, train_pred, extra_pred, snapshots, blow_up = _allocating_run(
         train, cfg, 9, at, test.x)
     assert blow_up is None
-    assert np.array_equal(res.final.thetas, thetas)
+    assert np.array_equal(res.final, thetas)
     assert np.array_equal(res.train_pred, train_pred)
     assert np.array_equal(res.extra_pred, extra_pred)
     assert [k for k, _ in res.snapshots] == [k for k, _ in snapshots] == at
@@ -234,4 +222,4 @@ def test_run_online_blow_up_names_the_oracle_step(self_interaction):
         *_, k = _allocating_run(train, cfg, 4, (), test.x)
         assert k is not None
         with pytest.raises(BlowUpError, match=f"at step {k}, particle"):
-            run_online(train, cfg, seed=4)
+            run_online(train, cfg, substream(4, "onpgd"))

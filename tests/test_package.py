@@ -53,8 +53,8 @@ def test_paired_tests_loads_scipy_special_at_six_pairs():
 # the package's public names: every submodule but cli and experiments,
 # and the main entry points of each
 EXPORTS = """
-    BoundSpec IsSolverConfig NonlinearConfig NonlinearTruthModel OfflineFitConfig OnpgdConfig
-    OuParams PairedTestResult ParticleEnsemble PeriodicConfig QuadratureGrid RegretBundle
+    BoundSpec NonlinearConfig NonlinearTruthModel OfflineFitConfig OnpgdConfig
+    OuParams PairedTestResult PeriodicConfig QuadratureGrid RegretBundle
     RegretSeries RhoStarSolution Settings StatsSummary TheoryConstants Trajectory
     WeightedMeasure batch_loss batch_loss_grad build_settings check_empirical_moment_bound
     compare_oos compute_constants config cost_u cost_u_unreg cumulative_regret datastream
@@ -62,7 +62,7 @@ EXPORTS = """
     gen_periodic init_ensemble instantaneous_regret load_config measures network offline
     onpgd oos_mse paired_tests parse_config phi_hat predict quadrature_free_energy regret
     regret_run response_second_moment run_online second_moment seeding solve_mu_star
-    solve_mu_star_quadrature solve_rho_star stats step substream summarize theory
+    solve_mu_star_quadrature solve_rho_star stats substream summarize theory
     verify_dym_formula verify_gap_decomposition
 """.split()
 

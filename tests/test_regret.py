@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 import mfonline.regret as regret_mod
 from mfonline.datastream import NonlinearConfig, gen_nonlinear
-from mfonline.equilibrium import BracketError, ConvergenceError, IsSolverConfig, importance_weights
+from mfonline.equilibrium import BracketError, ConvergenceError, importance_weights
 from mfonline.measures import WeightedMeasure, cost_u, cost_u_unreg, second_moment
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import (
@@ -132,13 +134,17 @@ def test_eval_indices():
         eval_indices(10, 11)
 
 
-def test_regret_run_smoke():
+def _rho_star_max_iters(monkeypatch, max_iters):
+    real = regret_mod.solve_rho_star
+    monkeypatch.setattr(regret_mod, "solve_rho_star", functools.partial(real, max_iters=max_iters))
+
+
+def test_regret_run_smoke(monkeypatch):
     train, test = gen_nonlinear(NonlinearConfig(n_steps=40), seed=51)
     onpgd = OnpgdConfig(n_particles=10)
-    is_cfg = IsSolverConfig(prior_var=0.2, n_is=2000)
-    bundle = regret_run(train, onpgd, is_cfg, eval_stride=20, seed=7,
-                        include_static=True, test=test,
-                        rho_star_kwargs={"max_iters": 300})
+    _rho_star_max_iters(monkeypatch, 300)
+    bundle = regret_run(train, onpgd, eval_stride=20, seed=7, n_is=2000,
+                        include_static=True, test=test)
     assert bundle.eval_ks == [1, 20, 40]
     assert set(bundle.series) == {(b, v) for b in ("dynamic", "static")
                                   for v in ("regularized", "unregularized")}
@@ -146,15 +152,13 @@ def test_regret_run_smoke():
         assert s.cumulative[0] == 0.0
         assert s.instantaneous.shape == (3,)
     assert bundle.mse is not None and bundle.mse > 0
-    assert len(bundle.mu_star_values) == 3
     assert len(bundle.mu_star_ess) == 3
-    assert all(1.0 <= e <= is_cfg.n_is for e in bundle.mu_star_ess)
+    assert all(1.0 <= e <= 2000 for e in bundle.mu_star_ess)
     assert bundle.rho_star is not None
 
     # rerun is deterministic
-    again = regret_run(train, onpgd, is_cfg, eval_stride=20, seed=7,
-                       include_static=True, test=test,
-                       rho_star_kwargs={"max_iters": 300})
+    again = regret_run(train, onpgd, eval_stride=20, seed=7, n_is=2000,
+                       include_static=True, test=test)
     for key in bundle.series:
         assert np.array_equal(bundle.series[key].instantaneous,
                               again.series[key].instantaneous)
@@ -168,23 +172,47 @@ def test_regret_run_solver_failure_names_index(monkeypatch):
 
     monkeypatch.setattr(regret_mod, "solve_mu_star", boom)
     with pytest.raises(BracketError, match="subgrid index 0"):
-        regret_run(train, OnpgdConfig(n_particles=5),
-                   IsSolverConfig(prior_var=0.2, n_is=500), 20, seed=1)
+        regret_run(train, OnpgdConfig(n_particles=5), 20, seed=1, n_is=500)
 
 
-def test_regret_run_static_failure_is_named():
+def test_regret_run_static_failure_is_named(monkeypatch):
     train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=52)
+    _rho_star_max_iters(monkeypatch, 1)
     with pytest.raises(ConvergenceError, match="hindsight solve failed") as exc:
-        regret_run(train, OnpgdConfig(n_particles=5),
-                   IsSolverConfig(prior_var=0.2, n_is=500), 20, seed=1,
-                   include_static=True, rho_star_kwargs={"max_iters": 1})
+        regret_run(train, OnpgdConfig(n_particles=5), 20, seed=1, n_is=500,
+                   include_static=True)
     assert len(exc.value.residual_trace) == 1
+
+
+def test_benchmark_prior_is_the_learners(monkeypatch):
+    # both benchmarks are Gibbs measures of the learner's free energy, so
+    # every prior draw must have variance beta / lam of the learner's config
+    train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=54)
+    onpgd = OnpgdConfig(n_particles=5, lam=0.4, beta=0.02)
+    real = regret_mod.draw_prior_samples
+    prior_vars = []
+
+    def recording(n, dim, prior_var, rng):
+        prior_vars.append(prior_var)
+        return real(n, dim, prior_var, rng)
+
+    monkeypatch.setattr(regret_mod, "draw_prior_samples", recording)
+    bundle = regret_run(train, onpgd, 20, seed=2, n_is=500, include_static=True)
+    # one dynamic draw per evaluation point and one static (hindsight) draw
+    assert len(prior_vars) == len(bundle.eval_ks) + 1
+    assert prior_vars == [0.02 / 0.4] * len(prior_vars)
+
+
+@pytest.mark.parametrize("bad", [dict(beta=0.0), dict(lam=0.0, init_sd=1.0)])
+def test_regret_run_needs_a_gibbs_prior(bad):
+    train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=54)
+    with pytest.raises(ValueError, match="beta > 0 and lam > 0"):
+        regret_run(train, OnpgdConfig(n_particles=5, **bad), 20, seed=2, n_is=500)
 
 
 def test_regret_to_csv(tmp_path):
     train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=53)
-    bundle = regret_run(train, OnpgdConfig(n_particles=8),
-                        IsSolverConfig(prior_var=0.2, n_is=1000), 20, seed=3)
+    bundle = regret_run(train, OnpgdConfig(n_particles=8), 20, seed=3, n_is=1000)
     path = tmp_path / "regret.csv"
     regret_to_csv(bundle, path, trial=4, n_particles=8, beta=0.02, lam=0.1)
     lines = path.read_text().strip().splitlines()
