@@ -4,8 +4,9 @@ certify them.
 For a single observation z = (x, y) the equilibrium density is a Gibbs
 tilt of the Gaussian prior whose mean prediction m solves m = Phi(m).
 Route one discretizes the density on a grid (1-d only); route two
-reweights prior samples (any dimension).  Both bisect the same fixed
-point, so their disagreement is pure Monte Carlo error.
+reweights prior samples (any dimension).  Both solve the same fixed
+point with the same safeguarded Newton root finder, so their
+disagreement is pure Monte Carlo error.
 
 The free-energy gap F(rho) - F(mu*) of any perturbed density splits into
 beta times a KL term, which is nonnegative and computable two ways.

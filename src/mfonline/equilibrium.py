@@ -6,9 +6,11 @@ learner's temperature and penalty:
 
 * the instantaneous equilibrium for one data point z = (x, y).  Its mean
   prediction m* satisfies the scalar fixed point m = Phi(m) where Phi
-  reweights prior samples by exp(-(2/beta) (m - y) sigma(x, theta)).  Phi
-  is nonincreasing with slope <= 0, so g(m) = Phi(m) - m crosses zero
-  exactly once and bisection is safe.
+  reweights prior samples by exp(-(2/beta) (m - y) sigma(x, theta)).  Its
+  slope is Phi'(m) = -(2/beta) Var(sigma) under the tilted measure, so
+  g(m) = Phi(m) - m has slope <= -1 and crosses zero exactly once, inside
+  [min sigma - 1, max sigma + 1]; a safeguarded Newton iteration on the
+  exact slope finds it.
 
 * the hindsight measure for a whole trajectory, reweighting by the
   time-averaged tilt exp(-(2/(beta T)) sum_k (u_k - y_k) sigma(x_k, theta) dt)
@@ -17,8 +19,8 @@ learner's temperature and penalty:
 
 Both normalize their weights with ``_logsumexp``, a numpy log-sum-exp
 that takes the same steps as ``scipy.special.logsumexp`` and so gives the
-same bits, without scipy's array-API dispatch on every bisection step or
-the import of ``scipy.special``.
+same bits, without scipy's array-API dispatch on every root-finder step
+or the import of ``scipy.special``.
 
 A deterministic 1-d Simpson quadrature oracle solves the same equilibrium
 for single-parameter neurons sigma(x, theta) = tanh(theta x) and backs the
@@ -32,10 +34,6 @@ import numpy as np
 
 from .measures import WeightedMeasure
 from .network import forward, unpack
-
-
-class BracketError(RuntimeError):
-    """Root bracketing failed after the allowed expansions."""
 
 
 class ConvergenceError(RuntimeError):
@@ -52,7 +50,9 @@ class GridTooNarrowError(ValueError):
 
 def draw_prior_samples(n: int, dim: int, prior_var: float, rng) -> np.ndarray:
     """n iid samples from N(0, prior_var I_dim), shape (n, dim)."""
-    return np.sqrt(prior_var) * rng.standard_normal((n, dim))
+    out = rng.standard_normal((n, dim))
+    out *= np.sqrt(prior_var)
+    return out
 
 
 def _tanh_1d(x, thetas):
@@ -101,50 +101,54 @@ def importance_weights(exponents) -> np.ndarray:
     return np.exp(w, out=w)
 
 
-def _phi_from_vals(m, svals, y, beta):
+def _tilted_map(m, svals, sq, y, beta):
+    """Fixed-point map at tilt level m: (Phi(m), Phi'(m), weights).
+
+    Phi(m) is the reweighted mean prediction and Phi'(m) = -(2/beta)
+    Var(sigma) its exact slope, both under the weights at m; sq holds
+    svals**2, so the variance costs one dot product."""
     w = importance_weights(-(2.0 / beta) * (m - y) * svals)
-    return float(w @ svals), w
+    val = float(w @ svals)
+    return val, -(2.0 / beta) * (float(w @ sq) - val * val), w
 
 
 def phi_hat(m, samples, z, beta, sigma_fn=None) -> float:
     """Sample fixed-point map: reweighted mean prediction at tilt level m."""
     x, y = unpack(z)
     svals = (sigma_fn or default_sigma_fn)(x, samples)
-    val, _ = _phi_from_vals(float(m), svals, y, beta)
-    return val
+    return _tilted_map(float(m), svals, svals * svals, y, beta)[0]
 
 
-def _bisect_fixed_point(phi, lo, hi, root_tol, max_expansions, max_iters=300):
-    """Root of g(m) = phi(m) - m for nonincreasing phi; returns m with
-    |g(m)| <= root_tol.  Expands the bracket geometrically if needed."""
-    g_lo, g_hi = phi(lo) - lo, phi(hi) - hi
-    expansions = 0
-    while g_lo < 0 or g_hi > 0:
-        if expansions >= max_expansions:
-            raise BracketError(
-                f"no sign change in [{lo}, {hi}] after {expansions} expansions: "
-                f"g(lo)={g_lo:.3e}, g(hi)={g_hi:.3e}"
-            )
-        width = hi - lo
-        lo, hi = lo - width, hi + width
-        g_lo, g_hi = phi(lo) - lo, phi(hi) - hi
-        expansions += 1
-    if abs(g_lo) <= root_tol:
-        return lo
-    if abs(g_hi) <= root_tol:
-        return hi
+def _newton_fixed_point(phi, lo, hi, start, root_tol, max_iters=100):
+    """Root of g(m) = Phi(m) - m by Newton's method safeguarded by a bracket.
+
+    ``phi(m)`` returns (Phi(m), Phi'(m), aux) with Phi nonincreasing, so
+    g' = Phi' - 1 <= -1.  The root must lie in [lo, hi]; the iteration
+    starts at ``start`` (at the midpoint if that lies outside), shrinks the
+    bracket by the sign of g at every evaluation, and takes the bracket's
+    midpoint whenever a Newton step would leave it.  Returns (m, aux) of
+    the first evaluation with |g(m)| <= root_tol, or of the last one once
+    the bracket has shrunk to a few ulps.  Raises ConvergenceError when
+    g(m) is not finite or after max_iters evaluations.
+    """
+    m = start if lo < start < hi else 0.5 * (lo + hi)
     for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        g_mid = phi(mid) - mid
-        if abs(g_mid) <= root_tol:
-            return mid
-        if g_mid > 0:
-            lo = mid
+        val, slope, aux = phi(m)
+        g = val - m
+        if not np.isfinite(g):
+            raise ConvergenceError(f"fixed-point map not finite at m = {m!r}: Phi(m) = {val!r}")
+        if abs(g) <= root_tol:
+            return m, aux
+        if g > 0:
+            lo = m
         else:
-            hi = mid
-        if hi - lo < 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
-            return mid
-    raise ConvergenceError(f"bisection stalled: interval [{lo}, {hi}]")
+            hi = m
+        if hi - lo < 4.0 * np.finfo(float).eps * max(1.0, abs(m)):
+            return m, aux
+        step = m - g / (slope - 1.0)
+        # a NaN step (from a NaN slope) fails the test and bisects too
+        m = step if lo < step < hi else 0.5 * (lo + hi)
+    raise ConvergenceError(f"Newton stalled after {max_iters} evaluations: bracket [{lo}, {hi}]")
 
 
 def solve_mu_star(samples, z, beta, root_tol=1e-10, sigma_fn=None):
@@ -157,14 +161,13 @@ def solve_mu_star(samples, z, beta, root_tol=1e-10, sigma_fn=None):
     x, y = unpack(z)
     samples = np.asarray(samples, dtype=float)
     svals = (sigma_fn or default_sigma_fn)(x, samples)
+    # Phi(m) is a weighted mean of svals, so g > 0 at lo and g < 0 at hi;
+    # at m = y the tilt vanishes and the first Newton step is linear response
     lo = float(svals.min()) - 1.0
     hi = float(svals.max()) + 1.0
-
-    def phi(m):
-        return _phi_from_vals(m, svals, y, beta)[0]
-
-    m_star = _bisect_fixed_point(phi, lo, hi, root_tol, max_expansions=60)
-    _, w = _phi_from_vals(m_star, svals, y, beta)
+    sq = svals * svals
+    m_star, w = _newton_fixed_point(lambda m: _tilted_map(m, svals, sq, y, beta),
+                                    lo, hi, float(y), root_tol)
     return m_star, WeightedMeasure(samples=samples, weights=w)
 
 
@@ -356,15 +359,15 @@ def solve_mu_star_quadrature(z, beta, lam, grid: QuadratureGrid, root_tol=1e-10)
     def phi(m):
         logq, s = _log_tilted_density(grid, z, beta, lam, m)
         q = np.exp(logq - logq.max())
-        return grid.integrate(s * q) / grid.integrate(q)
+        mass = grid.integrate(q)
+        val = grid.integrate(s * q) / mass
+        return val, -(2.0 / beta) * (grid.integrate(s * s * q) / mass - val * val), q
 
-    s_end = _tanh_1d(unpack(z)[0], grid.thetas)
+    x, y = unpack(z)
+    s_end = _tanh_1d(x, grid.thetas)
     lo = float(s_end.min()) - 1.0
     hi = float(s_end.max()) + 1.0
-    m_star = _bisect_fixed_point(phi, lo, hi, root_tol, max_expansions=60)
-
-    logq, _ = _log_tilted_density(grid, z, beta, lam, m_star)
-    q = np.exp(logq - logq.max())
+    m_star, q = _newton_fixed_point(phi, lo, hi, float(y), root_tol)
     if q[0] > 1e-12 or q[-1] > 1e-12:
         raise GridTooNarrowError(
             f"endpoint density {max(q[0], q[-1]):.2e} of peak exceeds 1e-12; widen the grid"

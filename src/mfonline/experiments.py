@@ -20,7 +20,6 @@ import numpy as np
 from .config import Settings
 from .datastream import NonlinearConfig, PeriodicConfig, gen_nonlinear, gen_periodic
 from .equilibrium import (
-    BracketError,
     ConvergenceError,
     QuadratureGrid,
     default_sigma_fn,
@@ -45,7 +44,7 @@ LOW_ESS = 10.0
 # the sweep goes on: numerical failures of the data, the learner or a
 # benchmark solve, and settings a trial rejects (a stride beyond the
 # horizon).  Anything else is a fault of the program and ends the sweep.
-TRIAL_ERRORS = (BlowUpError, BracketError, ConvergenceError, FloatingPointError, ValueError)
+TRIAL_ERRORS = (BlowUpError, ConvergenceError, FloatingPointError, ValueError)
 
 
 def scenario_config(settings: Settings):
@@ -328,6 +327,11 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
     negative control that must make the cross-validation fail loudly.
     """
     beta, lam = settings.beta, settings.lam
+    # every check solves a Gibbs measure with prior N(0, beta / lam); `not
+    # x > 0` also rejects NaN.  Settings allows beta = 0 for oos-compare.
+    for key, value in (("onpgd.beta", beta), ("onpgd.lambda", lam)):
+        if not value > 0:
+            raise ValueError(f"verify needs {key} > 0 for the Gibbs prior, got {value!r}")
     grid = QuadratureGrid(-8.0, 8.0, 2001)
     rng = substream(settings.seed, "verify")
     checks = []
@@ -374,7 +378,7 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
         try:
             m_is, _ = solve_mu_star(samples, (x, y), beta, settings.root_tol, sigma_fn=sigma_fn)
             worst_cross = max(worst_cross, abs(m_is - m_quad))
-        except (BracketError, ConvergenceError):
+        except ConvergenceError:
             worst_cross = float("inf")
     checks.append({"name": "is_vs_quadrature", "worst_abs_diff": worst_cross, "tol": 3e-3,
                    "ok": worst_cross <= 3e-3, "bug_injected": inject_bug})

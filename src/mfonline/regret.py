@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibrium import (
-    BracketError,
     ConvergenceError,
     draw_prior_samples,
     solve_mu_star,
@@ -157,8 +156,8 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
         samples = draw_prior_samples(n_is, dim, prior_var, rng)
         try:
             _, mu_hat = solve_mu_star(samples, z, beta, root_tol)
-        except (BracketError, ConvergenceError) as exc:
-            raise type(exc)(f"benchmark solve failed at subgrid index {j} (step {k}): {exc}") from exc
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"benchmark solve failed at subgrid index {j} (step {k}): {exc}") from exc
         mu_ess.append(mu_hat.ess())
         inst[("dynamic", "regularized")][j] = instantaneous_regret(thetas, mu_hat, z, lam, "regularized")
         inst[("dynamic", "unregularized")][j] = instantaneous_regret(thetas, mu_hat, z, lam, "unregularized")

@@ -5,12 +5,11 @@ from scipy.special import logsumexp
 import mfonline.equilibrium as equilibrium
 from mfonline.datastream import NonlinearConfig, PeriodicConfig, Trajectory, gen_nonlinear, gen_periodic
 from mfonline.equilibrium import (
-    BracketError,
     ConvergenceError,
     GridTooNarrowError,
     QuadratureGrid,
-    _bisect_fixed_point,
     _logsumexp,
+    _newton_fixed_point,
     default_sigma_fn,
     draw_prior_samples,
     importance_weights,
@@ -23,7 +22,7 @@ from mfonline.equilibrium import (
     verify_gap_decomposition,
 )
 from mfonline.seeding import substream
-from mu_oracle import oracle_mu_star
+from mu_oracle import bisect_fixed_point, oracle_mu_star
 from rho_oracle import damped_rho_star
 
 GRID = QuadratureGrid(lo=-8.0, hi=8.0, n_points=2001)
@@ -76,10 +75,14 @@ def test_importance_weights_bitwise_equal_to_scipy(case):
     assert importance_weights(e).tobytes() == np.exp(e - logsumexp(e)).tobytes()
 
 
+def _is_case(beta):
+    samples = draw_prior_samples(20000, 5, beta / 0.1, substream(23, "mu", str(beta)))
+    return samples, (np.array([0.3, -0.2, 0.5]), 0.8)
+
+
 @pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
 def test_solve_mu_star_bitwise_equal_to_scipy_oracle(beta):
-    samples = draw_prior_samples(20000, 5, beta / 0.1, substream(23, "mu", str(beta)))
-    z = (np.array([0.3, -0.2, 0.5]), 0.8)
+    samples, z = _is_case(beta)
     m_star, measure = solve_mu_star(samples, z, beta, 1e-10)
     m_ref, w_ref = oracle_mu_star(samples, z, beta, 1e-10)
     assert np.float64(m_star).tobytes() == np.float64(m_ref).tobytes()
@@ -96,6 +99,12 @@ def test_solve_rho_star_bitwise_equal_to_scipy_merit(monkeypatch):
     assert sol.u.tobytes() == ref.u.tobytes()
     assert np.array(sol.residual_trace).tobytes() == np.array(ref.residual_trace).tobytes()
     assert sol.measure.weights.tobytes() == ref.measure.weights.tobytes()
+
+
+def test_draw_prior_samples_bitwise_equal_to_scaled_normals():
+    s = draw_prior_samples(20000, 5, 0.2, substream(5, "prior"))
+    ref = np.sqrt(0.2) * substream(5, "prior").standard_normal((20000, 5))
+    assert s.tobytes() == ref.tobytes()
 
 
 def test_draw_prior_samples_moments():
@@ -141,15 +150,70 @@ def test_phi_hat_monotone_pairs():
         assert v2 <= v1 + 1e-12
 
 
-def test_bisect_expansion():
-    # root of 10 - m - m = 0 at m=5 lies far outside the seed bracket [0, 1]
-    root = _bisect_fixed_point(lambda m: 10.0 - m, 0.0, 1.0, 1e-12, max_expansions=10)
-    assert abs(root - 5.0) < 1e-10
+def test_newton_rejects_a_non_finite_map():
+    with pytest.raises(ConvergenceError, match=r"not finite at m = 0\.0"):
+        _newton_fixed_point(lambda m: (float("nan"), -1.0, None), -2.0, 2.0, 0.0, 1e-10)
 
 
-def test_bisect_bracket_error():
-    with pytest.raises(BracketError):
-        _bisect_fixed_point(lambda m: 10.0 - m, 0.0, 1.0, 1e-12, max_expansions=0)
+def test_newton_bisects_where_a_step_leaves_the_bracket():
+    # Phi drops by 2 within about 1e-3 of m = 0.4 and is flat elsewhere, so
+    # Newton from -1.9 goes to 1.0, then -1.0, whose step back to 1.0 leaves
+    # the bracket (-1, 1): the midpoint 0.0 is taken instead
+    calls = []
+
+    def phi(m):
+        calls.append(m)
+        u = 1000.0 * (m - 0.4)
+        t = np.tanh(u)
+        return -t, -1000.0 * (1.0 - t * t), None
+
+    m, _ = _newton_fixed_point(phi, -2.0, 2.0, -1.9, 1e-12)
+    assert abs(-np.tanh(1000.0 * (m - 0.4)) - m) <= 1e-12
+    assert calls[:4] == [-1.9, 1.0, -1.0, 0.0]
+    with pytest.raises(ConvergenceError, match="after 2 evaluations"):
+        _newton_fixed_point(phi, -2.0, 2.0, -1.9, 1e-12, max_iters=2)
+
+
+@pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
+def test_solve_mu_star_matches_bisection_in_fewer_evaluations(beta, monkeypatch):
+    # g' <= -1, so two points with |g| <= root_tol lie within 2 root_tol
+    samples, z = _is_case(beta)
+    svals = default_sigma_fn(z[0], samples)
+    m_bisect, n_bisect = bisect_fixed_point(
+        lambda m: float(importance_weights(-(2.0 / beta) * (m - z[1]) * svals) @ svals),
+        float(svals.min()) - 1.0, float(svals.max()) + 1.0, 1e-10)
+
+    calls = []
+    real = equilibrium._tilted_map
+    monkeypatch.setattr(equilibrium, "_tilted_map", lambda *a: calls.append(a[0]) or real(*a))
+    m_newton, measure = solve_mu_star(samples, z, beta, 1e-10)
+    assert abs(m_newton - m_bisect) <= 2e-10
+    assert abs(float(measure.weights @ svals) - m_newton) <= 1e-10
+    assert calls[-1] == m_newton  # the weights are those of the last evaluation
+    assert len(calls) < n_bisect
+
+
+@pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
+def test_solve_mu_star_quadrature_matches_bisection(beta, monkeypatch):
+    z, lam = (1.1, 0.35), 0.1
+    grid = QuadratureGrid(-12.0, 12.0, 4001)
+
+    def phi(m):
+        logq, s = equilibrium._log_tilted_density(grid, z, beta, lam, m)
+        q = np.exp(logq - logq.max())
+        return grid.integrate(s * q) / grid.integrate(q)
+
+    s = np.tanh(z[0] * grid.thetas)
+    m_bisect, n_bisect = bisect_fixed_point(phi, float(s.min()) - 1.0, float(s.max()) + 1.0, 1e-10)
+
+    calls = []
+    real = equilibrium._log_tilted_density
+    monkeypatch.setattr(equilibrium, "_log_tilted_density",
+                        lambda *a: calls.append(a[-1]) or real(*a))
+    m_newton, density = solve_mu_star_quadrature(z, beta, lam, grid, root_tol=1e-10)
+    assert abs(m_newton - m_bisect) <= 2e-10
+    assert abs(grid.integrate(s * density) - m_newton) <= 1e-10
+    assert len(calls) < n_bisect
 
 
 def test_solve_mu_star_fixed_point_residual():

@@ -16,7 +16,7 @@ from mfonline import cli
 import mfonline.experiments as exp
 import mfonline.regret as regret
 from mfonline.config import OUT_ENV_VAR, Settings
-from mfonline.equilibrium import BracketError
+from mfonline.equilibrium import ConvergenceError
 from mfonline.experiments import (
     generate_pair,
     run_generate,
@@ -176,7 +176,7 @@ def test_regret_sweep_records_failures(tmp_path, monkeypatch):
 
     def flaky(train, onpgd, stride, seed, **kw):
         if onpgd.beta == 0.05:
-            raise BracketError("no sign change in the expanded bracket")
+            raise ConvergenceError("Newton stalled after 100 evaluations")
         return real(train, onpgd, stride, seed, **kw)
 
     monkeypatch.setattr(exp, "regret_run", flaky)
@@ -187,7 +187,7 @@ def test_regret_sweep_records_failures(tmp_path, monkeypatch):
     assert len(bad_cell["failures"]) == 2
     assert "oos_mse" not in bad_cell  # no silent aggregation over missing runs
     for rec in bad_cell["failures"]:
-        assert "BracketError" in rec["error"]
+        assert "ConvergenceError" in rec["error"]
         assert rec["trial"] in (0, 1)
 
 
@@ -393,6 +393,20 @@ def test_cli_zero_sweep_value_in_config_exits_one(tmp_path, capsys, line):
     out = tmp_path / "sweepout"
     assert cli.main(["regret-sweep", "--config", cfg, "--out", str(out)]) == 1
     assert "ValueError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, key", [("onpgd.beta = 0", "onpgd.beta"),
+                                       ("onpgd.beta = nan", "onpgd.beta"),
+                                       ("onpgd.lambda = 0", "onpgd.lambda"),
+                                       ("onpgd.lambda = -0.1", "onpgd.lambda")])
+def test_cli_verify_rejects_a_missing_gibbs_prior(tmp_path, capsys, line, key):
+    # Settings accepts beta = 0 for oos-compare; verify must stop before any check
+    cfg = write_small_cfg(tmp_path, line + "\n")
+    out = tmp_path / "verifyout"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ValueError: verify needs {key} > 0" in err
     assert not out.exists()
 
 

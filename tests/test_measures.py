@@ -75,3 +75,16 @@ def test_oos_mse_from_predictions():
     assert abs(oos_mse(preds, test) - np.mean(test.y**2)) < 1e-15
     with pytest.raises(ValueError):
         oos_mse(np.zeros(2), test)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_second_moment_bitwise_equal_to_row_sums(d):
+    # the column loop must give the bits of the former np.sum(thetas**2, axis=1)
+    rng = np.random.default_rng(d)
+    thetas = 0.7 * rng.standard_normal((20000, d))
+    w = rng.random(20000)
+    w /= w.sum()
+    sq = np.sum(thetas**2, axis=1)
+    assert np.float64(second_moment(thetas)).tobytes() == np.float64(sq.mean()).tobytes()
+    measure = WeightedMeasure(samples=thetas, weights=w)
+    assert np.float64(second_moment(measure)).tobytes() == np.float64(sq @ w).tobytes()

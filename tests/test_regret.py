@@ -5,7 +5,7 @@ import pytest
 
 import mfonline.regret as regret_mod
 from mfonline.datastream import NonlinearConfig, gen_nonlinear
-from mfonline.equilibrium import BracketError, ConvergenceError, importance_weights
+from mfonline.equilibrium import ConvergenceError, importance_weights
 from mfonline.measures import WeightedMeasure, cost_u, cost_u_unreg, second_moment
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import (
@@ -168,10 +168,10 @@ def test_regret_run_solver_failure_names_index(monkeypatch):
     train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=52)
 
     def boom(*args, **kwargs):
-        raise BracketError("no sign change")
+        raise ConvergenceError("Newton stalled")
 
     monkeypatch.setattr(regret_mod, "solve_mu_star", boom)
-    with pytest.raises(BracketError, match="subgrid index 0"):
+    with pytest.raises(ConvergenceError, match="subgrid index 0"):
         regret_run(train, OnpgdConfig(n_particles=5), 20, seed=1, n_is=500)
 
 
