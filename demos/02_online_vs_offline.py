@@ -2,9 +2,11 @@
 
 The online learner sees each observation once, in order; the offline
 learner gets the full training window and descends the batch objective.
-On drifting data the one-pass tracker generalizes better.  Four paired
-trials per scenario keep this quick; the full 30-trial comparison lives
-in the test suite and behind `mfonline oos-compare`.
+Both fit the network of one OnpgdConfig (particle count, penalty and
+init); OfflineFitConfig only sets the batch descent.  On drifting data
+the one-pass tracker generalizes better.  Four paired trials per
+scenario keep this quick; the full 30-trial comparison lives in the test
+suite and behind `mfonline oos-compare`.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +20,7 @@ from mfonline.seeding import substream
 
 TRIALS = 4
 onpgd = OnpgdConfig(init_sd=1.0)
-offline = OfflineFitConfig(init_sd=1.0)
+offline = OfflineFitConfig()
 
 
 def one(args):

@@ -21,7 +21,7 @@ _EXPORTS = {
          "response_second_moment"), "datastream"),
     **dict.fromkeys(
         ("equilibrium", "QuadratureGrid", "RhoStarSolution",
-         "draw_prior_samples", "phi_hat", "quadrature_free_energy", "solve_mu_star",
+         "draw_prior_samples", "quadrature_free_energy", "solve_mu_star",
          "solve_mu_star_quadrature", "solve_rho_star", "verify_dym_formula",
          "verify_gap_decomposition"), "equilibrium"),
     **dict.fromkeys(

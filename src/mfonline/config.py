@@ -87,6 +87,10 @@ KEY_MAP = {
 
 OUT_ENV_VAR = "MFONLINE_OUT"
 
+# config keys that take only integers (sweep.n: each of its entries)
+INT_KEYS = ("trials", "seed", "threads", "data.n_steps", "onpgd.n", "is.n",
+            "offline.iters", "regret.stride", "sweep.n")
+
 
 @dataclass
 class Settings:
@@ -118,6 +122,19 @@ class Settings:
     sweep_lam: list = field(default_factory=list)
 
     def __post_init__(self):
+        # a scalar sweep value, 0 included, is a one-value sweep
+        for name in ("sweep_n", "sweep_beta", "sweep_lam"):
+            v = getattr(self, name)
+            if not isinstance(v, list):
+                setattr(self, name, [v])
+        # a float such as 8.5 or 6e2 is not a count, and neither is a bool
+        for key in INT_KEYS:
+            name = KEY_MAP[key]
+            value = getattr(self, name)
+            label = name if key == name else f"{name} ({key})"
+            for v in value if key == "sweep.n" else [value]:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"{label} must be an integer, got {v!r}")
         if self.scenario not in ("periodic", "nonlinear"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
@@ -146,11 +163,6 @@ class Settings:
             raise ValueError("init_sd must be a positive number or 'gibbs'")
         if not self.root_tol > 0:
             raise ValueError("root_tol (is.root_tol) must be positive")
-        # a scalar sweep value, 0 included, is a one-value sweep
-        for name in ("sweep_n", "sweep_beta", "sweep_lam"):
-            v = getattr(self, name)
-            if not isinstance(v, list):
-                setattr(self, name, [v])
 
     def out_dir(self) -> str:
         return self.out or os.environ.get(OUT_ENV_VAR) or "out"

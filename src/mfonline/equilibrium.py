@@ -112,13 +112,6 @@ def _tilted_map(m, svals, sq, y, beta):
     return val, -(2.0 / beta) * (float(w @ sq) - val * val), w
 
 
-def phi_hat(m, samples, z, beta, sigma_fn=None) -> float:
-    """Sample fixed-point map: reweighted mean prediction at tilt level m."""
-    x, y = unpack(z)
-    svals = (sigma_fn or default_sigma_fn)(x, samples)
-    return _tilted_map(float(m), svals, svals * svals, y, beta)[0]
-
-
 def _newton_fixed_point(phi, lo, hi, start, root_tol, max_iters=100):
     """Root of g(m) = Phi(m) - m by Newton's method safeguarded by a bracket.
 

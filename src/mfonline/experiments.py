@@ -18,7 +18,13 @@ from itertools import product
 import numpy as np
 
 from .config import Settings
-from .datastream import NonlinearConfig, PeriodicConfig, gen_nonlinear, gen_periodic
+from .datastream import (
+    NonlinearConfig,
+    PeriodicConfig,
+    gen_nonlinear,
+    gen_periodic,
+    response_second_moment,
+)
 from .equilibrium import (
     ConvergenceError,
     QuadratureGrid,
@@ -59,6 +65,16 @@ def generate_pair(settings: Settings, trial: int):
     seed = int(substream(settings.seed, "data", trial).integers(2**63))
     gen = gen_periodic if settings.scenario == "periodic" else gen_nonlinear
     return gen(cfg, seed)
+
+
+def learner_cell(settings: Settings, n, beta, lam):
+    """A parameter cell's name and learner config: N, beta and lambda as
+    given, every other learner setting from settings."""
+    config = OnpgdConfig(
+        n_particles=n, lam=lam, beta=beta, dt=settings.dt,
+        self_interaction=settings.self_interaction, init_sd=settings.init_sd,
+    )
+    return f"N{n}_beta{beta:g}_lambda{lam:g}", config
 
 
 def cell_seed(settings: Settings, cell_name: str, trial: int) -> int:
@@ -124,8 +140,8 @@ def run_generate(settings: Settings) -> dict:
         test.to_csv(os.path.join(tdir, "test.csv"))
         return {
             "trial": trial,
-            "train_second_moment": float(np.mean(train.y**2)),
-            "test_second_moment": float(np.mean(test.y**2)),
+            "train_second_moment": response_second_moment(train),
+            "test_second_moment": response_second_moment(test),
         }
 
     rows = _pool_map(one, range(settings.trials), settings.threads)
@@ -149,17 +165,8 @@ def run_generate(settings: Settings) -> dict:
 def run_oos_compare(settings: Settings) -> dict:
     """Paired online/offline out-of-sample MSE over the trials."""
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-oos")
-    cell = f"N{settings.n_particles}_beta{settings.beta:g}_lambda{settings.lam:g}"
-    onpgd = OnpgdConfig(
-        n_particles=settings.n_particles, lam=settings.lam, beta=settings.beta,
-        dt=settings.dt, self_interaction=settings.self_interaction,
-        init_sd=settings.init_sd,
-    )
-    offline = OfflineFitConfig(
-        n_particles=settings.n_particles, lam=settings.lam,
-        iters=settings.offline_iters, learning_rate=settings.offline_lr,
-        beta=settings.beta, init_sd=settings.init_sd,
-    )
+    cell, onpgd = learner_cell(settings, settings.n_particles, settings.beta, settings.lam)
+    offline = OfflineFitConfig(iters=settings.offline_iters, learning_rate=settings.offline_lr)
 
     def one(trial):
         train, test = generate_pair(settings, trial)
@@ -211,19 +218,14 @@ def _sweep_cells(settings: Settings):
     lams = settings.sweep_lam or [settings.lam]
     cells = []
     for n, beta, lam in product(ns, betas, lams):
-        n, beta, lam = int(n), float(beta), float(lam)
+        beta, lam = float(beta), float(lam)
         # the benchmark's prior variance is beta / lambda
         if not beta > 0:
             raise ValueError(f"beta must be positive, got {beta!r}")
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam!r}")
-        cells.append({
-            "n": n, "beta": beta, "lam": lam, "name": f"N{n}_beta{beta:g}_lambda{lam:g}",
-            "onpgd": OnpgdConfig(
-                n_particles=n, lam=lam, beta=beta, dt=settings.dt,
-                self_interaction=settings.self_interaction, init_sd=settings.init_sd,
-            ),
-        })
+        name, onpgd = learner_cell(settings, n, beta, lam)
+        cells.append({"n": n, "beta": beta, "lam": lam, "name": name, "onpgd": onpgd})
     return cells
 
 

@@ -6,9 +6,11 @@ static network by gradient descent on the batch objective
     L(theta_1..N) = (1/K) sum_k (m(x_k) - y_k)^2 + (lam / (2N)) sum_i |theta_i|^2
 
 with m(x) the N-particle mean prediction.  Plain gradient descent,
-theta <- theta - lr * dL/dtheta, from the same Gibbs init as the online
-learner.  No noise is injected; the fit is a deterministic function of the
-init draw and the data.
+theta <- theta - lr * dL/dtheta.  The particle count N, the penalty lam
+and the init come from the online learner's OnpgdConfig, so both learners
+fit the same network; OfflineFitConfig holds only the settings of the
+batch descent.  No noise is injected; the fit is a deterministic function
+of the init draw and the data.
 """
 
 from dataclasses import dataclass
@@ -27,27 +29,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OfflineFitConfig:
-    n_particles: int = 80
-    lam: float = 0.1
     iters: int = 2000
     learning_rate: float = 0.05
-    init_sd: float | None = None  # default sqrt(beta/lam) with beta below
-    beta: float = 0.02  # only sets the init scale; no noise is injected
 
     def __post_init__(self):
-        if not (self.n_particles >= 1 and self.iters >= 1):
-            raise ValueError("need at least one particle and one iteration")
+        if not self.iters >= 1:
+            raise ValueError("need at least one iteration")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if not (self.beta >= 0 and self.lam >= 0):
-            raise ValueError("beta and lam must be nonnegative")
-
-    def initial_sd(self) -> float:
-        if self.init_sd is not None:
-            return self.init_sd
-        if self.lam <= 0:
-            raise ValueError("lam = 0 has no Gibbs prior; give init_sd explicitly")
-        return float(np.sqrt(self.beta / self.lam))
 
 
 def batch_loss(thetas, traj, lam: float, fwd=None) -> float:
@@ -88,9 +77,10 @@ def batch_loss_grad(thetas, traj, lam: float, fwd=None) -> np.ndarray:
     return grad
 
 
-def fit_offline(traj, config: OfflineFitConfig, rng):
-    """Full-batch descent from a Gibbs init drawn from the Generator rng;
-    returns (thetas, loss_trace).
+def fit_offline(traj, config: OfflineFitConfig, learner: OnpgdConfig, rng):
+    """Full-batch descent of the learner's N-particle network with its
+    penalty learner.lam, from init_ensemble(learner, ...) drawn from the
+    Generator rng; returns (thetas, loss_trace).
 
     loss_trace[j] is the loss before iteration j (length iters + 1, so the
     last entry is the final loss).  Divergence (non-finite or loss above
@@ -98,20 +88,20 @@ def fit_offline(traj, config: OfflineFitConfig, rng):
     one forward pass, shared by the loss and the gradient, into (K, N)
     buffers allocated once per call.
     """
-    thetas = init_ensemble(config, traj.x_dim + 2, rng)
-    shape = (traj.n_steps, config.n_particles)
+    thetas = init_ensemble(learner, traj.x_dim + 2, rng)
+    shape = (traj.n_steps, learner.n_particles)
     buffers = (np.empty(shape), np.empty(shape))
 
     trace = np.empty(config.iters + 1)
     for j in range(config.iters):
         fwd = forward(thetas, traj.x, out=buffers)
-        loss = batch_loss(thetas, traj, config.lam, fwd)
+        loss = batch_loss(thetas, traj, learner.lam, fwd)
         trace[j] = loss
         if not np.isfinite(loss) or loss > 1e6:
             raise DivergenceError(f"batch loss {loss!r} at iteration {j}")
-        grad = batch_loss_grad(thetas, traj, config.lam, fwd)
+        grad = batch_loss_grad(thetas, traj, learner.lam, fwd)
         thetas = thetas - config.learning_rate * grad
-    loss = batch_loss(thetas, traj, config.lam, forward(thetas, traj.x, out=buffers))
+    loss = batch_loss(thetas, traj, learner.lam, forward(thetas, traj.x, out=buffers))
     trace[-1] = loss
     if not np.isfinite(loss) or loss > 1e6:
         raise DivergenceError(f"batch loss {loss!r} at final iteration")
@@ -142,14 +132,15 @@ def compare_oos(train, test, onpgd_config: OnpgdConfig, offline_config: OfflineF
                 seed) -> OosComparison:
     """Train both learners on the same train data, evaluate both on test.
 
-    The online learner's prediction at test step k uses its pre-update
-    state; the offline learner predicts with its final static parameters
-    at every step.
+    Both fit the network of onpgd_config (particle count, penalty, init
+    law).  The online learner's prediction at test step k uses its
+    pre-update state; the offline learner predicts with its final static
+    parameters at every step.
     """
     result = run_online(train, onpgd_config, substream(seed, "onpgd"), predict_xs=test.x)
     mse_online = oos_mse(result.extra_pred, test)
 
-    thetas, trace = fit_offline(train, offline_config, substream(seed, "offline"))
+    thetas, trace = fit_offline(train, offline_config, onpgd_config, substream(seed, "offline"))
     vals, _ = forward(thetas, test.x)
     mse_offline = oos_mse(vals.mean(axis=1), test)
     return OosComparison(

@@ -55,12 +55,10 @@ class OnpgdConfig:
         return float(np.sqrt(self.beta / self.lam))
 
 
-def init_ensemble(config, dim: int, rng) -> np.ndarray:
-    """Draw N particles iid from N(0, initial_sd^2 I_dim) as an (N, dim) array.
-
-    config is an OnpgdConfig or an OfflineFitConfig: anything with
-    n_particles and initial_sd().
-    """
+def init_ensemble(config: OnpgdConfig, dim: int, rng) -> np.ndarray:
+    """Draw config.n_particles particles iid from N(0, initial_sd^2 I_dim)
+    as an (N, dim) array; the online and the offline learner both start
+    here."""
     if dim < 3:
         raise ValueError("flat neuron dimension is n + 2 >= 3")
     return config.initial_sd() * rng.standard_normal((config.n_particles, dim))

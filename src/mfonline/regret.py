@@ -38,19 +38,12 @@ BENCHMARKS = ("dynamic", "static")
 
 @dataclass
 class RegretSeries:
-    """Instantaneous and cumulative regret on an evaluation subgrid."""
+    """Instantaneous and cumulative regret on an evaluation subgrid; its
+    key in RegretBundle.series names the benchmark and the variant."""
 
     times: np.ndarray
     instantaneous: np.ndarray
     cumulative: np.ndarray
-    variant: str
-    benchmark: str
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.benchmark not in BENCHMARKS:
-            raise ValueError(f"benchmark must be one of {BENCHMARKS}")
 
 
 def instantaneous_regret(ensemble_thetas, benchmark_measure, z, lam, variant="regularized") -> float:
@@ -174,8 +167,6 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
                 times=times,
                 instantaneous=inst[(b, v)].copy(),
                 cumulative=cumulative_regret(times, inst[(b, v)]),
-                variant=v,
-                benchmark=b,
             )
 
     mse = oos_mse(result.extra_pred, test) if test is not None else None

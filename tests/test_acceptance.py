@@ -29,8 +29,9 @@ from mfonline.datastream import (
 )
 from mfonline.equilibrium import (
     QuadratureGrid,
+    _tilted_map,
+    default_sigma_fn,
     draw_prior_samples,
-    phi_hat,
     solve_mu_star_quadrature,
 )
 from mfonline.experiments import run_regret_sweep, run_verify
@@ -74,7 +75,7 @@ def cell_seed(cell, trial):
 def oos_results():
     """Paired online/offline OOS errors, 30 trials per scenario."""
     onpgd = OnpgdConfig(init_sd=INIT_SD)
-    offline = OfflineFitConfig(init_sd=INIT_SD)
+    offline = OfflineFitConfig()
     cell = "N80_beta0.02_lambda0.1"
     out = {}
     t0 = time.time()
@@ -228,8 +229,9 @@ def test_c4_solver_cross_validation(verify_report, capsys):
         m1, m2 = np.sort(rng.uniform(-1.5, 1.5, size=2))
         # extreme test levels degrade the weights on purpose, and the
         # monotone property holds for the estimator itself
-        v1 = phi_hat(m1, samples, z, beta)
-        v2 = phi_hat(m2, samples, z, beta)
+        svals = default_sigma_fn(z[0], samples)
+        v1 = _tilted_map(m1, svals, svals * svals, z[1], beta)[0]
+        v2 = _tilted_map(m2, svals, svals * svals, z[1], beta)[0]
         if v2 > v1 + 1e-12:
             violations += 1
             worst_step = max(worst_step, v2 - v1)

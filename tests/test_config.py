@@ -1,5 +1,7 @@
 """Config parsing, coercion and precedence rules."""
 
+import re
+
 import pytest
 
 from mfonline.config import OUT_ENV_VAR, Settings, build_settings, parse_config
@@ -122,3 +124,17 @@ def test_sweep_scalars_become_lists(tmp_path):
     path.write_text("sweep.beta = 0\nsweep.lambda = 0.0\n")
     s = build_settings(config_path=path)
     assert s.sweep_beta == [0] and s.sweep_lam == [0.0]
+
+
+@pytest.mark.parametrize("line", [
+    "trials = 2.0", "seed = 1.5", "threads = yes", "data.n_steps = 6e1", "onpgd.n = 8.5",
+    "is.n = 6e2", "offline.iters = 3.5", "regret.stride = off", "sweep.n = 8.5",
+    "sweep.n = 20, 8.5", "sweep.n = true",
+])
+def test_integer_keys_reject_other_types(tmp_path, line):
+    # a float count would be truncated or fail deep inside a run
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ValueError, match=re.escape(key) + r"\)? must be an integer"):
+        build_settings(config_path=path)

@@ -10,10 +10,10 @@ from mfonline.equilibrium import (
     QuadratureGrid,
     _logsumexp,
     _newton_fixed_point,
+    _tilted_map,
     default_sigma_fn,
     draw_prior_samples,
     importance_weights,
-    phi_hat,
     quadrature_free_energy,
     solve_mu_star,
     solve_mu_star_quadrature,
@@ -131,22 +131,24 @@ def test_default_sigma_fn_dims():
 
 def test_phi_hat_constant_sigma():
     # sigma == c for every sample makes the reweighted mean exactly c
-    samples = np.zeros((50, 1))
-    val = phi_hat(0.7, samples, (1.0, 0.2), beta=0.1,
-                  sigma_fn=lambda x, s: np.full(len(s), 0.4))
+    svals = np.full(50, 0.4)
+    val = _tilted_map(0.7, svals, svals * svals, 0.2, 0.1)[0]
     assert abs(val - 0.4) < 1e-14
 
 
 def test_phi_hat_monotone_pairs():
+    # the fixed-point map Phi(m), the reweighted mean prediction at tilt
+    # level m, is nonincreasing in m
     rng = substream(7, "pairs")
     samples = draw_prior_samples(5000, 1, 0.2, rng)
-    z = (1.0, 0.3)
+    x, y = 1.0, 0.3
+    svals = default_sigma_fn(x, samples)
     for _ in range(200):
         m1, m2 = np.sort(rng.uniform(-1.5, 1.5, size=2))
         if m1 == m2:
             continue
-        v1 = phi_hat(m1, samples, z, beta=0.02)
-        v2 = phi_hat(m2, samples, z, beta=0.02)
+        v1 = _tilted_map(m1, svals, svals * svals, y, 0.02)[0]
+        v2 = _tilted_map(m2, svals, svals * svals, y, 0.02)[0]
         assert v2 <= v1 + 1e-12
 
 

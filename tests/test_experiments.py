@@ -376,8 +376,9 @@ def test_cli_regret_sweep_programming_error_exits_one(tmp_path, monkeypatch, cap
     assert "TypeError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--sweep-n", "0"), ("--sweep-beta", "nan"),
-                                         ("--sweep-lambda", "0"), ("--stride", "0")])
+@pytest.mark.parametrize("flag, value", [("--sweep-n", "0"), ("--sweep-n", "8.5"),
+                                         ("--sweep-beta", "nan"), ("--sweep-lambda", "0"),
+                                         ("--stride", "0")])
 def test_cli_bad_sweep_value_exits_one(tmp_path, capsys, flag, value):
     cfg = write_small_cfg(tmp_path)
     out = tmp_path / "sweepout"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,9 @@ def test_batch_loss_grad_finite_differences():
 
 def test_descent_decreases_loss():
     traj = _small_traj(seed=9, K=20, n=1)
-    cfg = OfflineFitConfig(n_particles=6, lam=0.1, iters=60, learning_rate=0.01)
-    _, trace = fit_offline(traj, cfg, substream(3, "offline-init"))
+    cfg = OfflineFitConfig(iters=60, learning_rate=0.01)
+    learner = OnpgdConfig(n_particles=6, lam=0.1)
+    _, trace = fit_offline(traj, cfg, learner, substream(3, "offline-init"))
     assert trace.shape == (61,)
     # small step on a smooth objective: monotone within fp slack
     assert np.all(np.diff(trace) <= 1e-12)
@@ -61,23 +64,23 @@ def test_descent_decreases_loss():
 
 def test_fit_deterministic():
     traj = _small_traj(seed=4)
-    cfg = OfflineFitConfig(n_particles=5, iters=30)
-    t1, tr1 = fit_offline(traj, cfg, substream(8, "offline-init"))
-    t2, tr2 = fit_offline(traj, cfg, substream(8, "offline-init"))
+    cfg, learner = OfflineFitConfig(iters=30), OnpgdConfig(n_particles=5)
+    t1, tr1 = fit_offline(traj, cfg, learner, substream(8, "offline-init"))
+    t2, tr2 = fit_offline(traj, cfg, learner, substream(8, "offline-init"))
     assert np.array_equal(t1, t2)
     assert np.array_equal(tr1, tr2)
 
 
-def _two_pass_fit(traj, config, seed):
+def _two_pass_fit(traj, config, learner, seed):
     """Reference descent loop: batch_loss and batch_loss_grad each run
     their own forward pass and allocate their own arrays."""
     rng = substream(seed, "offline-init")
-    thetas = config.initial_sd() * rng.standard_normal((config.n_particles, traj.x_dim + 2))
+    thetas = learner.initial_sd() * rng.standard_normal((learner.n_particles, traj.x_dim + 2))
     trace = np.empty(config.iters + 1)
     for j in range(config.iters):
-        trace[j] = batch_loss(thetas, traj, config.lam)
-        thetas = thetas - config.learning_rate * batch_loss_grad(thetas, traj, config.lam)
-    trace[-1] = batch_loss(thetas, traj, config.lam)
+        trace[j] = batch_loss(thetas, traj, learner.lam)
+        thetas = thetas - config.learning_rate * batch_loss_grad(thetas, traj, learner.lam)
+    trace[-1] = batch_loss(thetas, traj, learner.lam)
     return thetas, trace
 
 
@@ -86,19 +89,20 @@ def _two_pass_fit(traj, config, seed):
     gen_nonlinear(NonlinearConfig(n_steps=150), seed=2)[0],  # x_dim = 3
 ], ids=["periodic", "nonlinear"])
 def test_fit_matches_two_pass_oracle_bitwise(traj):
-    cfg = OfflineFitConfig(n_particles=12, iters=80)
-    thetas, trace = fit_offline(traj, cfg, substream(11, "offline-init"))
-    want_thetas, want_trace = _two_pass_fit(traj, cfg, seed=11)
+    cfg, learner = OfflineFitConfig(iters=80), OnpgdConfig(n_particles=12)
+    thetas, trace = fit_offline(traj, cfg, learner, substream(11, "offline-init"))
+    want_thetas, want_trace = _two_pass_fit(traj, cfg, learner, seed=11)
     assert np.array_equal(thetas, want_thetas)
     assert np.array_equal(trace, want_trace)
 
 
 def test_divergence_raises():
     traj = _small_traj(seed=6)
-    cfg = OfflineFitConfig(n_particles=4, lam=0.1, iters=400, learning_rate=5e4)
+    cfg = OfflineFitConfig(iters=400, learning_rate=5e4)
+    learner = OnpgdConfig(n_particles=4, lam=0.1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            fit_offline(traj, cfg, substream(1, "offline-init"))
+            fit_offline(traj, cfg, learner, substream(1, "offline-init"))
 
 
 def test_config_validation():
@@ -107,21 +111,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OfflineFitConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        OfflineFitConfig(learning_rate=np.nan)
-    for bad in (-0.1, np.nan):
-        with pytest.raises(ValueError, match="nonnegative"):
-            OfflineFitConfig(lam=bad, init_sd=0.5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            OfflineFitConfig(beta=bad)
+        OfflineFitConfig(iters=np.nan)
     with pytest.raises(ValueError):
-        OfflineFitConfig(lam=0.0).initial_sd()
-    assert OfflineFitConfig(lam=0.0, init_sd=0.5).initial_sd() == 0.5
+        OfflineFitConfig(learning_rate=np.nan)
+    # the network, its penalty and its init belong to the learner's config
+    assert [f.name for f in fields(OfflineFitConfig)] == ["iters", "learning_rate"]
 
 
 def test_compare_oos_pairing():
     train, test = gen_periodic(PeriodicConfig(n_steps=120), seed=30)
     onpgd = OnpgdConfig(n_particles=20)
-    off = OfflineFitConfig(n_particles=20, iters=100)
+    off = OfflineFitConfig(iters=100)
     res = compare_oos(train, test, onpgd, off, seed=17)
     assert res.mse_online > 0 and res.mse_offline > 0
     assert res.offline_loss_trace.shape == (101,)
@@ -131,3 +131,6 @@ def test_compare_oos_pairing():
     # i.e. the two learners consume independent named streams of one seed
     solo = run_online(train, onpgd, substream(17, "onpgd"), predict_xs=test.x)
     assert np.array_equal(res.online_train_pred, solo.train_pred)
+    # and the offline side fits the online learner's network
+    _, trace = fit_offline(train, off, onpgd, substream(17, "offline"))
+    assert np.array_equal(res.offline_loss_trace, trace)

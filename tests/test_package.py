@@ -60,7 +60,7 @@ EXPORTS = """
     compare_oos compute_constants config cost_u cost_u_unreg cumulative_regret datastream
     draw_prior_samples equilibrium euler_ou_path fit_offline forward gen_nonlinear
     gen_periodic init_ensemble instantaneous_regret load_config measures network offline
-    onpgd oos_mse paired_tests parse_config phi_hat predict quadrature_free_energy regret
+    onpgd oos_mse paired_tests parse_config predict quadrature_free_energy regret
     regret_run response_second_moment run_online second_moment seeding solve_mu_star
     solve_mu_star_quadrature solve_rho_star stats substream summarize theory
     verify_dym_formula verify_gap_decomposition

@@ -9,7 +9,6 @@ from mfonline.equilibrium import ConvergenceError, importance_weights
 from mfonline.measures import WeightedMeasure, cost_u, cost_u_unreg, second_moment
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import (
-    RegretSeries,
     cumulative_regret,
     eval_indices,
     instantaneous_regret,
@@ -111,15 +110,6 @@ def test_cumulative_nonmonotone_raises():
         cumulative_regret([0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         cumulative_regret([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
-
-
-def test_series_validation():
-    t = np.array([0.0, 1.0])
-    v = np.array([1.0, 1.0])
-    with pytest.raises(ValueError):
-        RegretSeries(times=t, instantaneous=v, cumulative=v, variant="x", benchmark="dynamic")
-    with pytest.raises(ValueError):
-        RegretSeries(times=t, instantaneous=v, cumulative=v, variant="regularized", benchmark="x")
 
 
 def test_eval_indices():
