@@ -20,13 +20,13 @@ _EXPORTS = {
          "Trajectory", "euler_ou_path", "gen_nonlinear", "gen_periodic",
          "response_second_moment"), "datastream"),
     **dict.fromkeys(
-        ("equilibrium", "QuadratureGrid", "RhoStarSolution",
+        ("equilibrium", "QuadratureGrid", "RhoStarSolution", "WeightedMeasure",
          "draw_prior_samples", "quadrature_free_energy", "solve_mu_star",
          "solve_mu_star_quadrature", "solve_rho_star", "verify_dym_formula",
          "verify_gap_decomposition"), "equilibrium"),
     **dict.fromkeys(
-        ("measures", "WeightedMeasure", "cost_u", "cost_u_unreg", "oos_mse", "predict",
-         "second_moment"), "measures"),
+        ("measures", "cost_u", "cost_u_unreg", "oos_mse", "predict", "second_moment"),
+        "measures"),
     **dict.fromkeys(("network", "forward"), "network"),
     **dict.fromkeys(
         ("offline", "OfflineFitConfig", "batch_loss", "batch_loss_grad", "compare_oos",
@@ -40,8 +40,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("stats", "PairedTestResult", "StatsSummary", "paired_tests", "summarize"), "stats"),
     **dict.fromkeys(
-        ("theory", "BoundSpec", "TheoryConstants", "check_empirical_moment_bound",
-         "compute_constants"), "theory"),
+        ("theory", "BoundSpec", "TheoryConstants", "compute_constants"), "theory"),
 }
 
 __version__ = "0.1.0"

@@ -87,9 +87,13 @@ KEY_MAP = {
 
 OUT_ENV_VAR = "MFONLINE_OUT"
 
-# config keys that take only integers (sweep.n: each of its entries)
+# config keys that take only integers, and those that take any real number
+# (sweep.*: each of their entries); onpgd.init_sd also takes "gibbs", and
+# None, the form "gibbs" resolves to
 INT_KEYS = ("trials", "seed", "threads", "data.n_steps", "onpgd.n", "is.n",
             "offline.iters", "regret.stride", "sweep.n")
+FLOAT_KEYS = ("onpgd.lambda", "onpgd.beta", "onpgd.dt", "onpgd.init_sd", "is.root_tol",
+              "offline.lr", "sweep.beta", "sweep.lambda")
 
 
 @dataclass
@@ -127,14 +131,18 @@ class Settings:
             v = getattr(self, name)
             if not isinstance(v, list):
                 setattr(self, name, [v])
-        # a float such as 8.5 or 6e2 is not a count, and neither is a bool
-        for key in INT_KEYS:
+        # a float such as 8.5 or 6e2 is not a count, a string is not a
+        # number, and a bool is neither
+        for key in INT_KEYS + FLOAT_KEYS:
             name = KEY_MAP[key]
             value = getattr(self, name)
             label = name if key == name else f"{name} ({key})"
-            for v in value if key == "sweep.n" else [value]:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"{label} must be an integer, got {v!r}")
+            kind, what = (int, "an integer") if key in INT_KEYS else ((int, float), "a number")
+            for v in value if key.startswith("sweep.") else [value]:
+                if key == "onpgd.init_sd" and v in ("gibbs", None):
+                    continue
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    raise ValueError(f"{label} must be {what}, got {v!r}")
         if self.scenario not in ("periodic", "nonlinear"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
@@ -155,9 +163,7 @@ class Settings:
         # a stride beyond n_steps is left to each trial to report
         if not self.eval_stride >= 1:
             raise ValueError("eval_stride (regret.stride) must be >= 1")
-        if isinstance(self.init_sd, str):
-            if self.init_sd != "gibbs":
-                raise ValueError("init_sd must be a positive number or 'gibbs'")
+        if self.init_sd == "gibbs":
             self.init_sd = None
         if self.init_sd is not None and not self.init_sd > 0:
             raise ValueError("init_sd must be a positive number or 'gibbs'")

@@ -9,13 +9,18 @@ learner's temperature and penalty:
   reweights prior samples by exp(-(2/beta) (m - y) sigma(x, theta)).  Its
   slope is Phi'(m) = -(2/beta) Var(sigma) under the tilted measure, so
   g(m) = Phi(m) - m has slope <= -1 and crosses zero exactly once, inside
-  [min sigma - 1, max sigma + 1]; a safeguarded Newton iteration on the
-  exact slope finds it.
+  [min sigma - 1, max sigma + 1]; a Newton iteration on the exact slope,
+  safeguarded by bisection as in ``rtsafe``, finds it.
 
 * the hindsight measure for a whole trajectory, reweighting by the
   time-averaged tilt exp(-(2/(beta T)) sum_k (u_k - y_k) sigma(x_k, theta) dt)
   where u_k is the measure's own prediction at x_k; solved by L-BFGS on
   the convex merit H whose gradient is the fixed-point residual.
+
+Each solver reports its measure as a ``WeightedMeasure``: the weights and
+the two moments a cost needs, the prediction m (per data point for the
+hindsight measure) and the second moment q = <rho, |theta|^2>, so the
+samples never leave the solver.
 
 Both normalize their weights with ``_logsumexp``, a numpy log-sum-exp
 that takes the same steps as ``scipy.special.logsumexp`` and so gives the
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import WeightedMeasure
+from .measures import sq_norms
 from .network import forward, unpack
 
 
@@ -46,6 +51,21 @@ class ConvergenceError(RuntimeError):
 
 class GridTooNarrowError(ValueError):
     """Quadrature grid endpoints carry non-negligible density mass."""
+
+
+@dataclass
+class WeightedMeasure:
+    """A benchmark measure as its importance weights over the prior samples
+    and the two moments every cost needs: the prediction m (a float, or one
+    per data point of a trajectory) and the second moment q = <rho, |theta|^2>."""
+
+    weights: np.ndarray
+    m: float | np.ndarray
+    q: float
+
+    def ess(self) -> float:
+        """Effective sample size 1 / sum w_i^2."""
+        return float(1.0 / np.sum(self.weights**2))
 
 
 def draw_prior_samples(n: int, dim: int, prior_var: float, rng) -> np.ndarray:
@@ -117,14 +137,19 @@ def _newton_fixed_point(phi, lo, hi, start, root_tol, max_iters=100):
 
     ``phi(m)`` returns (Phi(m), Phi'(m), aux) with Phi nonincreasing, so
     g' = Phi' - 1 <= -1.  The root must lie in [lo, hi]; the iteration
-    starts at ``start`` (at the midpoint if that lies outside), shrinks the
-    bracket by the sign of g at every evaluation, and takes the bracket's
-    midpoint whenever a Newton step would leave it.  Returns (m, aux) of
-    the first evaluation with |g(m)| <= root_tol, or of the last one once
-    the bracket has shrunk to a few ulps.  Raises ConvergenceError when
-    g(m) is not finite or after max_iters evaluations.
+    starts at ``start`` (at the midpoint if that lies outside) and shrinks
+    the bracket by the sign of g at every evaluation.  It takes the
+    bracket's midpoint instead of a Newton step that would leave the
+    bracket or that is longer than half the step before last: the guard of
+    ``rtsafe`` (Press et al., Numerical Recipes, section 9.4), without
+    which steps can bounce between the two ends of the bracket and shrink
+    it by a sliver each.  Returns (m, aux) of the first evaluation with
+    |g(m)| <= root_tol, or of the last one once the bracket has shrunk to
+    a few ulps.  Raises ConvergenceError when g(m) is not finite or after
+    max_iters evaluations.
     """
     m = start if lo < start < hi else 0.5 * (lo + hi)
+    dx = dx_old = hi - lo  # the last step and the one before it
     for _ in range(max_iters):
         val, slope, aux = phi(m)
         g = val - m
@@ -140,16 +165,19 @@ def _newton_fixed_point(phi, lo, hi, start, root_tol, max_iters=100):
             return m, aux
         step = m - g / (slope - 1.0)
         # a NaN step (from a NaN slope) fails the test and bisects too
-        m = step if lo < step < hi else 0.5 * (lo + hi)
+        if lo < step < hi and 2.0 * abs(step - m) <= dx_old:
+            dx_old, dx, m = dx, abs(step - m), step
+        else:
+            dx_old, dx, m = dx, 0.5 * (hi - lo), 0.5 * (lo + hi)
     raise ConvergenceError(f"Newton stalled after {max_iters} evaluations: bracket [{lo}, {hi}]")
 
 
 def solve_mu_star(samples, z, beta, root_tol=1e-10, sigma_fn=None):
     """Instantaneous equilibrium from prior samples at one data point.
 
-    Returns (m_star, measure): the fixed-point prediction and the weighted
-    sample measure at that tilt.  Post: the measure's reweighted mean
-    prediction reproduces m_star within root_tol.
+    Returns (m_star, measure): the fixed-point root and the measure at that
+    tilt, whose prediction ``measure.m = Phi(m_star)`` reproduces m_star
+    within root_tol.
     """
     x, y = unpack(z)
     samples = np.asarray(samples, dtype=float)
@@ -161,20 +189,21 @@ def solve_mu_star(samples, z, beta, root_tol=1e-10, sigma_fn=None):
     sq = svals * svals
     m_star, w = _newton_fixed_point(lambda m: _tilted_map(m, svals, sq, y, beta),
                                     lo, hi, float(y), root_tol)
-    return m_star, WeightedMeasure(samples=samples, weights=w)
+    return m_star, WeightedMeasure(w, float(w @ svals), float(sq_norms(samples) @ w))
 
 
 @dataclass
 class RhoStarSolution:
-    """Hindsight measure: predictions u along the trajectory, the weighted
-    sample measure, and the L-BFGS diagnostics on the convex merit H.
+    """Hindsight measure: the fixed point u along the trajectory, the
+    measure at that tilt (``measure.m[k]`` is its prediction at x_k), and
+    the L-BFGS diagnostics on the convex merit H.
 
     ``residual_trace`` holds max_k |U(u)_k - u_k| at u = 0 and at every
     accepted iterate after it, so ``n_iters == len(residual_trace)`` and
     ``residual == residual_trace[-1]``."""
 
     u: np.ndarray
-    measure: object
+    measure: WeightedMeasure
     residual: float
     n_iters: int
     residual_trace: list = field(default_factory=list)
@@ -289,7 +318,11 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
             f"after {len(trace)} residual checks ({message})",
             residual_trace=trace,
         )
-    measure = WeightedMeasure(samples=samples, weights=importance_weights(merit.expo))
+    w = importance_weights(merit.expo)
+    # one dot per row: the bits of each point's own prediction, which S @ w
+    # can miss in the last place
+    preds = np.array([row @ w for row in S])
+    measure = WeightedMeasure(w, preds, float(sq_norms(samples) @ w))
     return RhoStarSolution(
         u=u, measure=measure, residual=residual, n_iters=len(trace), residual_trace=trace
     )

@@ -2,7 +2,9 @@
 
 Instantaneous regret at an evaluation time is the cost gap
 U(ensemble, z) - U(benchmark, z); cumulative regret integrates it over the
-horizon by the trapezoid rule on the evaluation subgrid.  Two benchmarks:
+horizon by the trapezoid rule on the evaluation subgrid.  Each cost is
+priced from the measure's two moments (m, q), so the benchmarks enter only
+through the moments their solvers report.  Two benchmarks:
 
 * dynamic: the instantaneous equilibrium re-solved at each evaluation
   point's data (fresh prior samples per point, seeded by the point index);
@@ -11,7 +13,7 @@ horizon by the trapezoid rule on the evaluation subgrid.  Two benchmarks:
 Both are Gibbs measures of the learner's own free energy, so their prior
 N(0, (beta / lam) I_d) is taken from the learner's config.
 
-Each comes in a regularized (penalty included on both sides) and an
+Each gap comes in a regularized (penalty included on both sides) and an
 unregularized variant.  Evaluation uses the pre-update ensemble states on
 the subgrid {1, stride, 2 stride, ..., K}, so the first point is the
 untrained ensemble and cumulative regret starts at zero there.
@@ -28,7 +30,8 @@ from .equilibrium import (
     solve_mu_star,
     solve_rho_star,
 )
-from .measures import cost_u, cost_u_unreg, oos_mse
+from .measures import cost_u, cost_u_unreg, oos_mse, predict, second_moment
+from .network import unpack
 from .onpgd import run_online
 from .seeding import substream
 
@@ -46,13 +49,12 @@ class RegretSeries:
     cumulative: np.ndarray
 
 
-def instantaneous_regret(ensemble_thetas, benchmark_measure, z, lam, variant="regularized") -> float:
-    """Cost gap U(ensemble, z) - U(benchmark, z) for one data point."""
-    if variant == "regularized":
-        return cost_u(ensemble_thetas, z, lam) - cost_u(benchmark_measure, z, lam)
-    if variant == "unregularized":
-        return cost_u_unreg(ensemble_thetas, z) - cost_u_unreg(benchmark_measure, z)
-    raise ValueError(f"variant must be one of {VARIANTS}")
+def instantaneous_regret(learner, bench, y, lam) -> tuple:
+    """Cost gaps U(learner, z) - U(benchmark, z) at a point with response y,
+    regularized and unregularized, from the two measures' (m, q) moments."""
+    (m, q), (m_b, q_b) = learner, bench
+    return (cost_u(m, q, y, lam) - cost_u(m_b, q_b, y, lam),
+            cost_u_unreg(m, y) - cost_u_unreg(m_b, y))
 
 
 def cumulative_regret(times, instantaneous) -> np.ndarray:
@@ -144,7 +146,8 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
 
     for j, k in enumerate(ks):
         z = (train.x[k - 1], train.y[k - 1])
-        thetas = snaps[k]
+        x, y = unpack(z)
+        learner = (predict(snaps[k], x), second_moment(snaps[k]))
         rng = substream(seed, "dynamic-benchmark", j)
         samples = draw_prior_samples(n_is, dim, prior_var, rng)
         try:
@@ -152,12 +155,13 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
         except ConvergenceError as exc:
             raise ConvergenceError(f"benchmark solve failed at subgrid index {j} (step {k}): {exc}") from exc
         mu_ess.append(mu_hat.ess())
-        inst[("dynamic", "regularized")][j] = instantaneous_regret(thetas, mu_hat, z, lam, "regularized")
-        inst[("dynamic", "unregularized")][j] = instantaneous_regret(thetas, mu_hat, z, lam, "unregularized")
+        benches = [("dynamic", (mu_hat.m, mu_hat.q))]
         if include_static:
             rho = static_solution.measure
-            inst[("static", "regularized")][j] = instantaneous_regret(thetas, rho, z, lam, "regularized")
-            inst[("static", "unregularized")][j] = instantaneous_regret(thetas, rho, z, lam, "unregularized")
+            benches.append(("static", (rho.m[k - 1], rho.q)))
+        for b, moments in benches:
+            inst[(b, "regularized")][j], inst[(b, "unregularized")][j] = \
+                instantaneous_regret(learner, moments, y, lam)
 
     series = {}
     benchmarks = BENCHMARKS if include_static else ("dynamic",)

@@ -9,12 +9,8 @@ dimension d, the analysis yields explicit constants:
     PL holds iff alpha beta^2 > 8 C_sigma^2 C_1^2, and then
     C_PL       = (2 C_sigma^2 + beta) / (alpha beta^2 - 8 C_sigma^2 C_1^2)
     Q*         = (beta d / lam) exp(C_osc)
-    lambda_dc  = 2 (C_sigma + C_z) * hess_bound
 
-hess_bound is the caller-supplied sup operator norm of the neuron Hessian
-in theta (it depends on the truncation regime, so no default is honest;
-lambda_dc is None when it is not given).  As beta grows, C_osc vanishes
-and C_PL tends to 1 / lam.
+As beta grows, C_osc vanishes and C_PL tends to 1 / lam.
 """
 
 import math
@@ -33,7 +29,6 @@ class BoundSpec:
     lam: float
     beta: float
     d: int
-    hess_bound: float | None = None
 
     def __post_init__(self):
         for name in ("c_sigma", "c_z", "c_1", "lam", "beta"):
@@ -41,8 +36,6 @@ class BoundSpec:
                 raise ValueError(f"{name} must be positive")
         if self.d < 1:
             raise ValueError("d must be a positive dimension")
-        if self.hess_bound is not None and self.hess_bound < 0:
-            raise ValueError("hess_bound must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -52,7 +45,6 @@ class TheoryConstants:
     pl_condition_holds: bool
     c_pl: float | None
     q_star: float
-    lambda_dc: float | None
 
 
 def compute_constants(spec: BoundSpec) -> TheoryConstants:
@@ -68,36 +60,11 @@ def compute_constants(spec: BoundSpec) -> TheoryConstants:
     c_pl = (2.0 * spec.c_sigma**2 + spec.beta) / gap if holds else None
     with np.errstate(over="ignore"):
         q_star = float((spec.beta * spec.d / spec.lam) * np.exp(c_osc))
-    lambda_dc = None
-    if spec.hess_bound is not None:
-        lambda_dc = 2.0 * (spec.c_sigma + spec.c_z) * spec.hess_bound
     return TheoryConstants(
         c_osc=c_osc,
         alpha=alpha,
         pl_condition_holds=holds,
         c_pl=c_pl,
         q_star=q_star,
-        lambda_dc=lambda_dc,
     )
 
-
-@dataclass
-class MomentAudit:
-    """Observed equilibrium second moment versus its Q* ceiling."""
-
-    observed: float
-    q_star: float
-    holds: bool
-
-
-def check_empirical_moment_bound(measure, spec: BoundSpec) -> MomentAudit:
-    """Audit <mu, |theta|^2> <= Q* for a solved equilibrium measure.
-
-    Only meaningful when the sigma values fed to the solver really were
-    bounded by spec.c_sigma (truncated neurons); the caller owns that.
-    """
-    from .measures import second_moment
-
-    observed = second_moment(measure)
-    q_star = compute_constants(spec).q_star
-    return MomentAudit(observed=observed, q_star=q_star, holds=bool(observed <= q_star))

@@ -35,13 +35,14 @@ from mfonline.equilibrium import (
     solve_mu_star_quadrature,
 )
 from mfonline.experiments import run_regret_sweep, run_verify
-from mfonline.measures import WeightedMeasure, second_moment
+from mfonline.measures import predict, second_moment
 from mfonline.offline import OfflineFitConfig, batch_loss, batch_loss_grad, compare_oos
 from mfonline.onpgd import OnpgdConfig, _advance, init_ensemble
 from mfonline.regret import cumulative_regret, instantaneous_regret, regret_run
 from mfonline.seeding import substream
 from mfonline.stats import paired_tests
 from mfonline.theory import BoundSpec, compute_constants
+from measure_oracle import weighted_predict, weighted_second_moment
 
 MASTER = 1
 TRIALS = 30
@@ -338,13 +339,14 @@ def test_c6_property_suite(tmp_path_factory, capsys):
         bench_thetas = rng.standard_normal((300, 3))
         weights = rng.uniform(0.5, 1.5, size=300)
         weights /= weights.sum()
-        bench = WeightedMeasure(bench_thetas, weights)
-        zz = (rng.uniform(0.5, 1.5, size=1), float(rng.normal()))
+        x, y = rng.uniform(0.5, 1.5, size=1), float(rng.normal())
+        q_ens = float(np.mean(np.sum(ens**2, axis=1)))
+        q_bench = weighted_second_moment(bench_thetas, weights)
         lam = 0.3
-        reg = instantaneous_regret(ens, bench, zz, lam, "regularized")
-        unreg = instantaneous_regret(ens, bench, zz, lam, "unregularized")
-        gap = (lam / 2.0) * (float(np.mean(np.sum(ens**2, axis=1)))
-                             - second_moment(bench))
+        reg, unreg = instantaneous_regret((predict(ens, x), second_moment(ens)),
+                                          (weighted_predict(bench_thetas, weights, x), q_bench),
+                                          y, lam)
+        gap = (lam / 2.0) * (q_ens - q_bench)
         worst_id = max(worst_id, abs((reg - unreg) - gap))
     checks.append(("reg-unreg identity", worst_id <= 1e-14, f"worst {worst_id:.1e}"))
 

@@ -138,3 +138,25 @@ def test_integer_keys_reject_other_types(tmp_path, line):
     key = line.split(" =")[0]
     with pytest.raises(ValueError, match=re.escape(key) + r"\)? must be an integer"):
         build_settings(config_path=path)
+
+
+@pytest.mark.parametrize("line", [
+    "onpgd.beta = fast", "onpgd.lambda = yes", "onpgd.dt = off", "onpgd.init_sd = true",
+    "is.root_tol = tiny", "offline.lr = fast", "sweep.beta = 0.02, fast", "sweep.beta = fast",
+    "sweep.lambda = 0.1, no",
+])
+def test_float_keys_reject_other_types(tmp_path, line):
+    # a string or bool value would fail deep inside a run without naming
+    # its key, or (offline.lr) not be read at all by some commands
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ValueError, match=re.escape(key) + r"\)? must be a number"):
+        build_settings(config_path=path)
+
+
+def test_float_keys_take_integers(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("onpgd.lambda = 1\nsweep.beta = 1, 0.5\n")
+    s = build_settings(config_path=path)
+    assert (s.lam, s.sweep_beta) == (1, [1, 0.5])

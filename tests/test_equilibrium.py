@@ -22,6 +22,7 @@ from mfonline.equilibrium import (
     verify_gap_decomposition,
 )
 from mfonline.seeding import substream
+from measure_oracle import weighted_predict, weighted_second_moment
 from mu_oracle import bisect_fixed_point, oracle_mu_star
 from rho_oracle import damped_rho_star
 
@@ -101,6 +102,29 @@ def test_solve_rho_star_bitwise_equal_to_scipy_merit(monkeypatch):
     assert sol.measure.weights.tobytes() == ref.measure.weights.tobytes()
 
 
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
+def test_solve_mu_star_moments_bitwise_equal_to_weighted_oracle(beta):
+    samples, z = _is_case(beta)
+    _, measure = solve_mu_star(samples, z, beta, 1e-10)
+    assert _bits(measure.m) == _bits(weighted_predict(samples, measure.weights, z[0]))
+    assert _bits(measure.q) == _bits(weighted_second_moment(samples, measure.weights))
+
+
+def test_solve_rho_star_moments_bitwise_equal_to_weighted_oracle():
+    train, _ = gen_periodic(PeriodicConfig(n_steps=40), seed=3)
+    samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
+    sol = solve_rho_star(train, samples, beta=0.02)
+    w = sol.measure.weights
+    assert _bits(sol.measure.m) == _bits([weighted_predict(samples, w, x) for x in train.x])
+    assert _bits(sol.measure.q) == _bits(weighted_second_moment(samples, w))
+    # the measure's predictions are the fixed point u within the solve's tol
+    assert np.max(np.abs(sol.measure.m - sol.u)) <= 1e-6 + 1e-12
+
+
 def test_draw_prior_samples_bitwise_equal_to_scaled_normals():
     s = draw_prior_samples(20000, 5, 0.2, substream(5, "prior"))
     ref = np.sqrt(0.2) * substream(5, "prior").standard_normal((20000, 5))
@@ -158,9 +182,11 @@ def test_newton_rejects_a_non_finite_map():
 
 
 def test_newton_bisects_where_a_step_leaves_the_bracket():
-    # Phi drops by 2 within about 1e-3 of m = 0.4 and is flat elsewhere, so
-    # Newton from -1.9 goes to 1.0, then -1.0, whose step back to 1.0 leaves
-    # the bracket (-1, 1): the midpoint 0.0 is taken instead
+    # Phi drops by 2 within about 1e-3 of m = 0.4 and is flat elsewhere.
+    # From -1.9 the Newton step of 2.9 is longer than half the first
+    # bracket's width, so the midpoint mid of (-1.9, 2) is taken; Newton
+    # then goes to 1.0, whose step to -1.0 leaves the bracket (mid, 1):
+    # its midpoint is taken instead
     calls = []
 
     def phi(m):
@@ -171,15 +197,23 @@ def test_newton_bisects_where_a_step_leaves_the_bracket():
 
     m, _ = _newton_fixed_point(phi, -2.0, 2.0, -1.9, 1e-12)
     assert abs(-np.tanh(1000.0 * (m - 0.4)) - m) <= 1e-12
-    assert calls[:4] == [-1.9, 1.0, -1.0, 0.0]
+    mid = 0.5 * (-1.9 + 2.0)
+    assert calls[:4] == [-1.9, mid, 1.0, 0.5 * (mid + 1.0)]
     with pytest.raises(ConvergenceError, match="after 2 evaluations"):
         _newton_fixed_point(phi, -2.0, 2.0, -1.9, 1e-12, max_iters=2)
 
 
-@pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
-def test_solve_mu_star_matches_bisection_in_fewer_evaluations(beta, monkeypatch):
-    # g' <= -1, so two points with |g| <= root_tol lie within 2 root_tol
-    samples, z = _is_case(beta)
+@pytest.mark.parametrize("beta, stall", [(0.005, False), (0.02, False), (0.2, False), (0.02, True)],
+                         ids=["0.005", "0.02", "0.2", "stall"])
+def test_solve_mu_star_matches_bisection_in_fewer_evaluations(beta, stall, monkeypatch):
+    # g' <= -1, so two points with |g| <= root_tol lie within 2 root_tol.
+    # In the stall case, Newton steps without the step-halving guard bounce
+    # between about 0.866 and 0.997, shrink the bracket by about 1e-4 each,
+    # and the solve raised ConvergenceError after 100 evaluations
+    if stall:
+        samples, z = draw_prior_samples(20000, 3, 0.2, substream(37, "stall")), (np.array([1.5]), 1.0)
+    else:
+        samples, z = _is_case(beta)
     svals = default_sigma_fn(z[0], samples)
     m_bisect, n_bisect = bisect_fixed_point(
         lambda m: float(importance_weights(-(2.0 / beta) * (m - z[1]) * svals) @ svals),

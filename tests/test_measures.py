@@ -2,67 +2,58 @@ import numpy as np
 import pytest
 
 from mfonline.datastream import Trajectory
+from mfonline.equilibrium import WeightedMeasure, draw_prior_samples, solve_mu_star
 from mfonline.measures import (
-    WeightedMeasure,
     cost_u,
     cost_u_unreg,
     oos_mse,
+    predict,
     second_moment,
+    sq_norms,
 )
 from mfonline.network import forward
-
-
-def test_weighted_measure_validation():
-    s = np.ones((3, 4))
-    WeightedMeasure(samples=s, weights=np.array([0.5, 0.25, 0.25]))
-    with pytest.raises(ValueError):
-        WeightedMeasure(samples=s, weights=np.array([0.5, 0.6, -0.1]))
-    with pytest.raises(ValueError):
-        WeightedMeasure(samples=s, weights=np.array([0.5, 0.3, 0.1]))
-    with pytest.raises(ValueError):
-        WeightedMeasure(samples=s, weights=np.ones((3, 1)) / 3)
-    with pytest.raises(ValueError):
-        WeightedMeasure(samples=np.ones(3), weights=np.ones(3) / 3)
+from mfonline.seeding import substream
+from measure_oracle import weighted_second_moment
 
 
 def test_ess():
-    s = np.zeros((4, 3))
-    uniform = WeightedMeasure(samples=s, weights=np.full(4, 0.25))
+    uniform = WeightedMeasure(weights=np.full(4, 0.25), m=0.0, q=0.0)
     assert abs(uniform.ess() - 4.0) < 1e-12
-    point = WeightedMeasure(samples=s, weights=np.array([1.0, 0.0, 0.0, 0.0]))
+    point = WeightedMeasure(weights=np.array([1.0, 0.0, 0.0, 0.0]), m=0.0, q=0.0)
     assert abs(point.ess() - 1.0) < 1e-12
 
 
 def test_second_moment():
     thetas = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     assert abs(second_moment(thetas) - 2.5) < 1e-15
-    m = WeightedMeasure(samples=thetas, weights=np.array([0.75, 0.25]))
-    assert abs(second_moment(m) - (0.75 * 1.0 + 0.25 * 4.0)) < 1e-15
+    with pytest.raises(ValueError, match="2-d"):
+        second_moment(np.ones(3))
 
 
 def test_cost_u_hand_value():
     thetas = np.array([[1.0, 0.5, 0.0], [2.0, -0.5, 0.2]])
-    z = (np.array([0.7]), 0.3)
-    lam = 0.1
-    m = forward(thetas, z[0])[0].mean()
-    expected = m * m - 2 * 0.3 * m + 0.5 * lam * second_moment(thetas)
-    assert abs(cost_u(thetas, z, lam) - expected) < 1e-14
-    assert abs(cost_u_unreg(thetas, z) - (m * m - 2 * 0.3 * m)) < 1e-14
+    x, y, lam = np.array([0.7]), 0.3, 0.1
+    m = forward(thetas, x)[0].mean()
+    q = second_moment(thetas)
+    assert abs(q - (1.25 + 4.29) / 2) < 1e-15
+    assert abs(predict(thetas, x) - m) < 1e-15
+    expected = m * m - 2 * 0.3 * m + 0.5 * lam * q
+    assert abs(cost_u(m, q, y, lam) - expected) < 1e-14
+    assert abs(cost_u_unreg(m, y) - (m * m - 2 * 0.3 * m)) < 1e-14
     # penalty term is the only difference
-    gap = cost_u(thetas, z, lam) - cost_u_unreg(thetas, z)
-    assert abs(gap - 0.5 * lam * second_moment(thetas)) < 1e-14
+    gap = cost_u(m, q, y, lam) - cost_u_unreg(m, y)
+    assert abs(gap - 0.5 * lam * q) < 1e-14
 
 
 def test_cost_u_weighted_measure():
-    rng = np.random.default_rng(8)
-    thetas = rng.normal(size=(10, 3))
-    w = rng.random(10)
-    w /= w.sum()
-    m = WeightedMeasure(samples=thetas, weights=w)
-    z = (rng.normal(size=1), 0.5)
-    mv = forward(thetas, z[0])[0] @ w
-    expected = mv * mv - 2 * 0.5 * mv + 0.5 * 0.2 * (np.sum(thetas**2, axis=1) @ w)
-    assert abs(cost_u(m, z, 0.2) - expected) < 1e-13
+    # a solved measure priced from its moments costs what its weighted
+    # samples cost by the direct formula
+    samples = draw_prior_samples(500, 3, 0.2, substream(8, "cost"))
+    x, y = np.array([0.6]), 0.5
+    _, measure = solve_mu_star(samples, (x, y), beta=0.1)
+    mv = forward(samples, x)[0] @ measure.weights
+    expected = mv * mv - 2 * 0.5 * mv + 0.5 * 0.2 * (np.sum(samples**2, axis=1) @ measure.weights)
+    assert abs(cost_u(measure.m, measure.q, y, 0.2) - expected) < 1e-13
 
 
 def _tiny_test_traj():
@@ -85,6 +76,7 @@ def test_second_moment_bitwise_equal_to_row_sums(d):
     w = rng.random(20000)
     w /= w.sum()
     sq = np.sum(thetas**2, axis=1)
+    assert sq_norms(thetas).tobytes() == sq.tobytes()
     assert np.float64(second_moment(thetas)).tobytes() == np.float64(sq.mean()).tobytes()
-    measure = WeightedMeasure(samples=thetas, weights=w)
-    assert np.float64(second_moment(measure)).tobytes() == np.float64(sq @ w).tobytes()
+    assert (np.float64(sq_norms(thetas) @ w).tobytes()
+            == np.float64(weighted_second_moment(thetas, w)).tobytes())

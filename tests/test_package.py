@@ -56,7 +56,7 @@ EXPORTS = """
     BoundSpec NonlinearConfig NonlinearTruthModel OfflineFitConfig OnpgdConfig
     OuParams PairedTestResult PeriodicConfig QuadratureGrid RegretBundle
     RegretSeries RhoStarSolution Settings StatsSummary TheoryConstants Trajectory
-    WeightedMeasure batch_loss batch_loss_grad build_settings check_empirical_moment_bound
+    WeightedMeasure batch_loss batch_loss_grad build_settings
     compare_oos compute_constants config cost_u cost_u_unreg cumulative_regret datastream
     draw_prior_samples equilibrium euler_ou_path fit_offline forward gen_nonlinear
     gen_periodic init_ensemble instantaneous_regret load_config measures network offline

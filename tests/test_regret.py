@@ -5,8 +5,8 @@ import pytest
 
 import mfonline.regret as regret_mod
 from mfonline.datastream import NonlinearConfig, gen_nonlinear
-from mfonline.equilibrium import ConvergenceError, importance_weights
-from mfonline.measures import WeightedMeasure, cost_u, cost_u_unreg, second_moment
+from mfonline.equilibrium import ConvergenceError
+from mfonline.measures import cost_u, cost_u_unreg, predict, second_moment
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import (
     cumulative_regret,
@@ -18,54 +18,47 @@ from mfonline.regret import (
 from mfonline.seeding import substream
 
 
+def _moments(thetas, x):
+    return predict(thetas, x), second_moment(thetas)
+
+
 def _random_pair(seed):
+    """(m, q) moments of a learner ensemble and of a benchmark ensemble."""
     rng = substream(seed, "pair")
-    ens = rng.normal(size=(12, 3))
-    samples = rng.normal(size=(30, 3))
-    weights = importance_weights(rng.normal(size=30))
-    return ens, WeightedMeasure(samples=samples, weights=weights)
+    x = np.array([0.4])
+    return _moments(rng.normal(size=(12, 3)), x), _moments(rng.normal(size=(30, 3)), x)
 
 
 def test_zero_when_measures_equal():
     rng = substream(1, "eq")
-    thetas = rng.normal(size=(8, 3))
-    z = (np.array([0.5]), 0.2)
-    assert instantaneous_regret(thetas, thetas, z, lam=0.3) == 0.0
+    moments = _moments(rng.normal(size=(8, 3)), np.array([0.5]))
+    assert instantaneous_regret(moments, moments, 0.2, lam=0.3) == (0.0, 0.0)
 
 
 def test_hand_value_lam_zero():
     # learner predicts y = 0 exactly, benchmark predicts 0.1: regret -0.01
+    x = np.array([1.0])
     ens = np.array([[0.0, 0.0, 0.0]])
     t5 = np.tanh(5.0)
     bench = np.array([[0.1 / t5, 0.0, 5.0]])  # a*tanh(b) = 0.1
-    z = (np.array([1.0]), 0.0)
-    r = instantaneous_regret(ens, bench, z, lam=0.0)
-    assert abs(r - (-0.01)) < 1e-14
+    reg, unreg = instantaneous_regret(_moments(ens, x), _moments(bench, x), 0.0, lam=0.0)
+    assert abs(reg - (-0.01)) < 1e-14
+    assert abs(unreg - (-0.01)) < 1e-14
 
 
 def test_reevaluation_oracle():
-    ens, bench = _random_pair(3)
-    z = (np.array([0.4]), 0.35)
-    for variant, fn in (("regularized", cost_u), ("unregularized", cost_u_unreg)):
-        args = (z, 0.2) if variant == "regularized" else (z,)
-        direct = fn(ens, *args) - fn(bench, *args)
-        assert instantaneous_regret(ens, bench, z, 0.2, variant) == direct
+    (m, q), (m_b, q_b) = learner, bench = _random_pair(3)
+    y, lam = 0.35, 0.2
+    assert instantaneous_regret(learner, bench, y, lam) == (
+        cost_u(m, q, y, lam) - cost_u(m_b, q_b, y, lam),
+        cost_u_unreg(m, y) - cost_u_unreg(m_b, y))
 
 
 def test_reg_unreg_identity():
-    ens, bench = _random_pair(8)
-    z = (np.array([0.4]), -0.15)
+    (_, q), (_, q_b) = learner, bench = _random_pair(8)
     lam = 0.25
-    lhs = (instantaneous_regret(ens, bench, z, lam, "regularized")
-           - instantaneous_regret(ens, bench, z, lam, "unregularized"))
-    rhs = 0.5 * lam * (second_moment(ens) - second_moment(bench))
-    assert abs(lhs - rhs) < 1e-14
-
-
-def test_bad_variant():
-    ens, bench = _random_pair(2)
-    with pytest.raises(ValueError):
-        instantaneous_regret(ens, bench, (np.array([1.0, 0.0, 0.0]), 0.0), 0.1, "other")
+    reg, unreg = instantaneous_regret(learner, bench, -0.15, lam)
+    assert abs((reg - unreg) - 0.5 * lam * (q - q_b)) < 1e-14
 
 
 def test_cumulative_constant():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfonline.theory import BoundSpec, check_empirical_moment_bound, compute_constants
+from mfonline.theory import BoundSpec, compute_constants
 
 
 def test_hand_case_pl_fails():
@@ -14,7 +14,6 @@ def test_hand_case_pl_fails():
     assert not c.pl_condition_holds
     assert c.c_pl is None
     assert abs(c.q_star - 4.0 * math.exp(2.0)) < 1e-9
-    assert c.lambda_dc is None
 
 
 def test_hand_case_pl_holds():
@@ -59,13 +58,6 @@ def test_qstar_monotonicity_threshold():
     assert all(b2 < b1 for b1, b2 in zip(below, below[1:]))
 
 
-def test_lambda_dc():
-    spec = BoundSpec(c_sigma=0.5, c_z=0.25, c_1=1.0, lam=1.0, beta=1.0, d=1,
-                     hess_bound=2.0)
-    c = compute_constants(spec)
-    assert abs(c.lambda_dc - 2.0 * 0.75 * 2.0) < 1e-12
-
-
 def test_boundspec_validation():
     with pytest.raises(ValueError):
         BoundSpec(c_sigma=0.0, c_z=1.0, c_1=1.0, lam=1.0, beta=1.0, d=1)
@@ -73,19 +65,4 @@ def test_boundspec_validation():
         BoundSpec(c_sigma=1.0, c_z=1.0, c_1=1.0, lam=-1.0, beta=1.0, d=1)
     with pytest.raises(ValueError):
         BoundSpec(c_sigma=1.0, c_z=1.0, c_1=1.0, lam=1.0, beta=1.0, d=0)
-    with pytest.raises(ValueError):
-        BoundSpec(c_sigma=1.0, c_z=1.0, c_1=1.0, lam=1.0, beta=1.0, d=1,
-                  hess_bound=-0.1)
 
-
-def test_empirical_moment_audit():
-    # beta = 8 keeps C_osc = 1 and Q* = 240 e, a finite ceiling
-    spec = BoundSpec(c_sigma=1.0, c_z=1.0, c_1=1.0, lam=0.1, beta=8.0, d=3)
-    small = np.full((10, 3), 0.01)
-    audit = check_empirical_moment_bound(small, spec)
-    assert audit.holds and audit.observed < audit.q_star
-    assert abs(audit.q_star - 240.0 * math.e) < 1e-9
-
-    big = np.full((10, 3), 100.0)
-    audit2 = check_empirical_moment_bound(big, spec)
-    assert not audit2.holds

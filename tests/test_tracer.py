@@ -1,9 +1,11 @@
 """The benchmark's tracer still wraps the package's layer boundaries.
 
 perfbench/tracer.py replaces functions by name (``fit_offline``,
-``solve_rho_star``, ...) and reads some of their arguments by position
-(``fit_offline``'s config is its second).  A rename or a reordered
-signature makes the traced run fail; these tiny runs catch that here.
+``solve_rho_star``, ``regret.cost_u``, ...), reads some of their arguments
+by position (``fit_offline``'s config is its second) and some results by
+attribute (the benchmark weights).  A rename or a reordered signature
+makes the traced run fail, and a call moved to another module drops out
+of its count; these tiny runs catch both here.
 """
 
 import json
@@ -24,13 +26,23 @@ regret.stride = 20
 """
 
 
+POINTS = len({1, 60} | set(range(20, 61, 20)))  # eval subgrid of 60 steps at stride 20
+
+
 @pytest.mark.parametrize("args, counts", [
     (["oos-compare", "--scenario", "periodic", "--trials", "2"],
      # one fit per trial, and iters + 1 losses and iters gradients per fit
      {"offline.fit": 2, "offline.batch_loss": 62, "offline.batch_loss_grad": 60}),
+    # one mu* solve per evaluation point; each benchmark's regularized and
+    # unregularized gaps price the learner and the benchmark, four costs
+    # (perfbench/test_perfbench.py asserts the same 8 per point with --static)
     (["regret-sweep", "--static", "--scenario", "periodic", "--trials", "2"],
-     {"regret.regret_run": 2, "equilibrium.rho_star": 2}),
-], ids=["oos-compare", "regret-sweep-static"])
+     {"regret.regret_run": 2, "equilibrium.rho_star": 2,
+      "equilibrium.mu_star": 2 * POINTS, "regret.cost": 2 * POINTS * 8}),
+    (["regret-sweep", "--scenario", "periodic", "--trials", "2"],
+     {"regret.regret_run": 2, "equilibrium.rho_star": None,
+      "equilibrium.mu_star": 2 * POINTS, "regret.cost": 2 * POINTS * 4}),
+], ids=["oos-compare", "regret-sweep-static", "regret-sweep-dynamic"])
 def test_traced_run_exits_zero(tmp_path, args, counts):
     config = tmp_path / "small.cfg"
     config.write_text(SMALL_CONFIG)
