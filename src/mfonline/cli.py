@@ -9,7 +9,7 @@ import json
 import sys
 import time
 
-from .config import _coerce, build_settings
+from .config import SCHEMA, _coerce, build_settings
 from . import experiments
 
 
@@ -45,11 +45,13 @@ def build_parser():
 
     p = sub.add_parser("regret-sweep", help="regret series over a parameter grid")
     _add_common(p)
-    p.add_argument("--stride", type=int, help="evaluation subgrid stride")
-    p.add_argument("--static", action="store_true", help="also compute the fixed-benchmark series")
-    p.add_argument("--sweep-n", help="comma list of particle counts")
-    p.add_argument("--sweep-beta", help="comma list of temperatures")
-    p.add_argument("--sweep-lambda", help="comma list of weight decays")
+    p.add_argument("--stride", type=int, dest="regret.stride", help="evaluation subgrid stride")
+    p.add_argument("--static", action="store_const", const=True, dest="regret.static",
+                   help="also compute the fixed-benchmark series")
+    p.add_argument("--sweep-n", type=_coerce, dest="sweep.n", help="comma list of particle counts")
+    p.add_argument("--sweep-beta", type=_coerce, dest="sweep.beta", help="comma list of temperatures")
+    p.add_argument("--sweep-lambda", type=_coerce, dest="sweep.lambda",
+                   help="comma list of weight decays")
 
     p = sub.add_parser("verify", help="run the numerical identity suite")
     _add_common(p)
@@ -65,21 +67,8 @@ def build_parser():
 
 
 def _overrides(args):
-    over = {}
-    for key in ("seed", "trials", "out", "threads", "scenario", "experiment"):
-        v = getattr(args, key, None)
-        if v is not None:
-            over[key] = v
-    if getattr(args, "stride", None) is not None:
-        over["regret.stride"] = args.stride
-    if getattr(args, "static", False):
-        over["regret.static"] = True
-    for flag, key in (("sweep_n", "sweep.n"), ("sweep_beta", "sweep.beta"),
-                      ("sweep_lambda", "sweep.lambda")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            over[key] = _coerce(v)
-    return over
+    # each settings flag's dest is its dotted config key
+    return {key: v for key, v in vars(args).items() if key in SCHEMA}
 
 
 def main(argv=None):

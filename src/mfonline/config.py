@@ -12,12 +12,14 @@ Config files look like:
     sweep.beta = 0.005, 0.02, 0.05, 0.2
 
 One ``key = value`` per line; '#' starts a comment; values are coerced to
-int, float, bool or comma lists, falling back to strings.  Command-line
-flags override file values, which override the defaults below.
+int, float, bool or comma lists, falling back to strings.  ``SCHEMA``
+declares each key's ``Settings`` field, value kind and range once;
+``Settings`` rejects any other value with a message naming the key.
+Command-line flags override file values, which override the defaults.
 """
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 
 def _coerce(text: str):
@@ -59,41 +61,53 @@ def load_config(path) -> dict:
         return parse_config(fh.read())
 
 
-# dotted config key -> settings field
-KEY_MAP = {
-    "scenario": "scenario",
-    "trials": "trials",
-    "seed": "seed",
-    "out": "out",
-    "threads": "threads",
-    "experiment": "experiment",
-    "data.n_steps": "n_steps",
-    "onpgd.n": "n_particles",
-    "onpgd.lambda": "lam",
-    "onpgd.beta": "beta",
-    "onpgd.dt": "dt",
-    "onpgd.init_sd": "init_sd",
-    "onpgd.self_interaction": "self_interaction",
-    "is.n": "n_is",
-    "is.root_tol": "root_tol",
-    "offline.iters": "offline_iters",
-    "offline.lr": "offline_lr",
-    "regret.stride": "eval_stride",
-    "regret.static": "include_static",
-    "sweep.n": "sweep_n",
-    "sweep.beta": "sweep_beta",
-    "sweep.lambda": "sweep_lam",
-}
-
 OUT_ENV_VAR = "MFONLINE_OUT"
 
-# config keys that take only integers, and those that take any real number
-# (sweep.*: each of their entries); onpgd.init_sd also takes "gibbs", and
-# None, the form "gibbs" resolves to
-INT_KEYS = ("trials", "seed", "threads", "data.n_steps", "onpgd.n", "is.n",
-            "offline.iters", "regret.stride", "sweep.n")
-FLOAT_KEYS = ("onpgd.lambda", "onpgd.beta", "onpgd.dt", "onpgd.init_sd", "is.root_tol",
-              "offline.lr", "sweep.beta", "sweep.lambda")
+# value kinds: the Python types a value may have, and how an error names
+# them; a bool is neither a count nor a number
+INT = (int,), "an integer"
+NUMBER = (int, float), "a number"
+BOOL = (bool,), "true or false"
+STRING = (str,), "a string"
+TEXT = (str, type(None)), "a string"  # None: not set
+
+
+def _at_least(low):
+    # `not x >= low` rather than `x < low`, so that NaN fails too
+    return (lambda v: v >= low), f">= {low}"
+
+
+POSITIVE = (lambda v: v > 0), "positive"
+
+# dotted config key -> (Settings field, value kind, range check or None);
+# a sweep.* kind and check apply to each entry of the list
+SCHEMA = {
+    "scenario": ("scenario", STRING,
+                 ((lambda v: v in ("periodic", "nonlinear")), "'periodic' or 'nonlinear'")),
+    "trials": ("trials", INT, _at_least(1)),
+    "seed": ("seed", INT, ((lambda v: 0 <= v < 2**64), "in [0, 2**64) (unsigned 64-bit)")),
+    "out": ("out", TEXT, None),
+    "threads": ("threads", INT, _at_least(1)),
+    "experiment": ("experiment", TEXT, None),
+    "data.n_steps": ("n_steps", INT, _at_least(1)),
+    "onpgd.n": ("n_particles", INT, _at_least(1)),
+    "onpgd.lambda": ("lam", NUMBER, None),
+    "onpgd.beta": ("beta", NUMBER, None),
+    "onpgd.dt": ("dt", NUMBER, POSITIVE),
+    # "gibbs" (None once resolved) selects the lambda-coupled prior
+    "onpgd.init_sd": ("init_sd", ((int, float, type(None)), "a number or 'gibbs'"), POSITIVE),
+    "onpgd.self_interaction": ("self_interaction", BOOL, None),
+    "is.n": ("n_is", INT, _at_least(2)),
+    "is.root_tol": ("root_tol", NUMBER, POSITIVE),
+    "offline.iters": ("offline_iters", INT, _at_least(1)),
+    "offline.lr": ("offline_lr", NUMBER, POSITIVE),
+    # a stride beyond n_steps is left to each trial to report
+    "regret.stride": ("eval_stride", INT, _at_least(1)),
+    "regret.static": ("include_static", BOOL, None),
+    "sweep.n": ("sweep_n", INT, None),
+    "sweep.beta": ("sweep_beta", NUMBER, None),
+    "sweep.lambda": ("sweep_lam", NUMBER, None),
+}
 
 
 @dataclass
@@ -126,71 +140,36 @@ class Settings:
     sweep_lam: list = field(default_factory=list)
 
     def __post_init__(self):
-        # a scalar sweep value, 0 included, is a one-value sweep
-        for name in ("sweep_n", "sweep_beta", "sweep_lam"):
-            v = getattr(self, name)
-            if not isinstance(v, list):
-                setattr(self, name, [v])
-        # a float such as 8.5 or 6e2 is not a count, a string is not a
-        # number, and a bool is neither
-        for key in INT_KEYS + FLOAT_KEYS:
-            name = KEY_MAP[key]
-            value = getattr(self, name)
-            label = name if key == name else f"{name} ({key})"
-            kind, what = (int, "an integer") if key in INT_KEYS else ((int, float), "a number")
-            for v in value if key.startswith("sweep.") else [value]:
-                if key == "onpgd.init_sd" and v in ("gibbs", None):
-                    continue
-                if isinstance(v, bool) or not isinstance(v, kind):
-                    raise ValueError(f"{label} must be {what}, got {v!r}")
-        if self.scenario not in ("periodic", "nonlinear"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        # `not x >= 1` rather than `x < 1`, so that NaN fails too
-        if not self.n_steps >= 1:
-            raise ValueError("n_steps (data.n_steps) must be >= 1")
-        if not self.n_particles >= 1:
-            raise ValueError("n_particles (onpgd.n) must be >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt (onpgd.dt) must be positive")
-        if not self.n_is >= 2:
-            raise ValueError("n_is (is.n) must be >= 2")
-        # a stride beyond n_steps is left to each trial to report
-        if not self.eval_stride >= 1:
-            raise ValueError("eval_stride (regret.stride) must be >= 1")
         if self.init_sd == "gibbs":
             self.init_sd = None
-        if self.init_sd is not None and not self.init_sd > 0:
-            raise ValueError("init_sd must be a positive number or 'gibbs'")
-        if not self.root_tol > 0:
-            raise ValueError("root_tol (is.root_tol) must be positive")
+        for key, (name, (types, what), check) in SCHEMA.items():
+            value = getattr(self, name)
+            label = name if key == name else f"{name} ({key})"
+            entries = [value]
+            if key.startswith("sweep."):
+                # a scalar sweep value, 0 included, is a one-value sweep
+                entries = value if isinstance(value, list) else [value]
+                setattr(self, name, entries)
+            for v in entries:
+                if not isinstance(v, types) or isinstance(v, bool) != (bool in types):
+                    raise ValueError(f"{label} must be {what}, got {v!r}")
+                if check and v is not None and not check[0](v):
+                    raise ValueError(f"{label} must be {check[1]}, got {v!r}")
 
     def out_dir(self) -> str:
         return self.out or os.environ.get(OUT_ENV_VAR) or "out"
 
 
 def build_settings(config_path=None, overrides=None) -> Settings:
-    """Defaults <- config file <- explicit overrides (CLI flags)."""
-    values = {}
-    if config_path:
-        raw = load_config(config_path)
-        known = set(KEY_MAP)
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key, val in raw.items():
-            values[KEY_MAP[key]] = val
-    field_names = {f.name for f in fields(Settings)}
+    """Defaults <- config file <- explicit overrides (CLI flags), by dotted key."""
+    values = load_config(config_path) if config_path else {}
+    unknown = sorted(set(values) - set(SCHEMA))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        name = KEY_MAP.get(key, key)
-        if name not in field_names:
+        if key not in SCHEMA:
             raise ValueError(f"unknown setting {key!r}")
-        values[name] = val
-    return Settings(**values)
+        # None means "flag not given" and leaves the file's value
+        if val is not None:
+            values[key] = val
+    return Settings(**{SCHEMA[key][0]: val for key, val in values.items()})

@@ -1,0 +1,99 @@
+"""Settings flags map onto config keys, and the benchmark's set-up probe runs.
+
+Each settings flag's argparse ``dest`` is its dotted config key, so
+``cli._overrides`` is a filter with no code per flag.  perfbench/run.py
+times a probe that calls ``build_parser``, ``_overrides`` and
+``build_settings``; a rename of any of them must fail here, not only in a
+benchmark run.
+"""
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+from mfonline.cli import _overrides, build_parser
+from mfonline.config import SCHEMA, Settings, build_settings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+# flags that do not set a config key
+COMMAND_ONLY = {"help", "config", "inject_bug", "input", "columns"}
+
+
+def _commands():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _settings(argv):
+    args = build_parser().parse_args(argv)
+    return build_settings(args.config, _overrides(args))
+
+
+def test_settings_flag_dests_are_config_keys():
+    for name, parser in _commands().items():
+        dests = {a.dest for a in parser._actions} - COMMAND_ONLY
+        assert dests <= set(SCHEMA), name
+    regret = {a.dest for a in _commands()["regret-sweep"]._actions}
+    assert {"regret.stride", "regret.static", "sweep.n", "sweep.beta", "sweep.lambda"} <= regret
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--static"], "regret.static = yes"),
+    (["--stride", "20"], "regret.stride = 20"),
+    (["--sweep-n", "20,200"], "sweep.n = 20, 200"),
+    (["--sweep-beta", "0.05"], "sweep.beta = 0.05"),
+    (["--sweep-lambda", "0.1,0.4"], "sweep.lambda = 0.1, 0.4"),
+    (["--seed", "9"], "seed = 9"),
+    (["--scenario", "periodic"], "scenario = periodic"),
+    (["--experiment", "fig2"], "experiment = fig2"),
+])
+def test_flag_builds_the_same_settings_as_its_config_line(tmp_path, flags, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    from_flag = _settings(["regret-sweep"] + flags)
+    assert from_flag == build_settings(config_path=path)
+    assert from_flag != Settings()
+
+
+def test_flags_not_given_leave_the_file_values(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("regret.static = yes\nregret.stride = 20\nsweep.n = 20, 200\n"
+                    "sweep.beta = 0.05\nsweep.lambda = 0.4\nseed = 9\ntrials = 3\n"
+                    "threads = 2\nscenario = periodic\nexperiment = fig2\nout = runs\n")
+    from_file = build_settings(config_path=path)
+    assert _settings(["regret-sweep", "--config", str(path)]) == from_file
+    # a given flag wins over the file, the rest stay
+    s = _settings(["regret-sweep", "--config", str(path), "--stride", "5"])
+    assert s.eval_stride == 5 and s.include_static and s.sweep_n == [20, 200]
+
+
+def _perfbench_run():
+    # run.py imports its sibling modules gate and tracer by name
+    sys.path.insert(0, PERFBENCH)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      os.path.join(PERFBENCH, "run.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(PERFBENCH)
+    return module
+
+
+RUN = _perfbench_run()
+
+
+@pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
+def test_benchmark_setup_probe_builds_settings(name):
+    args = RUN.WORKLOADS[name]["args"] + ["--seed", "1"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", RUN.SETUP_PROBE] + args, cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

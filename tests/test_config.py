@@ -1,10 +1,13 @@
 """Config parsing, coercion and precedence rules."""
 
+import os
 import re
 
 import pytest
 
-from mfonline.config import OUT_ENV_VAR, Settings, build_settings, parse_config
+from mfonline.config import OUT_ENV_VAR, SCHEMA, Settings, build_settings, parse_config
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def test_parse_coercion_and_comments():
@@ -160,3 +163,55 @@ def test_float_keys_take_integers(tmp_path):
     path.write_text("onpgd.lambda = 1\nsweep.beta = 1, 0.5\n")
     s = build_settings(config_path=path)
     assert (s.lam, s.sweep_beta) == (1, [1, 0.5])
+
+
+def test_overrides_take_dotted_keys_only():
+    assert build_settings(overrides={"data.n_steps": 5}).n_steps == 5
+    with pytest.raises(ValueError, match="unknown setting 'n_steps'"):
+        build_settings(overrides={"n_steps": 5})
+
+
+@pytest.mark.parametrize("line", [
+    "trials = 0", "threads = 0", "seed = -1", "data.n_steps = 0", "onpgd.n = 0", "onpgd.dt = 0",
+    "onpgd.dt = -0.02", "onpgd.init_sd = 0", "is.n = 1", "offline.iters = 0", "offline.lr = 0",
+    "offline.lr = -1",
+])
+def test_range_errors_name_the_key(tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ValueError, match=re.escape(key) + r"\)? must be"):
+        build_settings(config_path=path)
+
+
+@pytest.mark.parametrize("line", [
+    "onpgd.self_interaction = 0", "onpgd.self_interaction = 1", "onpgd.self_interaction = fast",
+    "regret.static = 2", "regret.static = 0.0", "regret.static = yes, no",
+])
+def test_bool_keys_reject_other_types(tmp_path, line):
+    # onpgd.self_interaction = 0 would otherwise run the leave-one-out learner
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ValueError, match=re.escape(key) + r"\)? must be true or false"):
+        build_settings(config_path=path)
+
+
+@pytest.mark.parametrize("line", [
+    "experiment = 12", "out = 5", "out = yes", "scenario = 3", "experiment = fig2, rerun",
+])
+def test_string_keys_reject_other_types(tmp_path, line):
+    # a number as a path would fail in os.path.join without naming the key
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ValueError, match=re.escape(key) + r"\)? must be a string"):
+        build_settings(config_path=path)
+
+
+def test_readme_lists_each_key_kind_and_range():
+    with open(README) as fh:
+        text = fh.read()
+    for key, (_, (_, what), check) in SCHEMA.items():
+        each = " (each entry)" if key.startswith("sweep.") else ""
+        assert f"| `{key}` | {what}{each} | {check[1] if check else '-'} |" in text
