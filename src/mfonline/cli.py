@@ -8,8 +8,9 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
-from .config import SCHEMA, _coerce, build_settings
+from .config import SCHEMA, build_settings, parse_value
 from . import experiments
 
 
@@ -48,10 +49,12 @@ def build_parser():
     p.add_argument("--stride", type=int, dest="regret.stride", help="evaluation subgrid stride")
     p.add_argument("--static", action="store_const", const=True, dest="regret.static",
                    help="also compute the fixed-benchmark series")
-    p.add_argument("--sweep-n", type=_coerce, dest="sweep.n", help="comma list of particle counts")
-    p.add_argument("--sweep-beta", type=_coerce, dest="sweep.beta", help="comma list of temperatures")
-    p.add_argument("--sweep-lambda", type=_coerce, dest="sweep.lambda",
-                   help="comma list of weight decays")
+    p.add_argument("--sweep-n", type=partial(parse_value, "sweep.n"), dest="sweep.n",
+                   help="comma list of particle counts")
+    p.add_argument("--sweep-beta", type=partial(parse_value, "sweep.beta"), dest="sweep.beta",
+                   help="comma list of temperatures")
+    p.add_argument("--sweep-lambda", type=partial(parse_value, "sweep.lambda"),
+                   dest="sweep.lambda", help="comma list of weight decays")
 
     p = sub.add_parser("verify", help="run the numerical identity suite")
     _add_common(p)

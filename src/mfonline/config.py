@@ -11,10 +11,12 @@ Config files look like:
     onpgd.beta = 0.02
     sweep.beta = 0.005, 0.02, 0.05, 0.2
 
-One ``key = value`` per line; '#' starts a comment; values are coerced to
-int, float, bool or comma lists, falling back to strings.  ``SCHEMA``
-declares each key's ``Settings`` field, value kind and range once;
-``Settings`` rejects any other value with a message naming the key.
+One ``key = value`` per line; '#' starts a comment.  ``SCHEMA``
+declares each key's ``Settings`` field, value kind and range once.  A
+value is read as its key's kind where the text is one (an integer, a
+number, a true/false word), a comma makes a list, and any other text
+stays a string, so ``experiment = 2024`` names a directory.  ``Settings``
+rejects a value of another kind with a message naming the key.
 Command-line flags override file values, which override the defaults.
 """
 
@@ -22,21 +24,26 @@ import os
 from dataclasses import dataclass, field
 
 
-def _coerce(text: str):
+def _coerce(text: str, types):
     text = text.strip()
     if "," in text:
-        return [_coerce(part) for part in text.split(",") if part.strip()]
+        return [_coerce(part, types) for part in text.split(",") if part.strip()]
     low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
+    if bool in types and low in ("true", "yes", "on", "false", "no", "off"):
+        return low in ("true", "yes", "on")
     for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
+        if cast in types:
+            try:
+                return cast(text)
+            except ValueError:
+                pass
     return text
+
+
+def parse_value(key: str, text: str):
+    """Config text as a value of ``key``'s kind where it reads as one; an
+    unknown key's value stays text."""
+    return _coerce(text, SCHEMA[key][1][0] if key in SCHEMA else ())
 
 
 def parse_config(text: str) -> dict:
@@ -52,7 +59,7 @@ def parse_config(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ValueError(f"config line {lineno}: empty key")
-        out[key] = _coerce(value)
+        out[key] = parse_value(key, value)
     return out
 
 

@@ -15,7 +15,7 @@ learner's temperature and penalty:
 * the hindsight measure for a whole trajectory, reweighting by the
   time-averaged tilt exp(-(2/(beta T)) sum_k (u_k - y_k) sigma(x_k, theta) dt)
   where u_k is the measure's own prediction at x_k; solved by L-BFGS on
-  the convex merit H whose gradient is the fixed-point residual.
+  the gradient of a strongly convex merit H, the fixed-point residual.
 
 Each solver reports its measure as a ``WeightedMeasure``: the weights and
 the two moments a cost needs, the prediction m (per data point for the
@@ -33,6 +33,7 @@ closed-form identity checks: the free-energy gap decomposition and the
 equilibrium prediction's response derivative.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,95 +197,110 @@ def solve_mu_star(samples, z, beta, root_tol=1e-10, sigma_fn=None):
 class RhoStarSolution:
     """Hindsight measure: the fixed point u along the trajectory, the
     measure at that tilt (``measure.m[k]`` is its prediction at x_k), and
-    the L-BFGS diagnostics on the convex merit H.
+    the L-BFGS diagnostics.
 
     ``residual_trace`` holds max_k |U(u)_k - u_k| at u = 0 and at every
     accepted iterate after it, so ``n_iters == len(residual_trace)`` and
-    ``residual == residual_trace[-1]``."""
+    ``residual == residual_trace[-1]``.  ``n_evals`` counts residual
+    evaluations, line-search trials included: two passes over S each."""
 
     u: np.ndarray
     measure: WeightedMeasure
     residual: float
     n_iters: int
+    n_evals: int
     residual_trace: list = field(default_factory=list)
 
 
-class _HindsightMerit:
-    """Merit H(u) - H(a) of the hindsight fixed point and its gradient u - U(u).
+def _lbfgs(grad, x0, tol, max_iters):
+    """Minimize a strongly convex function by L-BFGS from its gradient alone.
 
-    The anchor a is the start of the current L-BFGS run.  Near a the merit
-    is evaluated as (|u|^2 - |a|^2) / 2 + (beta K / 2) log1p(sum_i w_i(a)
-    expm1(d_i)), with d the change of the exponents from a, so that it
-    resolves the small decreases of the final steps; logsumexp of the whole
-    exponent rounds them away once residuals near 1e-9.  The last
-    evaluation is kept, because L-BFGS asks again at each accepted iterate.
+    ``grad(x)`` returns (g, aux), the gradient at x and what the caller
+    wants back at the solution.  Directions come from the two-loop
+    recursion over the last 10 pairs (s, y) of steps and gradient changes
+    (Nocedal & Wright, Numerical Optimization, algorithm 7.4).  The line
+    search reads only the slope d.g(x + t d): from t = 1 it doubles t until
+    a trial passes the minimum along d, then bisects, and it takes the
+    first t with |slope| <= 0.9 |d.g(x)| (the strong-Wolfe curvature test,
+    which keeps s.y > 0).  No function value is computed.
+
+    ``max_iters`` counts residual checks max |g| <= tol, the one at x0 and
+    one per accepted step.  Returns (x, aux, trace, n_evals): the residual
+    at x0 and at each accepted iterate, and the number of ``grad`` calls.
+    Raises ConvergenceError, carrying the trace, when a gradient is not
+    finite, when a line search takes 60 evaluations, or when the
+    residual is still above tol after max_iters checks.
     """
+    trace = []
+    n_evals = 0
 
-    def __init__(self, S, y, beta):
-        K = S.shape[0]
-        self.S = S
-        self.coef = -2.0 / (beta * K)
-        self.scale = 0.5 * beta * K
-        u = np.zeros(K)
-        expo = self.coef * ((u - y) @ S)
-        self._keep(u, 0.0, expo, float(_logsumexp(expo)))
-        self.anchor_at(u)
+    def evaluate(x):
+        nonlocal n_evals
+        n_evals += 1
+        g, aux = grad(x)
+        if not np.all(np.isfinite(g)):
+            raise ConvergenceError(f"L-BFGS: gradient not finite after {len(trace)} residual checks",
+                                   residual_trace=trace)
+        return g, aux
 
-    def _keep(self, u, h, expo, lse):
-        """Record the evaluation at u: merit h, exponents, their logsumexp."""
-        self.u, self.h, self.expo, self.lse = u.copy(), h, expo, lse
-        self.grad = u - self.S @ np.exp(expo - lse)
-
-    def anchor_at(self, u):
-        """Measure the merit from u; H(u) becomes 0, its gradient is unchanged."""
-        self(u)
-        self.anchor = (self.u, self.expo, self.lse, np.exp(self.expo - self.lse))
-        self.h = 0.0
-
-    def __call__(self, u):
-        if not np.array_equal(u, self.u):
-            a, expo_a, lse_a, w_a = self.anchor
-            d = self.coef * ((u - a) @ self.S)
-            expo = expo_a + d
-            # near a, expm1 cannot overflow and log1p(s) is well conditioned
-            s = float(w_a @ np.expm1(d)) if d.max() < 1.0 else np.inf
-            if -0.5 < s < 1.0:
-                gain = float(np.log1p(s))
+    x = np.array(x0, dtype=float)
+    g, aux = evaluate(x)
+    pairs = deque(maxlen=10)  # (s, y, 1 / s.y); 10 is scipy's default maxcor
+    while True:
+        trace.append(float(np.max(np.abs(g))))
+        if trace[-1] <= tol:
+            return x, aux, trace, n_evals
+        if len(trace) >= max_iters:
+            raise ConvergenceError(
+                f"L-BFGS: residual {trace[-1]:.3e} > tol {tol} after {len(trace)} residual checks",
+                residual_trace=trace)
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ d))
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d *= float(s @ y) / float(y @ y)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * float(y @ d)) * s
+        slope0 = float(d @ g)
+        lo, hi, t = 0.0, np.inf, 1.0
+        for _ in range(60):  # doublings to 2**59, or bisections to below an ulp
+            g_new, aux_new = evaluate(x + t * d)
+            slope = float(d @ g_new)
+            if abs(slope) <= -0.9 * slope0:
+                break
+            if slope < 0:
+                lo = t
             else:
-                gain = float(_logsumexp(expo)) - lse_a
-            h = 0.5 * float((u - a) @ (u + a)) + self.scale * gain
-            self._keep(u, h, expo, lse_a + gain)
-        return self.h, self.grad.copy()
-
-    def residual(self, u):
-        """Fixed-point residual max_k |U(u)_k - u_k| = max_k |grad H(u)_k|."""
-        return float(np.max(np.abs(self(u)[1])))
+                hi = t
+            t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
+        else:
+            raise ConvergenceError(f"L-BFGS line search exhausted its bracket [{lo}, {hi}] "
+                                   "after 60 evaluations", residual_trace=trace)
+        s, y = t * d, g_new - g
+        pairs.append((s, y, 1.0 / float(s @ y)))
+        x, g, aux = x + s, g_new, aux_new
 
 
 def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
                    sigma_fn=None) -> RhoStarSolution:
-    """Hindsight benchmark over a whole trajectory by L-BFGS on the convex merit H.
+    """Hindsight benchmark over a whole trajectory by gradient-only L-BFGS.
 
     The tilt integral uses one rectangle of width dt per data point, and
     T = K dt, so the per-sample exponent is -(2 / (beta K)) sum_k
     (u_k - y_k) sigma(x_k, theta_i).  The fixed point u = U(u) of the
     reweighted predictions is the minimizer of the strictly convex merit
         H(u) = |u|^2 / 2 + (beta K / 2) logsumexp_i(-(2/(beta K)) S_i (u - y)),
-    whose gradient is exactly u - U(u).  L-BFGS (scipy's L-BFGS-B without
-    bounds) runs from u = 0 until the fixed-point residual
-    max_k |U(u)_k - u_k| = max_k |grad H(u)_k| falls to tol; a flat merit
-    never stops it.  If a run stops above tol because its line search can
-    no longer tell merit values apart, a fresh run starts from the last
-    iterate with the merit measured from there (``_HindsightMerit``).
-    ``max_iters`` counts residual checks, the one at u = 0 and one per
-    accepted step, so at most max_iters - 1 steps are taken.  Raises
+    whose gradient is exactly u - U(u) and whose Hessian
+    I + (2/(beta K)) Cov_w(S) is at least I.  ``_lbfgs`` runs from u = 0 on
+    that gradient alone until the fixed-point residual
+    max_k |U(u)_k - u_k| falls to tol.  ``max_iters`` counts residual
+    checks, the one at u = 0 and one per accepted step.  Raises
     ConvergenceError, carrying the residual trace, when the residual is
     still above tol.
     """
-    # imported here: scipy.optimize takes about 0.3 s to import, and only
-    # the hindsight benchmark needs it
-    from scipy.optimize import minimize
-
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
@@ -295,37 +311,19 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
     S = np.empty((K, samples.shape[0]))
     for k in range(K):
         S[k] = fn(traj.x[k], samples)
-    merit = _HindsightMerit(S, traj.y, beta)
+    coef = -2.0 / (beta * K)
 
-    u = np.zeros(K)
-    trace = [merit.residual(u)]
-    message = "no step taken"
-    while trace[-1] > tol and len(trace) < max_iters:
-        merit.anchor_at(u)
-        res = minimize(
-            merit, u, jac=True, method="L-BFGS-B",
-            callback=lambda intermediate_result: trace.append(merit.residual(intermediate_result.x)),
-            options={"gtol": tol, "ftol": 0.0, "maxiter": max_iters - len(trace)},
-        )
-        message = res.message
-        if np.array_equal(res.x, u):
-            break
-        u = res.x
-    residual = merit.residual(u)
-    if residual > tol:
-        raise ConvergenceError(
-            f"hindsight L-BFGS: residual {residual:.3e} > tol {tol} "
-            f"after {len(trace)} residual checks ({message})",
-            residual_trace=trace,
-        )
-    w = importance_weights(merit.expo)
+    def residual_map(u):
+        w = importance_weights(coef * ((u - traj.y) @ S))
+        return u - S @ w, w
+
+    u, w, trace, n_evals = _lbfgs(residual_map, np.zeros(K), tol, max_iters)
     # one dot per row: the bits of each point's own prediction, which S @ w
     # can miss in the last place
     preds = np.array([row @ w for row in S])
     measure = WeightedMeasure(w, preds, float(sq_norms(samples) @ w))
-    return RhoStarSolution(
-        u=u, measure=measure, residual=residual, n_iters=len(trace), residual_trace=trace
-    )
+    return RhoStarSolution(u=u, measure=measure, residual=trace[-1], n_iters=len(trace),
+                           n_evals=n_evals, residual_trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,10 @@ def run_regret_sweep(settings: Settings) -> dict:
     solves as ``mu_star``: the smallest ESS over all evaluation points of
     all successful trials, and how many of those points have ESS below
     LOW_ESS.  With include_static each cell also reports its hindsight
-    solves as ``rho_star``: the iteration count of each trial that
-    succeeded, in trial order, the largest final residual, the smallest
-    final ESS and the number of trials whose final ESS is below LOW_ESS.
+    solves as ``rho_star``: the iteration and residual-evaluation counts
+    of each trial that succeeded, in trial order, the largest final
+    residual, the smallest final ESS and the number of trials whose final
+    ESS is below LOW_ESS.
     A sweep value that no config accepts raises before any trial runs.
     A trial that raises one of TRIAL_ERRORS is listed under its cell's
     ``failures``; any other exception propagates and ends the sweep.
@@ -265,7 +266,7 @@ def run_regret_sweep(settings: Settings) -> dict:
                 out[f"final_instantaneous_{bench}_{variant}"] = float(series.instantaneous[-1])
             if bundle.rho_star is not None:
                 sol = bundle.rho_star
-                out["rho_star"] = (sol.n_iters, sol.residual, sol.measure.ess())
+                out["rho_star"] = (sol.n_iters, sol.n_evals, sol.residual, sol.measure.ess())
             return out
         except TRIAL_ERRORS as e:  # keep the sweep complete; no silent gaps
             return {"trial": trial, "cell": cell["name"], "error": f"{type(e).__name__}: {e}"}
@@ -290,8 +291,9 @@ def run_regret_sweep(settings: Settings) -> dict:
             agg["mu_star"] = {"min_ess": min(mu_ess),
                               "low_ess": sum(e < LOW_ESS for e in mu_ess)}
             if settings.include_static:
-                iters, residuals, ess = zip(*(r["rho_star"] for r in good))
-                agg["rho_star"] = {"iters": list(iters), "max_residual": max(residuals),
+                iters, evals, residuals, ess = zip(*(r["rho_star"] for r in good))
+                agg["rho_star"] = {"iters": list(iters), "evals": list(evals),
+                                   "max_residual": max(residuals),
                                    "min_ess": min(ess), "low_ess": sum(e < LOW_ESS for e in ess)}
         cell_reports.append(agg)
 

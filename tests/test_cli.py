@@ -53,6 +53,8 @@ def test_settings_flag_dests_are_config_keys():
     (["--seed", "9"], "seed = 9"),
     (["--scenario", "periodic"], "scenario = periodic"),
     (["--experiment", "fig2"], "experiment = fig2"),
+    (["--experiment", "2024"], "experiment = 2024"),
+    (["--out", "7"], "out = 7"),
 ])
 def test_flag_builds_the_same_settings_as_its_config_line(tmp_path, flags, line):
     path = tmp_path / "run.cfg"

@@ -174,7 +174,7 @@ def test_overrides_take_dotted_keys_only():
 @pytest.mark.parametrize("line", [
     "trials = 0", "threads = 0", "seed = -1", "data.n_steps = 0", "onpgd.n = 0", "onpgd.dt = 0",
     "onpgd.dt = -0.02", "onpgd.init_sd = 0", "is.n = 1", "offline.iters = 0", "offline.lr = 0",
-    "offline.lr = -1",
+    "offline.lr = -1", "scenario = 3",
 ])
 def test_range_errors_name_the_key(tmp_path, line):
     path = tmp_path / "run.cfg"
@@ -197,16 +197,33 @@ def test_bool_keys_reject_other_types(tmp_path, line):
         build_settings(config_path=path)
 
 
-@pytest.mark.parametrize("line", [
-    "experiment = 12", "out = 5", "out = yes", "scenario = 3", "experiment = fig2, rerun",
-])
+@pytest.mark.parametrize("line", ["experiment = fig2, rerun"])
 def test_string_keys_reject_other_types(tmp_path, line):
-    # a number as a path would fail in os.path.join without naming the key
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     key = line.split(" =")[0]
     with pytest.raises(ValueError, match=re.escape(key) + r"\)? must be a string"):
         build_settings(config_path=path)
+
+
+@pytest.mark.parametrize("line", [
+    "experiment = 12", "experiment = 2024", "out = 5", "out = 7", "out = yes",
+])
+def test_string_keys_keep_config_text(tmp_path, line):
+    # a string key's value is its text, as from --experiment or --out
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    key, text = line.split(" = ")
+    assert getattr(build_settings(config_path=path), SCHEMA[key][0]) == text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("experiment", 12), ("out", 5), ("out", True), ("scenario", 3),
+])
+def test_string_fields_reject_other_types(field, value):
+    # a number as a path would fail in os.path.join without naming the key
+    with pytest.raises(ValueError, match=f"{field} must be a string"):
+        Settings(**{field: value})
 
 
 def test_readme_lists_each_key_kind_and_range():

@@ -8,6 +8,7 @@ from mfonline.equilibrium import (
     ConvergenceError,
     GridTooNarrowError,
     QuadratureGrid,
+    _lbfgs,
     _logsumexp,
     _newton_fixed_point,
     _tilted_map,
@@ -359,6 +360,43 @@ def test_gap_decomposition_needs_positive_density():
 def test_dym_formula():
     rep = verify_dym_formula((1.0, 0.3), 0.02, 0.1, GRID)
     assert rep.abs_diff < 1e-4
+
+
+def test_lbfgs_reaches_the_minimizer_of_a_quadratic():
+    # H(x) = x.A x / 2 - b.x with A = diag + rank one, so A >= I and
+    # |x - x*|_2 <= |A x - b|_2 <= sqrt(n) max|A x - b|
+    rng = substream(31, "quadratic")
+    n = 40
+    v = rng.normal(size=n)
+    A = np.diag(rng.uniform(1.0, 100.0, size=n)) + np.outer(v, v)
+    b = rng.normal(size=n)
+    tol = 1e-10
+    x, aux, trace, n_evals = _lbfgs(lambda x: (A @ x - b, x.copy()), np.zeros(n), tol, 500)
+    assert np.max(np.abs(x - np.linalg.solve(A, b))) <= np.sqrt(n) * tol
+    assert trace[-1] == np.max(np.abs(A @ x - b)) <= tol
+    assert np.array_equal(aux, x)  # the caller's aux is the one at the solution
+    assert 1 < len(trace) <= n_evals
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lbfgs_non_finite_gradient_raises_with_the_trace(bad):
+    # finite at x0 only: the first line-search trial is not finite
+    def grad(x):
+        return (x - 1.0 if not x.any() else np.full_like(x, bad)), None
+
+    with pytest.raises(ConvergenceError, match="gradient not finite") as exc:
+        _lbfgs(grad, np.zeros(3), 1e-8, 100)
+    assert exc.value.residual_trace == [1.0]
+
+
+@pytest.mark.parametrize("grad", [
+    lambda x: np.where(x < 0.3, -1.0, 1.0),  # a kink at 0.3: the slope is always +-1
+    lambda x: np.ones_like(x),  # unbounded below: t doubles without end
+], ids=["kink", "unbounded"])
+def test_lbfgs_line_search_that_exhausts_its_bracket_raises(grad):
+    with pytest.raises(ConvergenceError, match="line search exhausted its bracket") as exc:
+        _lbfgs(lambda x: (grad(x), None), np.zeros(1), 1e-8, 100)
+    assert exc.value.residual_trace == [1.0]
 
 
 def test_rho_star_trivial_fixed_point():

@@ -248,8 +248,10 @@ def test_static_sweep_reports_rho_star_and_keeps_bytes_across_threads(tmp_path):
         assert "cumulative_T_static_regularized" in cell
         assert "mu_star" in cell
         rho = cell["rho_star"]
-        assert set(rho) == {"iters", "max_residual", "min_ess", "low_ess"}
+        assert set(rho) == {"iters", "evals", "max_residual", "min_ess", "low_ess"}
         assert len(rho["iters"]) == 2 and all(1 <= n <= 500 for n in rho["iters"])
+        # one evaluation at u = 0 and at least one per accepted step
+        assert len(rho["evals"]) == 2 and all(e >= n for e, n in zip(rho["evals"], rho["iters"]))
         assert 0 <= rho["max_residual"] <= 1e-6
         assert 1 <= rho["min_ess"] <= s1.n_is
         assert 0 <= rho["low_ess"] <= 2

@@ -9,6 +9,7 @@ import pytest
 
 import mfonline
 from mfonline.stats import paired_tests
+from test_tracer import SMALL_CONFIG
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mfonline.__file__)))
 
@@ -27,6 +28,21 @@ def test_cli_start_up_leaves_scipy_unloaded():
     module_file, loaded = _fresh_interpreter(code)
     assert module_file.startswith(SRC + os.sep)
     assert loaded == "[]"
+
+
+def test_static_regret_sweep_leaves_scipy_unloaded(tmp_path):
+    # the hindsight solve imports no scipy.optimize, whose import alone
+    # costs about half a second
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    argv = ["regret-sweep", "--static", "--scenario", "periodic", "--trials", "2",
+            "--config", str(config), "--out", str(tmp_path / "out")]
+    code = ("import sys, mfonline.cli\n"
+            f"rc = mfonline.cli.main({argv!r})\n"
+            "print(rc)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    rc, loaded = _fresh_interpreter(code)[-2:]
+    assert (rc, loaded) == ("0", "[]")
 
 
 A = [1.0, 2.5, 0.3, 4.0, 2.2, 1.1, 0.7]
