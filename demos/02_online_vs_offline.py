@@ -3,7 +3,9 @@
 The online learner sees each observation once, in order; the offline
 learner gets the full training window and descends the batch objective.
 Both fit the network of one OnpgdConfig (particle count, penalty and
-init); OfflineFitConfig only sets the batch descent.  On drifting data
+init); OfflineFitConfig only sets the batch descent.  Each trial's
+streams are a scenario's fixed model drawn from the trial's data seed,
+the same streams as `mfonline oos-compare --seed 1`.  On drifting data
 the one-pass tracker generalizes better.  Four paired trials per
 scenario keep this quick; the full 30-trial comparison lives in the test
 suite and behind `mfonline oos-compare`.
@@ -13,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from mfonline.datastream import NonlinearConfig, PeriodicConfig, gen_nonlinear, gen_periodic
+from mfonline.datastream import gen_nonlinear, gen_periodic
 from mfonline.offline import OfflineFitConfig, compare_oos
 from mfonline.onpgd import OnpgdConfig
 from mfonline.seeding import substream
@@ -25,10 +27,8 @@ offline = OfflineFitConfig()
 
 def one(args):
     scenario, trial = args
-    gen, cfg = ((gen_periodic, PeriodicConfig()) if scenario == "periodic"
-                else (gen_nonlinear, NonlinearConfig()))
-    data_seed = int(substream(1, "data", trial).integers(2**63))
-    train, test = gen(cfg, data_seed)
+    gen = gen_periodic if scenario == "periodic" else gen_nonlinear
+    train, test = gen(int(substream(1, "data", trial).integers(2**63)))
     run_seed = int(substream(1, "demo-oos", scenario, trial).integers(2**63))
     r = compare_oos(train, test, onpgd, offline, run_seed)
     return r.mse_online, r.mse_offline

@@ -2,8 +2,10 @@
 
 At a thinned subgrid of steps the ensemble's free-energy cost is compared
 with the per-step equilibrium benchmark; the running trapezoid integral of
-that gap is the cumulative regret.  Two stories, three seeds each at a
-reduced scale:
+that gap is the cumulative regret.  The streams are the nonlinear
+scenario's fixed model at its default horizon (1000 steps of dt 0.02),
+drawn from the same data seeds as `mfonline regret-sweep --seed 1`.  Two
+stories, three seeds each, at a reduced particle and sample count:
 
 * heavier weight decay (lambda 0.4 vs 0.1) raises cumulative regret, and
   the split is driven by the penalty term, not the fit term;
@@ -17,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from mfonline.datastream import NonlinearConfig, gen_nonlinear
+from mfonline.datastream import gen_nonlinear
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import regret_run
 from mfonline.seeding import substream
@@ -29,7 +31,7 @@ N_IS = 5000
 
 def cum_regret(lam, init_sd, trial):
     data_seed = int(substream(1, "data", trial).integers(2**63))
-    train, _ = gen_nonlinear(NonlinearConfig(), data_seed)
+    train, _ = gen_nonlinear(data_seed)
     cfg = OnpgdConfig(n_particles=40, lam=lam, beta=0.02, init_sd=init_sd)
     seed = int(substream(1, "demo-regret", f"{lam}-{init_sd}", trial).integers(2**63))
     b = regret_run(train, cfg, STRIDE, seed, n_is=N_IS)
@@ -48,7 +50,7 @@ for init_sd, label in ((1.0, "unit init"), (None, "prior-coupled init")):
 print()
 print("one full-resolution series (unit init, lambda=0.1, first seed):")
 data_seed = int(substream(1, "data", 0).integers(2**63))
-train, _ = gen_nonlinear(NonlinearConfig(), data_seed)
+train, _ = gen_nonlinear(data_seed)
 b = regret_run(train, OnpgdConfig(n_particles=40, init_sd=1.0), 100,
                int(substream(1, "demo-series").integers(2**63)), n_is=N_IS)
 reg = b.get("dynamic", "regularized")

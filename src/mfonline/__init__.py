@@ -16,9 +16,8 @@ _EXPORTS = {
     **dict.fromkeys(
         ("config", "Settings", "build_settings", "load_config", "parse_config"), "config"),
     **dict.fromkeys(
-        ("datastream", "NonlinearConfig", "NonlinearTruthModel", "OuParams", "PeriodicConfig",
-         "Trajectory", "euler_ou_path", "gen_nonlinear", "gen_periodic",
-         "response_second_moment"), "datastream"),
+        ("datastream", "NonlinearTruthModel", "OuParams", "Trajectory", "euler_ou_path",
+         "gen_nonlinear", "gen_periodic", "response_second_moment"), "datastream"),
     **dict.fromkeys(
         ("equilibrium", "QuadratureGrid", "RhoStarSolution", "WeightedMeasure",
          "draw_prior_samples", "quadrature_free_energy", "solve_mu_star",

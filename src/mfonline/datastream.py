@@ -13,10 +13,14 @@ All randomness is drawn from named substreams of a master seed (train-x,
 train-xi, test-x, test-xi, phi-init, phi-path), so outputs are identical no
 matter how calls are scheduled.  Covariates start from the stationary law
 of their OU process; observation noise starts at zero.
+
+Both scenarios are fixed models: their coefficients are the module
+constants below, and a generator takes only the seed, the horizon n_steps
+and the step dt.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,27 +140,19 @@ def response_second_moment(traj: Trajectory) -> float:
     return float(np.mean(traj.y**2))
 
 
-@dataclass(frozen=True)
-class PeriodicConfig:
-    dt: float = 0.02
-    n_steps: int = 1000
-    h: float = 0.3  # angular frequency of the regression coefficient
-    x_ou: OuParams = field(default_factory=lambda: OuParams(rate=0.5, mean=0.0, vol=1.0))
-    noise_ou: OuParams = field(default_factory=lambda: OuParams(rate=1.5, mean=0.0, vol=0.25))
-
-
-@dataclass(frozen=True)
-class NonlinearConfig:
-    dt: float = 0.02
-    n_steps: int = 1000
-    x_dim: int = 3
-    x_ou: OuParams = field(default_factory=lambda: OuParams(rate=0.7, mean=0.0, vol=0.7))
-    noise_ou: OuParams = field(default_factory=lambda: OuParams(rate=5.0, mean=0.0, vol=0.2))
-    n_neurons: int = 100  # width of the drifting truth network
-    amplitude: float = 2.5  # numerator of the 2.5/M sum scaling
-    phi_rate: float = 0.6
-    phi_vol: float = 0.9
-    phi_init_sd: float = 0.8
+# periodic scenario
+PERIODIC_H = 0.3  # angular frequency of the regression coefficient
+PERIODIC_X_OU = OuParams(rate=0.5, mean=0.0, vol=1.0)
+PERIODIC_NOISE_OU = OuParams(rate=1.5, mean=0.0, vol=0.25)
+# nonlinear scenario; PHI_* drive the truth network's parameter paths
+NONLINEAR_X_DIM = 3
+NONLINEAR_X_OU = OuParams(rate=0.7, mean=0.0, vol=0.7)
+NONLINEAR_NOISE_OU = OuParams(rate=5.0, mean=0.0, vol=0.2)
+NONLINEAR_N_NEURONS = 100  # width of the drifting truth network
+NONLINEAR_AMPLITUDE = 2.5  # numerator of the 2.5/M sum scaling
+PHI_RATE = 0.6
+PHI_VOL = 0.9
+PHI_INIT_SD = 0.8
 
 
 @dataclass
@@ -186,56 +182,53 @@ class NonlinearTruthModel:
         return self.scale * vals.sum(axis=1)
 
 
-def _covariate_path(ou: OuParams, dim, n_steps, dt, rng) -> np.ndarray:
-    sd = ou.stationary_sd()
-    x0 = ou.mean + sd * rng.standard_normal(dim)
-    return euler_ou_path(ou, x0, n_steps, dt, rng)
+def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, dt, truth_fn):
+    """Train and test trajectories with independent covariate and noise
+    paths from the seed's train-x/train-xi and test-x/test-xi substreams;
+    truth_fn maps a covariate path to its truth channel."""
+    pair = []
+    for part in ("train", "test"):
+        rng = substream(seed, f"{part}-x")
+        x0 = x_ou.mean + x_ou.stationary_sd() * rng.standard_normal(x_shape)
+        xs = euler_ou_path(x_ou, x0, n_steps, dt, rng)
+        xi = euler_ou_path(noise_ou, 0.0, n_steps, dt, substream(seed, f"{part}-xi"))
+        truth = truth_fn(xs)
+        pair.append(Trajectory(dt=dt, x=xs, y=truth + xi, truth=truth))
+    return tuple(pair)
 
 
-def gen_periodic(config: PeriodicConfig, seed: int):
+def gen_periodic(seed: int, n_steps: int = 1000, dt: float = 0.02):
     """Periodic scenario: returns (train, test) trajectories.
 
-    Response y_k = sin(h t_k) x_k + xi_k with OU covariate and OU noise;
-    the truth channel holds sin(h t_k) x_k.  Train and test use independent
-    covariate and noise paths but the same deterministic coefficient.
+    Response y_k = sin(h t_k) x_k + xi_k, h = PERIODIC_H, with OU covariate
+    and OU noise; the truth channel holds sin(h t_k) x_k.  Train and test
+    use independent covariate and noise paths but the same deterministic
+    coefficient.
     """
-    K, dt = config.n_steps, config.dt
-    coeff = np.sin(config.h * dt * np.arange(1, K + 1))
-
-    def one(x_label, xi_label):
-        xs = _covariate_path(config.x_ou, (), K, dt, substream(seed, x_label))
-        xi = euler_ou_path(config.noise_ou, 0.0, K, dt, substream(seed, xi_label))
-        truth = coeff * xs
-        return Trajectory(dt=dt, x=xs[:, None], y=truth + xi, truth=truth)
-
-    return one("train-x", "train-xi"), one("test-x", "test-xi")
+    coeff = np.sin(PERIODIC_H * dt * np.arange(1, n_steps + 1))
+    return _stream_pair(seed, PERIODIC_X_OU, (), PERIODIC_NOISE_OU, n_steps, dt,
+                        lambda xs: coeff * xs)
 
 
-def gen_nonlinear(config: NonlinearConfig, seed: int, return_truth_model=False):
+def gen_nonlinear(seed: int, n_steps: int = 1000, dt: float = 0.02, return_truth_model=False):
     """Nonlinear scenario: returns (train, test) trajectories.
 
     One truth model per call: M neurons with OU parameter paths around
-    anchors drawn once from N(0, phi_init_sd^2).  Train and test share the
+    anchors drawn once from N(0, PHI_INIT_SD^2).  Train and test share the
     truth model and differ only in covariate and noise paths.
     """
-    K, dt = config.n_steps, config.dt
-    d = config.x_dim + 2
-    M = config.n_neurons
+    d = NONLINEAR_X_DIM + 2
+    M = NONLINEAR_N_NEURONS
 
     rng_init = substream(seed, "phi-init")
-    phi_bar = config.phi_init_sd * rng_init.standard_normal((M, d))
-    phi0 = config.phi_init_sd * rng_init.standard_normal((M, d))
-    phi_ou = OuParams(rate=config.phi_rate, mean=phi_bar, vol=config.phi_vol)
-    phi = euler_ou_path(phi_ou, phi0, K, dt, substream(seed, "phi-path"))
-    model = NonlinearTruthModel(scale=config.amplitude / M, phi_bar=phi_bar, phi=phi)
+    phi_bar = PHI_INIT_SD * rng_init.standard_normal((M, d))
+    phi0 = PHI_INIT_SD * rng_init.standard_normal((M, d))
+    phi_ou = OuParams(rate=PHI_RATE, mean=phi_bar, vol=PHI_VOL)
+    phi = euler_ou_path(phi_ou, phi0, n_steps, dt, substream(seed, "phi-path"))
+    model = NonlinearTruthModel(scale=NONLINEAR_AMPLITUDE / M, phi_bar=phi_bar, phi=phi)
 
-    def one(x_label, xi_label):
-        xs = _covariate_path(config.x_ou, config.x_dim, K, dt, substream(seed, x_label))
-        xi = euler_ou_path(config.noise_ou, 0.0, K, dt, substream(seed, xi_label))
-        truth = model.evaluate_path(xs)
-        return Trajectory(dt=dt, x=xs, y=truth + xi, truth=truth)
-
-    train, test = one("train-x", "train-xi"), one("test-x", "test-xi")
+    train, test = _stream_pair(seed, NONLINEAR_X_OU, NONLINEAR_X_DIM, NONLINEAR_NOISE_OU,
+                               n_steps, dt, model.evaluate_path)
     if return_truth_model:
         return train, test, model
     return train, test

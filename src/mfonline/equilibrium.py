@@ -284,11 +284,11 @@ def _lbfgs(grad, x0, tol, max_iters):
         x, g, aux = x + s, g_new, aux_new
 
 
-def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
-                   sigma_fn=None) -> RhoStarSolution:
+def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500) -> RhoStarSolution:
     """Hindsight benchmark over a whole trajectory by gradient-only L-BFGS.
 
-    The tilt integral uses one rectangle of width dt per data point, and
+    ``samples`` are network parameters, shape (n_is, n + 2) for the
+    trajectory's covariate dimension n.  The tilt integral uses one rectangle of width dt per data point, and
     T = K dt, so the per-sample exponent is -(2 / (beta K)) sum_k
     (u_k - y_k) sigma(x_k, theta_i).  The fixed point u = U(u) of the
     reweighted predictions is the minimizer of the strictly convex merit
@@ -307,10 +307,12 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500,
         raise ValueError("max_iters must be >= 1")
     samples = np.asarray(samples, dtype=float)
     K = traj.n_steps
-    fn = sigma_fn or default_sigma_fn
+    # row k holds the network neurons (d = n + 2) at x_k, written in place;
+    # one matrix-matrix forward over all x_k can differ in the last bit
     S = np.empty((K, samples.shape[0]))
+    buf = np.empty(samples.shape[0])
     for k in range(K):
-        S[k] = fn(traj.x[k], samples)
+        forward(samples, traj.x[k], out=(S[k], buf))
     coef = -2.0 / (beta * K)
 
     def residual_map(u):

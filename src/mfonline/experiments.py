@@ -18,13 +18,7 @@ from itertools import product
 import numpy as np
 
 from .config import Settings
-from .datastream import (
-    NonlinearConfig,
-    PeriodicConfig,
-    gen_nonlinear,
-    gen_periodic,
-    response_second_moment,
-)
+from .datastream import gen_nonlinear, gen_periodic, response_second_moment
 from .equilibrium import (
     ConvergenceError,
     QuadratureGrid,
@@ -53,18 +47,11 @@ LOW_ESS = 10.0
 TRIAL_ERRORS = (BlowUpError, ConvergenceError, FloatingPointError, ValueError)
 
 
-def scenario_config(settings: Settings):
-    if settings.scenario == "periodic":
-        return PeriodicConfig(dt=settings.dt, n_steps=settings.n_steps)
-    return NonlinearConfig(dt=settings.dt, n_steps=settings.n_steps)
-
-
 def generate_pair(settings: Settings, trial: int):
     """Train/test pair for one trial; identical across parameter cells."""
-    cfg = scenario_config(settings)
     seed = int(substream(settings.seed, "data", trial).integers(2**63))
     gen = gen_periodic if settings.scenario == "periodic" else gen_nonlinear
-    return gen(cfg, seed)
+    return gen(seed, settings.n_steps, settings.dt)
 
 
 def learner_cell(settings: Settings, n, beta, lam):
@@ -212,21 +199,22 @@ def run_oos_compare(settings: Settings) -> dict:
 
 def _sweep_cells(settings: Settings):
     """The (N, beta, lambda) grid with each cell's learner config, built
-    here so that a bad sweep value fails before any trial."""
+    here so that a bad sweep value, a cell without a Gibbs prior, or two
+    cells whose names would share a directory fail before any trial."""
     ns = settings.sweep_n or [settings.n_particles]
     betas = settings.sweep_beta or [settings.beta]
     lams = settings.sweep_lam or [settings.lam]
-    cells = []
+    cells = {}
     for n, beta, lam in product(ns, betas, lams):
         beta, lam = float(beta), float(lam)
-        # the benchmark's prior variance is beta / lambda
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta!r}")
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam!r}")
         name, onpgd = learner_cell(settings, n, beta, lam)
-        cells.append({"n": n, "beta": beta, "lam": lam, "name": name, "onpgd": onpgd})
-    return cells
+        onpgd.prior_var()  # the benchmarks' prior
+        if name in cells:
+            c = cells[name]
+            raise ValueError(f"sweep cells (N, beta, lambda) = ({c['n']}, {c['beta']!r}, "
+                             f"{c['lam']!r}) and ({n}, {beta!r}, {lam!r}) share the name {name}")
+        cells[name] = {"n": n, "beta": beta, "lam": lam, "name": name, "onpgd": onpgd}
+    return list(cells.values())
 
 
 def run_regret_sweep(settings: Settings) -> dict:
@@ -331,11 +319,9 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
     negative control that must make the cross-validation fail loudly.
     """
     beta, lam = settings.beta, settings.lam
-    # every check solves a Gibbs measure with prior N(0, beta / lam); `not
-    # x > 0` also rejects NaN.  Settings allows beta = 0 for oos-compare.
-    for key, value in (("onpgd.beta", beta), ("onpgd.lambda", lam)):
-        if not value > 0:
-            raise ValueError(f"verify needs {key} > 0 for the Gibbs prior, got {value!r}")
+    # every check solves a Gibbs measure with prior N(0, beta / lam);
+    # Settings allows beta = 0 for oos-compare
+    prior_var = learner_cell(settings, settings.n_particles, beta, lam)[1].prior_var()
     grid = QuadratureGrid(-8.0, 8.0, 2001)
     rng = substream(settings.seed, "verify")
     checks = []
@@ -378,7 +364,7 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
         x = srng.uniform(0.5, 1.5)
         y = srng.normal(0.0, 0.3)
         m_quad, _ = solve_mu_star_quadrature((x, y), beta, lam, grid)
-        samples = draw_prior_samples(200000, 1, beta / lam, srng)
+        samples = draw_prior_samples(200000, 1, prior_var, srng)
         try:
             m_is, _ = solve_mu_star(samples, (x, y), beta, settings.root_tol, sigma_fn=sigma_fn)
             worst_cross = max(worst_cross, abs(m_is - m_quad))

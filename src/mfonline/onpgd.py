@@ -44,10 +44,24 @@ class OnpgdConfig:
             raise ValueError("leave-one-out mean needs at least two particles")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not (self.beta >= 0 and self.lam >= 0):
-            raise ValueError("beta and lam must be nonnegative")
+        self._require(lambda v: v >= 0, "nonnegative")
         if self.init_sd is None and self.lam == 0:
-            raise ValueError("lam = 0 has no Gibbs prior; give init_sd explicitly")
+            raise ValueError("lam (onpgd.lambda) = 0 leaves the Gibbs init N(0, beta / lam) "
+                             "undefined; give init_sd (onpgd.init_sd) explicitly")
+
+    def _require(self, ok, what):
+        """Raise ValueError naming beta or lam, whichever ok rejects first;
+        NaN fails every comparison, so it is rejected too."""
+        for name, key in (("beta", "onpgd.beta"), ("lam", "onpgd.lambda")):
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} ({key}) must be {what}, got {value!r}")
+
+    def prior_var(self) -> float:
+        """Variance beta / lam of the Gibbs prior N(0, (beta / lam) I_d) of
+        the benchmarks; raises ValueError unless beta > 0 and lam > 0."""
+        self._require(lambda v: v > 0, "positive for the Gibbs prior N(0, beta / lam)")
+        return self.beta / self.lam
 
     def initial_sd(self) -> float:
         if self.init_sd is not None:

@@ -113,9 +113,7 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
     """
     lam = onpgd_config.lam
     beta = onpgd_config.beta
-    if not (beta > 0 and lam > 0):
-        raise ValueError(f"the benchmark prior N(0, beta / lam) needs beta > 0 and lam > 0, "
-                         f"got beta={beta!r}, lam={lam!r}")
+    prior_var = onpgd_config.prior_var()
     K = train.n_steps
     ks = eval_indices(K, eval_stride)
     result = run_online(
@@ -128,7 +126,6 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
     snaps = dict(result.snapshots)
 
     dim = train.x_dim + 2
-    prior_var = beta / lam
     times = train.dt * np.asarray(ks, dtype=float)
 
     inst = {(b, v): np.empty(len(ks)) for b in BENCHMARKS for v in VARIANTS}

@@ -20,13 +20,7 @@ import numpy as np
 import pytest
 
 from mfonline.config import Settings
-from mfonline.datastream import (
-    NonlinearConfig,
-    PeriodicConfig,
-    Trajectory,
-    gen_nonlinear,
-    gen_periodic,
-)
+from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
 from mfonline.equilibrium import (
     QuadratureGrid,
     _tilted_map,
@@ -59,8 +53,8 @@ def _line(capsys, num, name, ok, detail):
 def data_pair(scenario, trial):
     seed = int(substream(MASTER, "data", trial).integers(2**63))
     if scenario == "periodic":
-        return gen_periodic(PeriodicConfig(), seed)
-    return gen_nonlinear(NonlinearConfig(), seed)
+        return gen_periodic(seed)
+    return gen_nonlinear(seed)
 
 
 def cell_seed(cell, trial):

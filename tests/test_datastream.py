@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mfonline.datastream import (
-    NonlinearConfig,
+    NONLINEAR_AMPLITUDE,
+    NONLINEAR_N_NEURONS,
+    NONLINEAR_X_DIM,
+    PERIODIC_H,
+    PERIODIC_NOISE_OU,
     OuParams,
-    PeriodicConfig,
     Trajectory,
     euler_ou_path,
     gen_nonlinear,
@@ -86,7 +91,7 @@ def test_trajectory_basics_and_validation():
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
-    train, _ = gen_periodic(PeriodicConfig(n_steps=25), seed=99)
+    train, _ = gen_periodic(99, n_steps=25)
     p = tmp_path / "t.csv"
     train.to_csv(p)
     back = Trajectory.from_csv(p)
@@ -103,35 +108,34 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 
 def test_gen_periodic_structure():
-    cfg = PeriodicConfig(n_steps=200)
-    train, test = gen_periodic(cfg, seed=5)
+    train, test = gen_periodic(5, n_steps=200)
     assert train.n_steps == test.n_steps == 200
+    assert train.dt == 0.02
     assert train.x_dim == 1
     # truth channel is sin(h t) x by construction
-    coeff = np.sin(cfg.h * train.times)
+    coeff = np.sin(PERIODIC_H * train.times)
     assert np.max(np.abs(train.truth - coeff * train.x[:, 0])) < 1e-14
     # noise channel is y - truth, starts near zero (xi_0 = 0)
     xi = train.y - train.truth
-    assert abs(xi[0]) < 3 * cfg.noise_ou.vol * np.sqrt(cfg.dt)
+    assert abs(xi[0]) < 3 * PERIODIC_NOISE_OU.vol * np.sqrt(train.dt)
     # train and test are different draws
     assert not np.array_equal(train.x, test.x)
 
 
 def test_gen_periodic_deterministic():
-    a1, b1 = gen_periodic(PeriodicConfig(n_steps=50), seed=77)
-    a2, b2 = gen_periodic(PeriodicConfig(n_steps=50), seed=77)
+    a1, b1 = gen_periodic(77, n_steps=50)
+    a2, b2 = gen_periodic(77, n_steps=50)
     assert np.array_equal(a1.y, a2.y)
     assert np.array_equal(b1.y, b2.y)
-    a3, _ = gen_periodic(PeriodicConfig(n_steps=50), seed=78)
+    a3, _ = gen_periodic(78, n_steps=50)
     assert not np.array_equal(a1.y, a3.y)
 
 
 def test_gen_nonlinear_shared_truth_model():
-    cfg = NonlinearConfig(n_steps=60)
-    train, test, model = gen_nonlinear(cfg, seed=13, return_truth_model=True)
-    assert train.x_dim == cfg.x_dim
-    assert model.phi.shape == (60, cfg.n_neurons, cfg.x_dim + 2)
-    assert abs(model.scale - cfg.amplitude / cfg.n_neurons) < 1e-15
+    train, test, model = gen_nonlinear(13, n_steps=60, return_truth_model=True)
+    assert train.x_dim == NONLINEAR_X_DIM
+    assert model.phi.shape == (60, NONLINEAR_N_NEURONS, NONLINEAR_X_DIM + 2)
+    assert abs(model.scale - NONLINEAR_AMPLITUDE / NONLINEAR_N_NEURONS) < 1e-15
     # the recorded truth equals the model evaluated on each covariate path,
     # i.e. one shared drifting network underlies both trajectories
     assert np.max(np.abs(train.truth - model.evaluate_path(train.x))) < 1e-12
@@ -141,9 +145,41 @@ def test_gen_nonlinear_shared_truth_model():
 
 
 def test_gen_nonlinear_deterministic():
-    a1, b1 = gen_nonlinear(NonlinearConfig(n_steps=40), seed=21)
-    a2, b2 = gen_nonlinear(NonlinearConfig(n_steps=40), seed=21)
+    a1, b1 = gen_nonlinear(21, n_steps=40)
+    a2, b2 = gen_nonlinear(21, n_steps=40)
     assert np.array_equal(a1.y, a2.y) and np.array_equal(b1.y, b2.y)
+
+
+# sha256 of the x, y and truth bytes of train and test, as the scenarios
+# wrote them when their coefficients were config fields
+SCENARIO_DIGESTS = {
+    "periodic": [
+        "5b5bdb4c952c1747a3dbdfd394a8ebf4d403629630e3e1722a05b6800e572deb",
+        "70643962960f8985ced69cbb1a1c18103c781777cb8c50f53f65bbfe67aeecd9",
+        "b25ef35d252f1a326c624e2261bc5bf5199588d352d51617c14b560ad7e1579b",
+        "6fd060a91591e782cd3bae07000429ab233888c80820a82b4078c206fb0ada85",
+        "c50a03d156910743986fdce185ca430357f276221067c3329fe1a644e855eb53",
+        "7cc40eaf7a0b331c9f58c9da70f0a39b2fec58dafbcb99e9723db6418f144f2a",
+    ],
+    "nonlinear": [
+        "de9b438212905b280fa75081e8555e60f15a13c8f0fa314abd93289b644ad678",
+        "94d60b36e9b3775e571d0dee5fea65a30ce06784cfa317360048a52051e7a0df",
+        "34c36117ef30bae7d7cb131079bf9b42d6c4c52db93cc9c88826f6422fb6dc3d",
+        "49b0b43c7307d9be1d9eb4e898e97df63866ef2372dfd4aff3dde983296ce106",
+        "e95b57876328c4780c846265dd7edea09a2c6433ff13cf2aca08aa48a6447dbb",
+        "69d82e3f31d0444744338ad730370a55173fef70f6815ff351edab2e658ce50a",
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario, pair", [
+    ("periodic", lambda: gen_periodic(5, n_steps=50)),
+    ("nonlinear", lambda: gen_nonlinear(13, n_steps=40)),
+])
+def test_scenario_bits_are_pinned(scenario, pair):
+    digests = [hashlib.sha256(getattr(traj, f).tobytes()).hexdigest()
+               for traj in pair() for f in ("x", "y", "truth")]
+    assert digests == SCENARIO_DIGESTS[scenario]
 
 
 def test_response_second_moment():

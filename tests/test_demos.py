@@ -1,7 +1,6 @@
 """Smoke test of the demo scripts: each runs to completion against ./src.
 
-Demo 01 writes a file outside the repository and demo 02 runs eight
-offline fits, so both are left to be run by hand.
+Demo 02 runs eight offline fits, so it is left to be run by hand.
 """
 
 import os
@@ -14,7 +13,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("name", [
-    "03_equilibrium_solvers.py", "04_regret_dynamics.py", "05_theory_constants.py"])
+    "01_data_streams.py", "03_equilibrium_solvers.py", "04_regret_dynamics.py",
+    "05_theory_constants.py"])
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)], env=env,

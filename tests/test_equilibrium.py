@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 import mfonline.equilibrium as equilibrium
-from mfonline.datastream import NonlinearConfig, PeriodicConfig, Trajectory, gen_nonlinear, gen_periodic
+from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
 from mfonline.equilibrium import (
     ConvergenceError,
     GridTooNarrowError,
@@ -92,7 +92,7 @@ def test_solve_mu_star_bitwise_equal_to_scipy_oracle(beta):
 
 
 def test_solve_rho_star_bitwise_equal_to_scipy_merit(monkeypatch):
-    train, _ = gen_periodic(PeriodicConfig(n_steps=40), seed=3)
+    train, _ = gen_periodic(3, n_steps=40)
     samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
     sol = solve_rho_star(train, samples, beta=0.005, tol=1e-10)
     monkeypatch.setattr(equilibrium, "_logsumexp", lambda a: np.float64(logsumexp(a)))
@@ -116,7 +116,7 @@ def test_solve_mu_star_moments_bitwise_equal_to_weighted_oracle(beta):
 
 
 def test_solve_rho_star_moments_bitwise_equal_to_weighted_oracle():
-    train, _ = gen_periodic(PeriodicConfig(n_steps=40), seed=3)
+    train, _ = gen_periodic(3, n_steps=40)
     samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
     sol = solve_rho_star(train, samples, beta=0.02)
     w = sol.measure.weights
@@ -400,11 +400,13 @@ def test_lbfgs_line_search_that_exhausts_its_bracket_raises(grad):
 
 
 def test_rho_star_trivial_fixed_point():
-    # antithetic 1-d samples make the uniform-weight prediction exactly 0,
-    # so u = 0 is an exact fixed point when y = 0
+    # samples antithetic in the amplitude a make the uniform-weight
+    # prediction 0, so u = 0 is an exact fixed point when y = 0
     rng = substream(2, "anti")
-    half = draw_prior_samples(500, 1, 0.2, rng)
-    samples = np.vstack([half, -half])
+    half = draw_prior_samples(500, 3, 0.2, rng)
+    flipped = half.copy()
+    flipped[:, 0] *= -1.0
+    samples = np.vstack([half, flipped])
     K = 5
     traj = Trajectory(dt=0.1, x=rng.normal(size=(K, 1)), y=np.zeros(K))
     sol = solve_rho_star(traj, samples, beta=0.5)
@@ -417,7 +419,7 @@ def test_rho_star_matches_mu_star_on_one_point():
     # with K=1 the hindsight tilt equals the instantaneous tilt, so the
     # solved prediction must agree with the scalar fixed point
     rng = substream(9, "k1")
-    samples = draw_prior_samples(20000, 1, 0.5, rng)
+    samples = draw_prior_samples(20000, 3, 0.5, rng)
     traj = Trajectory(dt=0.3, x=np.array([[1.1]]), y=np.array([0.4]))
     beta = 0.5
     sol = solve_rho_star(traj, samples, beta, tol=1e-10)
@@ -426,7 +428,7 @@ def test_rho_star_matches_mu_star_on_one_point():
 
 
 def test_rho_star_converges_on_nonlinear_window():
-    train, _ = gen_nonlinear(NonlinearConfig(n_steps=60), seed=14)
+    train, _ = gen_nonlinear(14, n_steps=60)
     samples = draw_prior_samples(2000, train.x_dim + 2, 0.2, substream(14, "s"))
     sol = solve_rho_star(train, samples, beta=0.02, max_iters=500)
     assert sol.residual <= 1e-6
@@ -437,7 +439,7 @@ def test_rho_star_converges_on_nonlinear_window():
 
 def test_rho_star_convergence_error_carries_trace():
     rng = substream(4, "short")
-    samples = draw_prior_samples(1000, 1, 0.2, rng)
+    samples = draw_prior_samples(1000, 3, 0.2, rng)
     traj = Trajectory(dt=0.1, x=rng.normal(size=(10, 1)), y=rng.normal(size=10))
     with pytest.raises(ConvergenceError) as exc:
         solve_rho_star(traj, samples, beta=0.02, max_iters=1)
@@ -445,7 +447,7 @@ def test_rho_star_convergence_error_carries_trace():
 
 
 def test_rho_star_max_iters_counts_residual_checks():
-    train, _ = gen_periodic(PeriodicConfig(n_steps=60), seed=3)
+    train, _ = gen_periodic(3, n_steps=60)
     samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
     for max_iters in (2, 5):
         with pytest.raises(ConvergenceError) as exc:
@@ -453,17 +455,18 @@ def test_rho_star_max_iters_counts_residual_checks():
         assert len(exc.value.residual_trace) == max_iters
 
 
-def test_rho_star_argument_validation():
+def test_rho_star_argument_validation(monkeypatch):
     rng = substream(4, "d")
-    samples = draw_prior_samples(10, 1, 0.2, rng)
+    samples = draw_prior_samples(10, 3, 0.2, rng)
     traj = Trajectory(dt=0.1, x=np.ones((2, 1)), y=np.zeros(2))
 
-    def never(x, samples):
+    def never(*args, **kwargs):
         raise AssertionError("the neuron matrix was built before validation")
 
+    monkeypatch.setattr(equilibrium, "forward", never)
     for kwargs in ({"tol": 0.0}, {"tol": -1e-6}, {"max_iters": 0}, {"max_iters": -3}):
         with pytest.raises(ValueError):
-            solve_rho_star(traj, samples, beta=0.1, sigma_fn=never, **kwargs)
+            solve_rho_star(traj, samples, beta=0.1, **kwargs)
 
 
 def assert_matches_oracle(traj, samples, beta):
@@ -477,7 +480,7 @@ def assert_matches_oracle(traj, samples, beta):
 
 
 def test_rho_star_matches_oracle_on_nonlinear_window():
-    train, _ = gen_nonlinear(NonlinearConfig(n_steps=60), seed=14)
+    train, _ = gen_nonlinear(14, n_steps=60)
     samples = draw_prior_samples(2000, train.x_dim + 2, 0.2, substream(14, "s"))
     assert_matches_oracle(train, samples, beta=0.02)
 
@@ -488,7 +491,7 @@ def test_rho_star_matches_oracle_where_fixed_step_backtracks(n_steps, seed):
     # the oracle halves it many times, while L-BFGS needs no fixed step.
     # Near tol = 1e-10 the decrease of H per step is also below the rounding
     # of H itself, so a line search on H alone can stall before tol.
-    train, _ = gen_periodic(PeriodicConfig(n_steps=n_steps), seed=seed)
+    train, _ = gen_periodic(seed, n_steps=n_steps)
     samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(seed, "p"))
     assert assert_matches_oracle(train, samples, beta=0.005) > 0
 
@@ -497,7 +500,7 @@ def test_rho_star_reaches_tol_where_the_oracle_stalls():
     # the damped oracle stalls short of 1e-10 on this window (its Armijo
     # test cannot resolve H there), so the residual, which certifies the
     # unique fixed point of the strictly convex merit, is the check
-    train, _ = gen_periodic(PeriodicConfig(n_steps=60), seed=3)
+    train, _ = gen_periodic(3, n_steps=60)
     samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
     sol = solve_rho_star(train, samples, beta=0.005, tol=1e-10)
     assert sol.residual <= 1e-10

@@ -8,6 +8,7 @@ stake here, only wiring, file layout, failure handling and exit codes.
 import functools
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -286,7 +287,8 @@ def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
                                  dict(sweep_beta=[-0.1]), dict(sweep_lam=[0.0]),
                                  dict(sweep_lam=[0.1, float("nan")]), dict(sweep_beta=[0.0])])
 def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
-    match = {"sweep_lam": "lambda", "sweep_beta": "beta"}.get(next(iter(bad)))
+    match = {"sweep_lam": r"\(onpgd\.lambda\) must be",
+             "sweep_beta": r"\(onpgd\.beta\) must be"}.get(next(iter(bad)))
     with pytest.raises(ValueError, match=match):
         run_regret_sweep(small_settings(tmp_path, **bad))
     assert not os.path.exists(os.path.join(str(tmp_path), "periodic-sweep"))
@@ -409,7 +411,23 @@ def test_cli_verify_rejects_a_missing_gibbs_prior(tmp_path, capsys, line, key):
     out = tmp_path / "verifyout"
     assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"ValueError: verify needs {key} > 0" in err
+    # zero fails the prior's check, and a negative or NaN value the learner's
+    assert re.search(rf"ValueError: \w+ \({re.escape(key)}\) must be "
+                     r"(positive for the Gibbs prior|nonnegative)", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, values, clash", [
+    ("--sweep-beta", "0.1234567,0.1234568", "(8, 0.1234567, 0.1) and (8, 0.1234568, 0.1)"),
+    ("--sweep-n", "16,16", "(16, 0.02, 0.1) and (16, 0.02, 0.1)"),
+])
+def test_cli_sweep_cells_with_one_name_exit_one(tmp_path, capsys, flag, values, clash):
+    # two cells named alike would share a directory and be merged in the report
+    cfg = write_small_cfg(tmp_path)
+    out = tmp_path / "sweepout"
+    assert cli.main(["regret-sweep", "--config", cfg, "--out", str(out), flag, values]) == 1
+    err = capsys.readouterr().err
+    assert "ValueError" in err and clash in err and "share the name" in err
     assert not out.exists()
 
 

@@ -3,13 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mfonline.datastream import (
-    NonlinearConfig,
-    PeriodicConfig,
-    Trajectory,
-    gen_nonlinear,
-    gen_periodic,
-)
+from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
 from mfonline.offline import (
     DivergenceError,
     OfflineFitConfig,
@@ -85,8 +79,8 @@ def _two_pass_fit(traj, config, learner, seed):
 
 
 @pytest.mark.parametrize("traj", [
-    gen_periodic(PeriodicConfig(n_steps=150), seed=2)[0],  # x_dim = 1
-    gen_nonlinear(NonlinearConfig(n_steps=150), seed=2)[0],  # x_dim = 3
+    gen_periodic(2, n_steps=150)[0],  # x_dim = 1
+    gen_nonlinear(2, n_steps=150)[0],  # x_dim = 3
 ], ids=["periodic", "nonlinear"])
 def test_fit_matches_two_pass_oracle_bitwise(traj):
     cfg, learner = OfflineFitConfig(iters=80), OnpgdConfig(n_particles=12)
@@ -119,7 +113,7 @@ def test_config_validation():
 
 
 def test_compare_oos_pairing():
-    train, test = gen_periodic(PeriodicConfig(n_steps=120), seed=30)
+    train, test = gen_periodic(30, n_steps=120)
     onpgd = OnpgdConfig(n_particles=20)
     off = OfflineFitConfig(iters=100)
     res = compare_oos(train, test, onpgd, off, seed=17)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfonline.datastream import NonlinearConfig, PeriodicConfig, gen_nonlinear, gen_periodic
+from mfonline.datastream import gen_nonlinear, gen_periodic
 from mfonline.network import forward
 from mfonline.onpgd import BlowUpError, OnpgdConfig, _advance, init_ensemble, run_online
 from mfonline.seeding import substream
@@ -125,7 +125,7 @@ def test_blow_up_detection():
 
 
 def test_run_online_pre_update_convention():
-    train, test = gen_periodic(PeriodicConfig(n_steps=30), seed=41)
+    train, test = gen_periodic(41, n_steps=30)
     cfg = OnpgdConfig(n_particles=12)
     res = run_online(train, cfg, substream(7, "onpgd"), snapshot_at=[1, 10, 20, 30],
                      predict_xs=test.x)
@@ -145,7 +145,7 @@ def test_run_online_pre_update_convention():
 
 
 def test_run_online_deterministic_and_stable():
-    train, _ = gen_periodic(PeriodicConfig(), seed=2)
+    train, _ = gen_periodic(2)
     cfg = OnpgdConfig()
     r1 = run_online(train, cfg, substream(5, "onpgd"))
     r2 = run_online(train, cfg, substream(5, "onpgd"))
@@ -156,7 +156,7 @@ def test_run_online_deterministic_and_stable():
 
 
 def test_run_online_rejects_bad_predict_xs():
-    train, _ = gen_periodic(PeriodicConfig(n_steps=20), seed=2)
+    train, _ = gen_periodic(2, n_steps=20)
     with pytest.raises(ValueError):
         run_online(train, OnpgdConfig(), substream(1, "onpgd"), predict_xs=np.zeros((5, 1)))
 
@@ -198,7 +198,7 @@ def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
 @pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
 @pytest.mark.parametrize("beta", [0.0, 0.05])
 def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
-    train, test = gen_nonlinear(NonlinearConfig(n_steps=200), seed=6)
+    train, test = gen_nonlinear(6, n_steps=200)
     cfg = OnpgdConfig(n_particles=12, lam=0.1, beta=beta, dt=0.02,
                       self_interaction=self_interaction, init_sd=1.0)
     at = [1, 7, 100, 200]
@@ -215,7 +215,7 @@ def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
 
 @pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
 def test_run_online_blow_up_names_the_oracle_step(self_interaction):
-    train, test = gen_periodic(PeriodicConfig(n_steps=200), seed=3)
+    train, test = gen_periodic(3, n_steps=200)
     cfg = OnpgdConfig(n_particles=3, lam=1e6, beta=0.0, dt=0.02,
                       self_interaction=self_interaction, init_sd=1.0)
     with np.errstate(over="ignore"):

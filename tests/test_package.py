@@ -69,8 +69,8 @@ def test_paired_tests_loads_scipy_special_at_six_pairs():
 # the package's public names: every submodule but cli and experiments,
 # and the main entry points of each
 EXPORTS = """
-    BoundSpec NonlinearConfig NonlinearTruthModel OfflineFitConfig OnpgdConfig
-    OuParams PairedTestResult PeriodicConfig QuadratureGrid RegretBundle
+    BoundSpec NonlinearTruthModel OfflineFitConfig OnpgdConfig
+    OuParams PairedTestResult QuadratureGrid RegretBundle
     RegretSeries RhoStarSolution Settings StatsSummary TheoryConstants Trajectory
     WeightedMeasure batch_loss batch_loss_grad build_settings
     compare_oos compute_constants config cost_u cost_u_unreg cumulative_regret datastream

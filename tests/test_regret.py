@@ -1,10 +1,11 @@
 import functools
+import re
 
 import numpy as np
 import pytest
 
 import mfonline.regret as regret_mod
-from mfonline.datastream import NonlinearConfig, gen_nonlinear
+from mfonline.datastream import gen_nonlinear
 from mfonline.equilibrium import ConvergenceError
 from mfonline.measures import cost_u, cost_u_unreg, predict, second_moment
 from mfonline.onpgd import OnpgdConfig
@@ -123,7 +124,7 @@ def _rho_star_max_iters(monkeypatch, max_iters):
 
 
 def test_regret_run_smoke(monkeypatch):
-    train, test = gen_nonlinear(NonlinearConfig(n_steps=40), seed=51)
+    train, test = gen_nonlinear(51, n_steps=40)
     onpgd = OnpgdConfig(n_particles=10)
     _rho_star_max_iters(monkeypatch, 300)
     bundle = regret_run(train, onpgd, eval_stride=20, seed=7, n_is=2000,
@@ -148,7 +149,7 @@ def test_regret_run_smoke(monkeypatch):
 
 
 def test_regret_run_solver_failure_names_index(monkeypatch):
-    train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=52)
+    train, _ = gen_nonlinear(52, n_steps=40)
 
     def boom(*args, **kwargs):
         raise ConvergenceError("Newton stalled")
@@ -159,7 +160,7 @@ def test_regret_run_solver_failure_names_index(monkeypatch):
 
 
 def test_regret_run_static_failure_is_named(monkeypatch):
-    train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=52)
+    train, _ = gen_nonlinear(52, n_steps=40)
     _rho_star_max_iters(monkeypatch, 1)
     with pytest.raises(ConvergenceError, match="hindsight solve failed") as exc:
         regret_run(train, OnpgdConfig(n_particles=5), 20, seed=1, n_is=500,
@@ -170,7 +171,7 @@ def test_regret_run_static_failure_is_named(monkeypatch):
 def test_benchmark_prior_is_the_learners(monkeypatch):
     # both benchmarks are Gibbs measures of the learner's free energy, so
     # every prior draw must have variance beta / lam of the learner's config
-    train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=54)
+    train, _ = gen_nonlinear(54, n_steps=40)
     onpgd = OnpgdConfig(n_particles=5, lam=0.4, beta=0.02)
     real = regret_mod.draw_prior_samples
     prior_vars = []
@@ -188,13 +189,14 @@ def test_benchmark_prior_is_the_learners(monkeypatch):
 
 @pytest.mark.parametrize("bad", [dict(beta=0.0), dict(lam=0.0, init_sd=1.0)])
 def test_regret_run_needs_a_gibbs_prior(bad):
-    train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=54)
-    with pytest.raises(ValueError, match="beta > 0 and lam > 0"):
+    train, _ = gen_nonlinear(54, n_steps=40)
+    key = "onpgd.beta" if "beta" in bad else "onpgd.lambda"
+    with pytest.raises(ValueError, match=re.escape(f"({key}) must be positive for the Gibbs prior")):
         regret_run(train, OnpgdConfig(n_particles=5, **bad), 20, seed=2, n_is=500)
 
 
 def test_regret_to_csv(tmp_path):
-    train, _ = gen_nonlinear(NonlinearConfig(n_steps=40), seed=53)
+    train, _ = gen_nonlinear(53, n_steps=40)
     bundle = regret_run(train, OnpgdConfig(n_particles=8), 20, seed=3, n_is=1000)
     path = tmp_path / "regret.csv"
     regret_to_csv(bundle, path, trial=4, n_particles=8, beta=0.02, lam=0.1)
