@@ -26,7 +26,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("measures", "cost_u", "cost_u_unreg", "oos_mse", "predict", "second_moment"),
         "measures"),
-    **dict.fromkeys(("network", "forward"), "network"),
+    **dict.fromkeys(("network", "activations", "forward"), "network"),
     **dict.fromkeys(
         ("offline", "OfflineFitConfig", "batch_loss", "batch_loss_grad", "compare_oos",
          "fit_offline"), "offline"),

@@ -160,7 +160,8 @@ def run_oos_compare(settings: Settings) -> dict:
         res = compare_oos(train, test, onpgd, offline, cell_seed(settings, cell, trial))
         tdir = _trial_dir(root, cell, trial)
         loss_trace_to_csv(res.offline_loss_trace, os.path.join(tdir, "offline_loss.csv"))
-        return {"trial": trial, "mse_online": res.mse_online, "mse_offline": res.mse_offline}
+        return {"trial": trial, "mse_online": res.mse_online, "mse_offline": res.mse_offline,
+                "offline_grad_max": res.offline_grad_max}
 
     rows = _pool_map(one, range(settings.trials), settings.threads)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import oos_mse
-from .network import forward
+from .network import activations, forward
 from .onpgd import OnpgdConfig, init_ensemble, run_online
 from .seeding import substream
 
@@ -39,40 +39,43 @@ class OfflineFitConfig:
             raise ValueError("learning_rate must be positive")
 
 
-def batch_loss(thetas, traj, lam: float, fwd=None) -> float:
+def batch_loss(thetas, traj, lam: float, th=None) -> float:
     """The batch objective L; see module docstring.
 
-    fwd is forward(thetas, traj.x), if the caller has it already.
+    th is activations(thetas, traj.x), if the caller has it already.
     """
     thetas = np.asarray(thetas, dtype=float)
-    vals, _ = forward(thetas, traj.x) if fwd is None else fwd
-    m = vals.mean(axis=1)
     n = thetas.shape[0]
+    th = activations(thetas, traj.x) if th is None else th  # (K, N)
+    m = th @ thetas[:, 0] / n
     penalty = 0.5 * lam / n * float(np.sum(thetas**2))
     return float(np.mean((m - traj.y) ** 2)) + penalty
 
 
-def batch_loss_grad(thetas, traj, lam: float, fwd=None) -> np.ndarray:
+def batch_loss_grad(thetas, traj, lam: float, th=None) -> np.ndarray:
     """Exact Euclidean gradient of batch_loss in the (N, d) particle array.
 
-    fwd is forward(thetas, traj.x), if the caller has it already; its vals
-    array is overwritten with the gradient's (K, N) intermediates.
+    th is activations(thetas, traj.x), if the caller has it already; it is
+    overwritten with the gradient's (K, N) sech^2 intermediates.  Every
+    reduction over the K data points is a BLAS matrix-vector or
+    matrix-matrix product.
     """
     thetas = np.asarray(thetas, dtype=float)
     n, d = thetas.shape
     K = traj.n_steps
     a = thetas[:, 0]
-    vals, th = forward(thetas, traj.x) if fwd is None else fwd  # (K, N)
-    r = vals.mean(axis=1) - traj.y  # (K,)
-    p = np.multiply(th, th, out=vals)  # vals is not read again
-    np.subtract(1.0, p, out=p)  # sech2
+    th = activations(thetas, traj.x) if th is None else th  # (K, N)
+    r = th @ a / n - traj.y  # (K,)
+    rx = np.empty((K, d - 1))  # r * (x, 1), the right factor of the w and b rows
+    np.multiply(r[:, None], traj.x, out=rx[:, :-1])
+    rx[:, -1] = r
     c = 2.0 / (K * n)
 
     grad = np.empty_like(thetas)
     grad[:, 0] = c * (r @ th)
-    np.multiply(r[:, None], p, out=p)  # p = r * sech2, (K, N)
-    grad[:, 1:-1] = c * a[:, None] * (p.T @ traj.x)
-    grad[:, -1] = c * a * p.sum(axis=0)
+    sech2 = np.square(th, out=th)  # th is not read again
+    np.subtract(1.0, sech2, out=sech2)
+    grad[:, 1:] = c * a[:, None] * (sech2.T @ rx)
     grad += (lam / n) * thetas
     return grad
 
@@ -80,32 +83,33 @@ def batch_loss_grad(thetas, traj, lam: float, fwd=None) -> np.ndarray:
 def fit_offline(traj, config: OfflineFitConfig, learner: OnpgdConfig, rng):
     """Full-batch descent of the learner's N-particle network with its
     penalty learner.lam, from init_ensemble(learner, ...) drawn from the
-    Generator rng; returns (thetas, loss_trace).
+    Generator rng; returns (thetas, loss_trace, grad_max).
 
     loss_trace[j] is the loss before iteration j (length iters + 1, so the
-    last entry is the final loss).  Divergence (non-finite or loss above
-    1e6) raises DivergenceError naming the iteration.  Each iteration runs
-    one forward pass, shared by the loss and the gradient, into (K, N)
-    buffers allocated once per call.
+    last entry is the final loss).  grad_max is max |grad| of the gradient
+    of the last iteration, at the parameters before its step.  Divergence
+    (non-finite or loss above 1e6) raises DivergenceError naming the
+    iteration.  Each iteration computes the activations once, shared by
+    the loss and the gradient, into one (K, N) buffer allocated once per
+    call.
     """
     thetas = init_ensemble(learner, traj.x_dim + 2, rng)
-    shape = (traj.n_steps, learner.n_particles)
-    buffers = (np.empty(shape), np.empty(shape))
+    th = np.empty((traj.n_steps, learner.n_particles))
 
     trace = np.empty(config.iters + 1)
     for j in range(config.iters):
-        fwd = forward(thetas, traj.x, out=buffers)
-        loss = batch_loss(thetas, traj, learner.lam, fwd)
+        activations(thetas, traj.x, out=th)
+        loss = batch_loss(thetas, traj, learner.lam, th)
         trace[j] = loss
         if not np.isfinite(loss) or loss > 1e6:
             raise DivergenceError(f"batch loss {loss!r} at iteration {j}")
-        grad = batch_loss_grad(thetas, traj, learner.lam, fwd)
+        grad = batch_loss_grad(thetas, traj, learner.lam, th)
         thetas = thetas - config.learning_rate * grad
-    loss = batch_loss(thetas, traj, learner.lam, forward(thetas, traj.x, out=buffers))
+    loss = batch_loss(thetas, traj, learner.lam, activations(thetas, traj.x, out=th))
     trace[-1] = loss
     if not np.isfinite(loss) or loss > 1e6:
         raise DivergenceError(f"batch loss {loss!r} at final iteration")
-    return thetas, trace
+    return thetas, trace, float(np.abs(grad).max())
 
 
 def loss_trace_to_csv(trace, path):
@@ -126,6 +130,7 @@ class OosComparison:
     mse_offline: float
     online_train_pred: np.ndarray
     offline_loss_trace: np.ndarray
+    offline_grad_max: float  # max |grad| at the offline fit's last descent step
 
 
 def compare_oos(train, test, onpgd_config: OnpgdConfig, offline_config: OfflineFitConfig,
@@ -140,7 +145,8 @@ def compare_oos(train, test, onpgd_config: OnpgdConfig, offline_config: OfflineF
     result = run_online(train, onpgd_config, substream(seed, "onpgd"), predict_xs=test.x)
     mse_online = oos_mse(result.extra_pred, test)
 
-    thetas, trace = fit_offline(train, offline_config, onpgd_config, substream(seed, "offline"))
+    thetas, trace, grad_max = fit_offline(train, offline_config, onpgd_config,
+                                          substream(seed, "offline"))
     vals, _ = forward(thetas, test.x)
     mse_offline = oos_mse(vals.mean(axis=1), test)
     return OosComparison(
@@ -148,4 +154,5 @@ def compare_oos(train, test, onpgd_config: OnpgdConfig, offline_config: OfflineF
         mse_offline=mse_offline,
         online_train_pred=result.train_pred,
         offline_loss_trace=trace,
+        offline_grad_max=grad_max,
     )

@@ -1,7 +1,4 @@
-"""Smoke test of the demo scripts: each runs to completion against ./src.
-
-Demo 02 runs eight offline fits, so it is left to be run by hand.
-"""
+"""Smoke test of the demo scripts: each runs to completion against ./src."""
 
 import os
 import subprocess
@@ -13,8 +10,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("name", [
-    "01_data_streams.py", "03_equilibrium_solvers.py", "04_regret_dynamics.py",
-    "05_theory_constants.py"])
+    "01_data_streams.py", "02_online_vs_offline.py", "03_equilibrium_solvers.py",
+    "04_regret_dynamics.py", "05_theory_constants.py"])
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)], env=env,

@@ -25,6 +25,8 @@ from mfonline.experiments import (
     run_regret_sweep,
     run_stats,
 )
+from mfonline.offline import OfflineFitConfig, fit_offline
+from mfonline.seeding import substream
 
 
 def small_settings(tmp_path, **kw):
@@ -148,6 +150,21 @@ def test_oos_compare_small(tmp_path):
     # csv cells round-trip the report values exactly
     row0 = lines[1].split(",")
     assert float(row0[1]) == rep["per_trial"][0]["mse_online"]
+
+
+def test_oos_compare_reports_offline_grad_max(tmp_path):
+    # the gradient the fit's last descent step already computed, per trial
+    s = small_settings(tmp_path)
+    rep = run_oos_compare(s)
+    with open(os.path.join(s.out_dir(), "periodic-oos", "report.json")) as fh:
+        assert json.load(fh)["per_trial"] == rep["per_trial"]
+    cell, onpgd = exp.learner_cell(s, s.n_particles, s.beta, s.lam)
+    offline = OfflineFitConfig(iters=s.offline_iters, learning_rate=s.offline_lr)
+    for row in rep["per_trial"]:
+        train, _ = generate_pair(s, row["trial"])
+        seed = exp.cell_seed(s, cell, row["trial"])
+        _, _, grad_max = fit_offline(train, offline, onpgd, substream(seed, "offline"))
+        assert row["offline_grad_max"] == grad_max > 0
 
 
 # ---------------------------------------------------------------------------

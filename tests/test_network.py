@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfonline.measures import predict
-from mfonline.network import forward
+from mfonline.network import activations, forward
 from measure_oracle import weighted_predict
 from neuron_oracle import grad_sigma, sigma
 
@@ -79,6 +79,25 @@ def test_forward_into_buffers_is_bitwise_equal():
         assert np.array_equal(bufs[0], want_vals) and np.array_equal(bufs[1], want_th)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("K", [None, 1, 2, 7, 1000])  # None: one covariate (n,)
+def test_batch_kernel_keeps_the_bits_of_matmul(n, K):
+    # np.dot and np.matmul agree bit for bit on batches of K >= 2
+    # covariates, not on a (1, n) batch or an (n,) covariate at n >= 3
+    rng = np.random.default_rng(10 * n + (K or 0))
+    thetas = rng.normal(size=(80, n + 2))
+    X = rng.normal(size=(n,) if K is None else (K, n))
+    want = np.tanh(X @ thetas[:, 1:-1].T + thetas[:, -1])
+    assert np.array_equal(activations(thetas, X), want)
+    vals, th = forward(thetas, X)
+    assert np.array_equal(th, want) and np.array_equal(vals, thetas[:, 0] * want)
+    bufs = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
+    assert activations(thetas, X, out=bufs[1]) is bufs[1]
+    assert np.array_equal(bufs[1], want)
+    forward(thetas, X, out=bufs)
+    assert np.array_equal(bufs[0], thetas[:, 0] * want) and np.array_equal(bufs[1], want)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         sigma([1.0, 2.0], [1.0, 1.0, 1.0])  # needs length 4
@@ -92,6 +111,8 @@ def test_dimension_mismatch_rejected():
         forward(np.ones(5), np.ones(3))
     with pytest.raises(ValueError):
         forward(np.ones((4, 3)), 1.0)  # a covariate is a vector, not a scalar
+    with pytest.raises(ValueError):
+        activations(np.ones((4, 5)), np.ones((6, 2)))
 
 
 def test_predict_uniform_and_weighted():

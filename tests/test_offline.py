@@ -13,8 +13,9 @@ from mfonline.offline import (
     fit_offline,
 )
 from mfonline.onpgd import OnpgdConfig, run_online
-from mfonline.network import forward
+from mfonline.network import activations, forward
 from mfonline.seeding import substream
+import offline_oracle
 
 
 def _small_traj(seed=0, K=8, n=2):
@@ -50,7 +51,7 @@ def test_descent_decreases_loss():
     traj = _small_traj(seed=9, K=20, n=1)
     cfg = OfflineFitConfig(iters=60, learning_rate=0.01)
     learner = OnpgdConfig(n_particles=6, lam=0.1)
-    _, trace = fit_offline(traj, cfg, learner, substream(3, "offline-init"))
+    _, trace, _ = fit_offline(traj, cfg, learner, substream(3, "offline-init"))
     assert trace.shape == (61,)
     # small step on a smooth objective: monotone within fp slack
     assert np.all(np.diff(trace) <= 1e-12)
@@ -59,10 +60,11 @@ def test_descent_decreases_loss():
 def test_fit_deterministic():
     traj = _small_traj(seed=4)
     cfg, learner = OfflineFitConfig(iters=30), OnpgdConfig(n_particles=5)
-    t1, tr1 = fit_offline(traj, cfg, learner, substream(8, "offline-init"))
-    t2, tr2 = fit_offline(traj, cfg, learner, substream(8, "offline-init"))
+    t1, tr1, g1 = fit_offline(traj, cfg, learner, substream(8, "offline-init"))
+    t2, tr2, g2 = fit_offline(traj, cfg, learner, substream(8, "offline-init"))
     assert np.array_equal(t1, t2)
     assert np.array_equal(tr1, tr2)
+    assert g1 == g2
 
 
 def _two_pass_fit(traj, config, learner, seed):
@@ -73,9 +75,10 @@ def _two_pass_fit(traj, config, learner, seed):
     trace = np.empty(config.iters + 1)
     for j in range(config.iters):
         trace[j] = batch_loss(thetas, traj, learner.lam)
-        thetas = thetas - config.learning_rate * batch_loss_grad(thetas, traj, learner.lam)
+        grad = batch_loss_grad(thetas, traj, learner.lam)
+        thetas = thetas - config.learning_rate * grad
     trace[-1] = batch_loss(thetas, traj, learner.lam)
-    return thetas, trace
+    return thetas, trace, np.abs(grad).max()
 
 
 @pytest.mark.parametrize("traj", [
@@ -84,10 +87,33 @@ def _two_pass_fit(traj, config, learner, seed):
 ], ids=["periodic", "nonlinear"])
 def test_fit_matches_two_pass_oracle_bitwise(traj):
     cfg, learner = OfflineFitConfig(iters=80), OnpgdConfig(n_particles=12)
-    thetas, trace = fit_offline(traj, cfg, learner, substream(11, "offline-init"))
-    want_thetas, want_trace = _two_pass_fit(traj, cfg, learner, seed=11)
+    thetas, trace, grad_max = fit_offline(traj, cfg, learner, substream(11, "offline-init"))
+    want_thetas, want_trace, want_grad_max = _two_pass_fit(traj, cfg, learner, seed=11)
     assert np.array_equal(thetas, want_thetas)
     assert np.array_equal(trace, want_trace)
+    assert grad_max == want_grad_max
+
+
+@pytest.mark.parametrize("n_particles", [1, 12, 80])
+@pytest.mark.parametrize("traj", [
+    gen_periodic(3, n_steps=300)[0],  # x_dim = 1
+    gen_nonlinear(3, n_steps=300)[0],  # x_dim = 3
+], ids=["periodic", "nonlinear"])
+def test_loss_and_grad_match_broadcast_oracle(traj, n_particles):
+    # BLAS products sum in another order than the oracle's pairwise sums:
+    # a few ulps apart.  A gradient entry that is a difference of terms of
+    # the size of the largest entry keeps only that entry's absolute
+    # accuracy, so the slack is relative to the largest entry.
+    for s in range(3):
+        thetas = substream(s, "th").standard_normal((n_particles, traj.x_dim + 2))
+        want = offline_oracle.batch_loss(thetas, traj, 0.1)
+        assert abs(batch_loss(thetas, traj, 0.1) - want) <= 1e-13 * want
+        g = batch_loss_grad(thetas, traj, 0.1)
+        want = offline_oracle.batch_loss_grad(thetas, traj, 0.1)
+        np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        # given activations give the same bits; they are overwritten
+        th = activations(thetas, traj.x)
+        assert np.array_equal(batch_loss_grad(thetas, traj, 0.1, th), g)
 
 
 def test_divergence_raises():
@@ -126,5 +152,6 @@ def test_compare_oos_pairing():
     solo = run_online(train, onpgd, substream(17, "onpgd"), predict_xs=test.x)
     assert np.array_equal(res.online_train_pred, solo.train_pred)
     # and the offline side fits the online learner's network
-    _, trace = fit_offline(train, off, onpgd, substream(17, "offline"))
+    _, trace, grad_max = fit_offline(train, off, onpgd, substream(17, "offline"))
     assert np.array_equal(res.offline_loss_trace, trace)
+    assert res.offline_grad_max == grad_max
