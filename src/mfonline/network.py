@@ -14,8 +14,8 @@ def activations(thetas, X, out=None):
     """Activations tanh(X @ w.T + b) of an (N, d) parameter array.
 
     X is one covariate (n,) or a batch (K, n); the result has shape (N,)
-    or (K, N).  Given out, a float array of that shape, the result is
-    written into it and returned.
+    or (K, N).  Given out, a C-contiguous float64 array of that shape, the
+    result is written into it and returned.
     """
     thetas = np.asarray(thetas, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -24,29 +24,26 @@ def activations(thetas, X, out=None):
     # np.dot sends a batch of K >= 2 covariates to BLAS, with the bits of
     # np.matmul, which runs its own slower loop when n = 1.  For a single
     # covariate, (n,) or (1, n), the two round differently, so that path
-    # keeps np.matmul and the bits it has always had.  Each out is passed
-    # by position: a keyword adds about 0.1 us to a 4 us single-covariate call.
+    # keeps np.matmul and the bits it has always had.
     if X.ndim == 2 and X.shape[0] > 1:
-        th = np.dot(X, thetas[:, 1:-1].T, out)
+        th = np.dot(X, thetas[:, 1:-1].T, out=out)
     else:
-        th = np.matmul(X, thetas[:, 1:-1].T, out)
+        th = np.matmul(X, thetas[:, 1:-1].T, out=out)
     th += thetas[:, -1]
-    return np.tanh(th, th)
+    return np.tanh(th, out=th)
 
 
 def forward(thetas, X, out=None):
     """Neuron values and activations of an (N, d) parameter array.
 
     Returns (a * t, t) with t = activations(thetas, X), each of shape (N,)
-    or (K, N).  Given out=(vals, th), two float arrays of that shape, the
-    results are written into them and they are returned, so a loop
-    allocates nothing per call.
+    or (K, N).  Given out=(vals, th), two C-contiguous float64 arrays of
+    that shape, the results are written into them and they are returned,
+    so a loop allocates nothing per call.
     """
-    if out is None:  # an out=None passed on to numpy costs the per-step callers 1-2%
-        th = activations(thetas, X)
-        return np.asarray(thetas)[:, 0] * th, th
-    th = activations(thetas, X, out[1])
-    return np.multiply(np.asarray(thetas)[:, 0], th, out[0]), th
+    vals, th = out or (None, None)
+    th = activations(thetas, X, out=th)
+    return np.multiply(np.asarray(thetas)[:, 0], th, out=vals), th
 
 
 def unpack(z):

@@ -130,7 +130,7 @@ class OosComparison:
     mse_offline: float
     online_train_pred: np.ndarray
     offline_loss_trace: np.ndarray
-    offline_grad_max: float  # max |grad| at the offline fit's last descent step
+    offline_grad_max: float  # max |grad| of the fit's last step, before that step
 
 
 def compare_oos(train, test, onpgd_config: OnpgdConfig, offline_config: OfflineFitConfig,

@@ -61,41 +61,30 @@ def test_forward_matches_scalar():
 
 
 def test_forward_into_buffers_is_bitwise_equal():
-    rng = np.random.default_rng(4)
-    thetas = rng.normal(size=(9, 4))
-    for X in (rng.normal(size=(6, 2)), rng.normal(size=2)):
-        shape = X.shape[:-1] + (9,)
-        bufs = np.full(shape, np.nan), np.full(shape, np.nan)
-        vals, th = forward(thetas, X, out=bufs)
-        assert vals is bufs[0] and th is bufs[1]
-        want_vals, want_th = forward(thetas, X)
-        assert np.array_equal(vals, want_vals) and np.array_equal(th, want_th)
-        # the kernel's operations, written as one allocating expression
-        expr = np.tanh(X @ thetas[:, 1:-1].T + thetas[:, -1])
-        assert np.array_equal(th, expr) and np.array_equal(vals, thetas[:, 0] * expr)
-        # the buffers are reused, not read: a second call gives the same bits
-        forward(rng.normal(size=(9, 4)), X, out=bufs)
-        forward(thetas, X, out=bufs)
-        assert np.array_equal(bufs[0], want_vals) and np.array_equal(bufs[1], want_th)
-
-
-@pytest.mark.parametrize("n", [1, 3, 5])
-@pytest.mark.parametrize("K", [None, 1, 2, 7, 1000])  # None: one covariate (n,)
-def test_batch_kernel_keeps_the_bits_of_matmul(n, K):
     # np.dot and np.matmul agree bit for bit on batches of K >= 2
     # covariates, not on a (1, n) batch or an (n,) covariate at n >= 3
-    rng = np.random.default_rng(10 * n + (K or 0))
-    thetas = rng.normal(size=(80, n + 2))
-    X = rng.normal(size=(n,) if K is None else (K, n))
-    want = np.tanh(X @ thetas[:, 1:-1].T + thetas[:, -1])
-    assert np.array_equal(activations(thetas, X), want)
-    vals, th = forward(thetas, X)
-    assert np.array_equal(th, want) and np.array_equal(vals, thetas[:, 0] * want)
-    bufs = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
-    assert activations(thetas, X, out=bufs[1]) is bufs[1]
-    assert np.array_equal(bufs[1], want)
-    forward(thetas, X, out=bufs)
-    assert np.array_equal(bufs[0], thetas[:, 0] * want) and np.array_equal(bufs[1], want)
+    rng = np.random.default_rng(4)
+    for n in (1, 3, 5):
+        thetas = rng.normal(size=(80, n + 2))
+        for K in (None, 1, 2, 7, 1000):  # None: one covariate (n,)
+            X = rng.normal(size=(n,) if K is None else (K, n))
+            # the kernel's operations, written as one allocating expression
+            expr = np.tanh(X @ thetas[:, 1:-1].T + thetas[:, -1])
+            assert np.array_equal(activations(thetas, X), expr)
+            th_buf = np.full(expr.shape, np.nan)
+            assert activations(thetas, X, out=th_buf) is th_buf
+            assert np.array_equal(th_buf, expr)
+            want_vals, want_th = forward(thetas, X)
+            assert np.array_equal(want_th, expr)
+            assert np.array_equal(want_vals, thetas[:, 0] * expr)
+            bufs = np.full(expr.shape, np.nan), np.full(expr.shape, np.nan)
+            vals, th = forward(thetas, X, out=bufs)
+            assert vals is bufs[0] and th is bufs[1]
+            assert np.array_equal(vals, want_vals) and np.array_equal(th, want_th)
+            # the buffers are reused, not read: a second call gives the same bits
+            forward(rng.normal(size=thetas.shape), X, out=bufs)
+            forward(thetas, X, out=bufs)
+            assert np.array_equal(bufs[0], want_vals) and np.array_equal(bufs[1], want_th)
 
 
 def test_dimension_mismatch_rejected():
