@@ -38,7 +38,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    p = sub.add_parser("generate", parents=[], help="write train/test trajectory CSVs")
+    p = sub.add_parser("generate", help="write train/test trajectory CSVs")
     _add_common(p)
 
     p = sub.add_parser("oos-compare", help="paired online vs offline out-of-sample error")
@@ -62,7 +62,6 @@ def build_parser():
                    help="negative control: corrupt the sampling solver input")
 
     p = sub.add_parser("stats", help="summaries and paired tests of a numeric CSV")
-    _add_common(p)
     p.add_argument("--input", required=True, help="CSV file to analyze")
     p.add_argument("--columns", help="comma list of columns (default: all numeric)")
 
@@ -79,20 +78,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     t0 = time.time()
     try:
-        settings = build_settings(args.config, _overrides(args))
-        if args.command == "generate":
-            report = experiments.run_generate(settings)
-        elif args.command == "oos-compare":
-            report = experiments.run_oos_compare(settings)
-        elif args.command == "regret-sweep":
-            report = experiments.run_regret_sweep(settings)
-        elif args.command == "verify":
-            report = experiments.run_verify(settings, inject_bug=args.inject_bug)
-        elif args.command == "stats":
-            cols = args.columns.split(",") if args.columns else None
+        if args.command == "stats":
+            cols = [c.strip() for c in (args.columns or "").split(",") if c.strip()]
             report = experiments.run_stats(args.input, columns=cols)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
+        else:
+            settings = build_settings(args.config, _overrides(args))
+            if args.command == "generate":
+                report = experiments.run_generate(settings)
+            elif args.command == "oos-compare":
+                report = experiments.run_oos_compare(settings)
+            elif args.command == "regret-sweep":
+                report = experiments.run_regret_sweep(settings)
+            else:
+                report = experiments.run_verify(settings, inject_bug=args.inject_bug)
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         print()
         # wall clock stays out of the report files so reruns are byte-identical

@@ -103,10 +103,6 @@ class Trajectory:
     def x_dim(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(1, self.n_steps + 1)
-
     def to_csv(self, path):
         cols = ["k", "t"] + [f"x{j + 1}" for j in range(self.x_dim)] + ["y", "truth"]
         with open(path, "w", newline="") as fh:
@@ -118,21 +114,6 @@ class Trajectory:
                 row.append(repr(float(self.y[k])))
                 row.append("" if self.truth is None else repr(float(self.truth[k])))
                 w.writerow(row)
-
-    @staticmethod
-    def from_csv(path) -> "Trajectory":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        n = sum(1 for c in header if c.startswith("x"))
-        ks = np.array([float(r[0]) for r in body])
-        ts = np.array([float(r[1]) for r in body])
-        dt = ts[0] / ks[0]
-        x = np.array([[float(v) for v in r[2 : 2 + n]] for r in body])
-        y = np.array([float(r[2 + n]) for r in body])
-        truth_raw = [r[3 + n] for r in body]
-        truth = None if any(v == "" for v in truth_raw) else np.array([float(v) for v in truth_raw])
-        return Trajectory(dt=dt, x=x, y=y, truth=truth)
 
 
 def response_second_moment(traj: Trajectory) -> float:
@@ -159,12 +140,11 @@ PHI_INIT_SD = 0.8
 class NonlinearTruthModel:
     """Drifting truth f_t(x) = scale * sum_m sigma(x, phi_t^m).
 
-    phi holds the parameter paths, shape (K, M, d); phi_bar the OU anchors.
-    scale is the 2.5/M factor applied to the neuron sum.
+    phi holds the parameter paths, shape (K, M, d); scale is the 2.5/M
+    factor applied to the neuron sum.
     """
 
     scale: float
-    phi_bar: np.ndarray
     phi: np.ndarray
 
     def evaluate(self, k_idx: int, x) -> float:
@@ -225,7 +205,7 @@ def gen_nonlinear(seed: int, n_steps: int = 1000, dt: float = 0.02, return_truth
     phi0 = PHI_INIT_SD * rng_init.standard_normal((M, d))
     phi_ou = OuParams(rate=PHI_RATE, mean=phi_bar, vol=PHI_VOL)
     phi = euler_ou_path(phi_ou, phi0, n_steps, dt, substream(seed, "phi-path"))
-    model = NonlinearTruthModel(scale=NONLINEAR_AMPLITUDE / M, phi_bar=phi_bar, phi=phi)
+    model = NonlinearTruthModel(scale=NONLINEAR_AMPLITUDE / M, phi=phi)
 
     train, test = _stream_pair(seed, NONLINEAR_X_OU, NONLINEAR_X_DIM, NONLINEAR_NOISE_OU,
                                n_steps, dt, model.evaluate_path)

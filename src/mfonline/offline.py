@@ -128,7 +128,6 @@ class OosComparison:
 
     mse_online: float
     mse_offline: float
-    online_train_pred: np.ndarray
     offline_loss_trace: np.ndarray
     offline_grad_max: float  # max |grad| of the fit's last step, before that step
 
@@ -152,7 +151,6 @@ def compare_oos(train, test, onpgd_config: OnpgdConfig, offline_config: OfflineF
     return OosComparison(
         mse_online=mse_online,
         mse_offline=mse_offline,
-        online_train_pred=result.train_pred,
         offline_loss_trace=trace,
         offline_grad_max=grad_max,
     )

@@ -42,6 +42,7 @@ def test_settings_flag_dests_are_config_keys():
         assert dests <= set(SCHEMA), name
     regret = {a.dest for a in _commands()["regret-sweep"]._actions}
     assert {"regret.stride", "regret.static", "sweep.n", "sweep.beta", "sweep.lambda"} <= regret
+    assert {a.dest for a in _commands()["stats"]._actions} == {"help", "input", "columns"}
 
 
 @pytest.mark.parametrize("flags, line", [

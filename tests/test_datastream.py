@@ -80,7 +80,6 @@ def test_euler_ou_vector_state_and_errors():
 def test_trajectory_basics_and_validation():
     tr = Trajectory(dt=0.5, x=np.arange(4.0), y=np.arange(4.0))
     assert tr.x.shape == (4, 1)  # 1-d x promoted to a column
-    assert np.allclose(tr.times, [0.5, 1.0, 1.5, 2.0])
     assert tr.n_steps == 4 and tr.x_dim == 1
     with pytest.raises(ValueError):
         Trajectory(dt=0.0, x=np.ones((2, 1)), y=np.ones(2))
@@ -90,30 +89,13 @@ def test_trajectory_basics_and_validation():
         Trajectory(dt=0.1, x=np.ones((2, 1)), y=np.ones(2), truth=np.ones(3))
 
 
-def test_trajectory_csv_roundtrip(tmp_path):
-    train, _ = gen_periodic(99, n_steps=25)
-    p = tmp_path / "t.csv"
-    train.to_csv(p)
-    back = Trajectory.from_csv(p)
-    assert back.dt == train.dt
-    assert np.array_equal(back.x, train.x)  # repr() serialization is lossless
-    assert np.array_equal(back.y, train.y)
-    assert np.array_equal(back.truth, train.truth)
-
-    # truth channel absent stays absent
-    bare = Trajectory(dt=0.1, x=train.x, y=train.y)
-    p2 = tmp_path / "bare.csv"
-    bare.to_csv(p2)
-    assert Trajectory.from_csv(p2).truth is None
-
-
 def test_gen_periodic_structure():
     train, test = gen_periodic(5, n_steps=200)
     assert train.n_steps == test.n_steps == 200
     assert train.dt == 0.02
     assert train.x_dim == 1
     # truth channel is sin(h t) x by construction
-    coeff = np.sin(PERIODIC_H * train.times)
+    coeff = np.sin(PERIODIC_H * train.dt * np.arange(1, train.n_steps + 1))
     assert np.max(np.abs(train.truth - coeff * train.x[:, 0])) < 1e-14
     # noise channel is y - truth, starts near zero (xi_0 = 0)
     xi = train.y - train.truth

@@ -346,6 +346,9 @@ def test_cli_stats_success_and_failure(tmp_path, capsys):
     assert cli.main(["stats", "--input", str(path)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["command"] == "stats"
+    # column names are stripped and empty entries dropped, as in config lists
+    assert cli.main(["stats", "--input", str(path), "--columns", "a, b,"]) == 0
+    assert json.loads(capsys.readouterr().out) == rep
     assert cli.main(["stats", "--input", str(tmp_path / "missing.csv")]) == 1
     assert "error" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfonline.datastream import gen_nonlinear, gen_periodic
+from mfonline.measures import predict
 from mfonline.network import forward
 from mfonline.onpgd import BlowUpError, OnpgdConfig, _advance, init_ensemble, run_online
 from mfonline.seeding import substream
@@ -211,6 +212,8 @@ def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
     assert np.array_equal(res.extra_pred, extra_pred)
     assert [k for k, _ in res.snapshots] == [k for k, _ in snapshots] == at
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(res.snapshots, snapshots))
+    # the training prediction at step k is the snapshot's own prediction, bit for bit
+    assert all(res.train_pred[k - 1] == predict(snap, train.x[k - 1]) for k, snap in res.snapshots)
 
 
 @pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
