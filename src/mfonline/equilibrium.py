@@ -22,10 +22,8 @@ the two moments a cost needs, the prediction m (per data point for the
 hindsight measure) and the second moment q = <rho, |theta|^2>, so the
 samples never leave the solver.
 
-Both normalize their weights with ``_logsumexp``, a numpy log-sum-exp
-that takes the same steps as ``scipy.special.logsumexp`` and so gives the
-same bits, without scipy's array-API dispatch on every root-finder step
-or the import of ``scipy.special``.
+Both normalize their weights with ``importance_weights``, a one-pass
+numpy softmax that exponentiates each weight vector once.
 
 A deterministic 1-d Simpson quadrature oracle solves the same equilibrium
 for single-parameter neurons sigma(x, theta) = tanh(theta x) and backs the
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import sq_norms
-from .network import forward, unpack
+from .network import activations, forward, unpack
 
 
 class ConvergenceError(RuntimeError):
@@ -94,32 +92,18 @@ def default_sigma_fn(x, samples) -> np.ndarray:
     raise ValueError("d == 2 has no default neuron; pass sigma_fn explicitly")
 
 
-def _logsumexp(a) -> float:
-    """log(sum(exp(a))) of a 1-d float array, bitwise equal to scipy's.
-
-    The max-split form of Blanchard, Higham & Higham (IMA J. Numer. Anal.
-    2021), step for step as ``scipy.special.logsumexp``: the m entries
-    equal to the maximum leave the sum, the rest is shifted by the maximum,
-    and the result is log1p(s / m) + log(m) + max.  Raises ValueError when
-    the maximum is not finite (a NaN entry, +inf, or all -inf), where
-    scipy would return NaN or an infinity.
-    """
-    a_max = a.max()
-    if not np.isfinite(a_max):
-        raise ValueError(f"log-sum-exp needs a finite maximum, got {a_max!r}")
-    mask = a == a_max
-    m = np.float64(np.count_nonzero(mask))
-    t = a - a_max
-    t[mask] = -np.inf
-    np.exp(t, out=t)
-    return np.log1p(t.sum() / m) + np.log(m) + a_max
-
-
 def importance_weights(exponents) -> np.ndarray:
-    """Normalized weights exp(exponents) / sum, max-shifted for stability."""
+    """Normalized weights exp(e - max e) / sum over the exponents e, in one
+    pass with one exponential per entry.  Raises ValueError when the
+    maximum is not finite (a NaN entry, +inf, or all -inf)."""
     exponents = np.asarray(exponents, dtype=float)
-    w = exponents - _logsumexp(exponents)
-    return np.exp(w, out=w)
+    e_max = exponents.max()
+    if not np.isfinite(e_max):
+        raise ValueError(f"importance weights need a finite maximum exponent, got {e_max!r}")
+    w = exponents - e_max
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def _tilted_map(m, svals, sq, y, beta):
@@ -288,18 +272,19 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500) -> RhoStarSolut
     """Hindsight benchmark over a whole trajectory by gradient-only L-BFGS.
 
     ``samples`` are network parameters, shape (n_is, n + 2) for the
-    trajectory's covariate dimension n.  The tilt integral uses one rectangle of width dt per data point, and
-    T = K dt, so the per-sample exponent is -(2 / (beta K)) sum_k
-    (u_k - y_k) sigma(x_k, theta_i).  The fixed point u = U(u) of the
+    trajectory's covariate dimension n.  The tilt integral uses one
+    rectangle of width dt per data point, and T = K dt, so the per-sample
+    exponent is -(2 / (beta K)) sum_k (u_k - y_k) S_ki with the neuron
+    values S_ki = sigma(x_k, theta_i).  The fixed point u = U(u) of the
     reweighted predictions is the minimizer of the strictly convex merit
         H(u) = |u|^2 / 2 + (beta K / 2) logsumexp_i(-(2/(beta K)) S_i (u - y)),
     whose gradient is exactly u - U(u) and whose Hessian
     I + (2/(beta K)) Cov_w(S) is at least I.  ``_lbfgs`` runs from u = 0 on
     that gradient alone until the fixed-point residual
     max_k |U(u)_k - u_k| falls to tol.  ``max_iters`` counts residual
-    checks, the one at u = 0 and one per accepted step.  Raises
-    ConvergenceError, carrying the residual trace, when the residual is
-    still above tol.
+    checks, the one at u = 0 and one per accepted step; ``measure.m`` is
+    U(u) from the same evaluation.  Raises ConvergenceError, carrying the
+    residual trace, when the residual is still above tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -307,22 +292,17 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500) -> RhoStarSolut
         raise ValueError("max_iters must be >= 1")
     samples = np.asarray(samples, dtype=float)
     K = traj.n_steps
-    # row k holds the network neurons (d = n + 2) at x_k, written in place;
-    # one matrix-matrix forward over all x_k can differ in the last bit
-    S = np.empty((K, samples.shape[0]))
-    buf = np.empty(samples.shape[0])
-    for k in range(K):
-        forward(samples, traj.x[k], out=(S[k], buf))
+    # row k holds the network neurons (d = n + 2) at x_k
+    S = activations(samples, traj.x)
+    S *= samples[:, 0]
     coef = -2.0 / (beta * K)
 
     def residual_map(u):
         w = importance_weights(coef * ((u - traj.y) @ S))
-        return u - S @ w, w
+        preds = S @ w
+        return u - preds, (w, preds)
 
-    u, w, trace, n_evals = _lbfgs(residual_map, np.zeros(K), tol, max_iters)
-    # one dot per row: the bits of each point's own prediction, which S @ w
-    # can miss in the last place
-    preds = np.array([row @ w for row in S])
+    u, (w, preds), trace, n_evals = _lbfgs(residual_map, np.zeros(K), tol, max_iters)
     measure = WeightedMeasure(w, preds, float(sq_norms(samples) @ w))
     return RhoStarSolution(u=u, measure=measure, residual=trace[-1], n_iters=len(trace),
                            n_evals=n_evals, residual_trace=trace)

@@ -12,7 +12,7 @@ byte-identical for any --threads value.
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import product
 
 import numpy as np
@@ -91,22 +91,12 @@ def _pool_map(fn, items, threads):
 def _summary_dict(values):
     if len(values) == 1:
         return {"values": [float(values[0])]}
-    s = summarize(values)
-    return {"n": s.n, "mean": s.mean, "sd": s.sd, "ci_low": s.ci_low, "ci_high": s.ci_high}
+    return asdict(summarize(values))
 
 
 def _paired_dict(a, b):
     try:
-        r = paired_tests(np.asarray(a), np.asarray(b))
-        return {
-            "n": r.n,
-            "mean_diff": r.mean_diff,
-            "t_stat": r.t_stat,
-            "t_pvalue": r.t_pvalue,
-            "wilcoxon_stat": r.wilcoxon_stat,
-            "wilcoxon_pvalue": r.wilcoxon_pvalue,
-            "wilcoxon_exact": r.wilcoxon_exact,
-        }
+        return asdict(paired_tests(np.asarray(a), np.asarray(b)))
     except (DegenerateDataError, ValueError) as e:
         return {"error": str(e)}
 
@@ -426,6 +416,9 @@ def run_stats(input_csv, columns=None) -> dict:
         missing = [c for c in columns if c not in numeric]
         if missing:
             raise ValueError(f"columns not found or not numeric: {missing}")
+        repeated = sorted({c for c in columns if columns.count(c) > 1})
+        if repeated:
+            raise ValueError(f"columns named more than once: {repeated}")
         use = columns
     else:
         use = [c for c in numeric if c.lower() not in ("trial", "k", "iter", "sample_id", "t")]

@@ -33,17 +33,14 @@ def activations(thetas, X, out=None):
     return np.tanh(th, out=th)
 
 
-def forward(thetas, X, out=None):
+def forward(thetas, X):
     """Neuron values and activations of an (N, d) parameter array.
 
     Returns (a * t, t) with t = activations(thetas, X), each of shape (N,)
-    or (K, N).  Given out=(vals, th), two C-contiguous float64 arrays of
-    that shape, the results are written into them and they are returned,
-    so a loop allocates nothing per call.
+    or (K, N).
     """
-    vals, th = out or (None, None)
-    th = activations(thetas, X, out=th)
-    return np.multiply(np.asarray(thetas)[:, 0], th, out=vals), th
+    th = activations(thetas, X)
+    return np.asarray(thetas)[:, 0] * th, th
 
 
 def unpack(z):

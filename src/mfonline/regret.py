@@ -30,8 +30,7 @@ from .equilibrium import (
     solve_mu_star,
     solve_rho_star,
 )
-from .measures import cost_u, cost_u_unreg, oos_mse, predict, second_moment
-from .network import unpack
+from .measures import cost_u, cost_u_unreg, oos_mse, second_moment
 from .onpgd import run_online
 from .seeding import substream
 
@@ -142,9 +141,10 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
                                    residual_trace=exc.residual_trace) from exc
 
     for j, k in enumerate(ks):
-        z = (train.x[k - 1], train.y[k - 1])
-        x, y = unpack(z)
-        learner = (predict(snaps[k], x), second_moment(snaps[k]))
+        y = float(train.y[k - 1])
+        z = (train.x[k - 1], y)
+        # the online pass recorded the pre-update prediction at x_k
+        learner = (float(result.train_pred[k - 1]), second_moment(snaps[k]))
         rng = substream(seed, "dynamic-benchmark", j)
         samples = draw_prior_samples(n_is, dim, prior_var, rng)
         try:

@@ -1,12 +1,13 @@
 """Reference equilibrium map for the tests, normalized by scipy's logsumexp.
 
-``tilted_map`` is the fixed-point map of ``mfonline.equilibrium`` as it
-reads with ``scipy.special.logsumexp``: the weights are
-exp(e - logsumexp(e)) for the exponents e = -(2/beta)(m - y) sigma, and
-the map returns their mean prediction, its slope -(2/beta) Var(sigma) and
-the weights.  ``oracle_mu_star`` drives the package's own Newton root
-finder with it, so a solve that differs from it in any bit points at the
-log-sum-exp.
+``tilted_map`` is the fixed-point map of ``mfonline.equilibrium`` with
+the weights normalized by ``scipy.special.logsumexp`` instead of the
+package's one-pass softmax: exp(e - logsumexp(e)) for the exponents
+e = -(2/beta)(m - y) sigma.  It returns their mean prediction, its slope
+-(2/beta) Var(sigma) and the weights.  ``oracle_mu_star`` drives the
+package's own Newton root finder with it, so the two solves differ only
+in how the weights are normalized, and their roots lie within 2 root_tol
+of each other.
 """
 
 import numpy as np

@@ -92,6 +92,12 @@ def test_run_stats_rejects_empty_and_nonnumeric(tmp_path):
     write_csv(words, ["name"], [("a",), ("b",)])
     with pytest.raises(ValueError, match="no numeric"):
         run_stats(words)
+    # a column paired with itself is rejected like a missing one, by name
+    nums = tmp_path / "nums.csv"
+    write_csv(nums, ["a", "b"], [(1.0, 2.0), (3.0, 5.0)])
+    with pytest.raises(ValueError, match=r"more than once: \['a'\]"):
+        run_stats(nums, columns=["a", "b", "a"])
+    assert cli.main(["stats", "--input", str(nums), "--columns", "a,a"]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""What a bare package import and the CLI load at start-up."""
+"""What a bare package import and the CLI load at start-up, and what the
+package imports."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -64,3 +67,21 @@ def test_paired_tests_loads_scipy_special_at_six_pairs():
     before, after, result = _fresh_interpreter(code)
     assert (before, after) == ("False", "True")
     assert result == repr(paired_tests(A, B))
+
+
+def test_every_imported_name_is_read():
+    # an import that nothing reads is a leftover of a deleted call
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(mfonline.__file__), "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{os.path.basename(path)}:{line} {name}"
+                   for name, line in sorted(imported.items()) if name not in read]
+    assert unused == []
