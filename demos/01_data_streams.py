@@ -12,7 +12,9 @@ import tempfile
 
 import numpy as np
 
+from mfonline.config import Settings
 from mfonline.datastream import gen_nonlinear, gen_periodic
+from mfonline.experiments import run_generate
 
 SEED = 20260817
 
@@ -35,9 +37,10 @@ a, _ = gen_periodic(SEED)
 b, _ = gen_periodic(SEED)
 print("replay bit-identical:", np.array_equal(a.y, b.y))
 
+# `mfonline generate` writes each trial's pair as CSV, one row per step
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "periodic_train.csv")
-    a.to_csv(path)
+    run_generate(Settings(scenario="periodic", trials=1, out=tmp))
+    path = os.path.join(tmp, "periodic-data", "periodic", "trial000", "train.csv")
     with open(path) as fh:
         header = fh.readline().strip()
         rows = sum(1 for _ in fh)

@@ -16,10 +16,12 @@ declares each key's ``Settings`` field, value kind and range once.  A
 value is read as its key's kind where the text is one (an integer, a
 number, a true/false word), a comma makes a list, and any other text
 stays a string, so ``experiment = 2024`` names a directory.  ``Settings``
-rejects a value of another kind with a message naming the key.
+rejects a value of another kind, or a number that is not finite, with a
+message naming the key.
 Command-line flags override file values, which override the defaults.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -105,9 +107,7 @@ SCHEMA = {
     "onpgd.init_sd": ("init_sd", ((int, float, type(None)), "a number or 'gibbs'"), POSITIVE),
     "onpgd.self_interaction": ("self_interaction", BOOL, None),
     "is.n": ("n_is", INT, _at_least(2)),
-    "is.root_tol": ("root_tol", NUMBER, POSITIVE),
     "offline.iters": ("offline_iters", INT, _at_least(1)),
-    "offline.lr": ("offline_lr", NUMBER, POSITIVE),
     # a stride beyond n_steps is left to each trial to report
     "regret.stride": ("eval_stride", INT, _at_least(1)),
     "regret.static": ("include_static", BOOL, None),
@@ -137,9 +137,7 @@ class Settings:
     init_sd: float | str | None = 1.0
     self_interaction: bool = True
     n_is: int = 20000
-    root_tol: float = 1e-10
     offline_iters: int = 2000
-    offline_lr: float = 0.05
     eval_stride: int = 100
     include_static: bool = False
     sweep_n: list = field(default_factory=list)
@@ -160,6 +158,8 @@ class Settings:
             for v in entries:
                 if not isinstance(v, types) or isinstance(v, bool) != (bool in types):
                     raise ValueError(f"{label} must be {what}, got {v!r}")
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{label} must be finite, got {v!r}")
                 if check and v is not None and not check[0](v):
                     raise ValueError(f"{label} must be {check[1]}, got {v!r}")
 

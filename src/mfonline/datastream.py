@@ -19,7 +19,6 @@ constants below, and a generator takes only the seed, the horizon n_steps
 and the step dt.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,18 +101,6 @@ class Trajectory:
     @property
     def x_dim(self) -> int:
         return self.x.shape[1]
-
-    def to_csv(self, path):
-        cols = ["k", "t"] + [f"x{j + 1}" for j in range(self.x_dim)] + ["y", "truth"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for k in range(self.n_steps):
-                row = [k + 1, repr(float((k + 1) * self.dt))]
-                row += [repr(float(v)) for v in self.x[k]]
-                row.append(repr(float(self.y[k])))
-                row.append("" if self.truth is None else repr(float(self.truth[k])))
-                w.writerow(row)
 
 
 def response_second_moment(traj: Trajectory) -> float:

@@ -9,6 +9,7 @@ Workers only compute and write their own trial directory, so results are
 byte-identical for any --threads value.
 """
 
+import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -29,9 +30,9 @@ from .equilibrium import (
     verify_dym_formula,
     verify_gap_decomposition,
 )
-from .offline import OfflineFitConfig, compare_oos, loss_trace_to_csv
+from .offline import OfflineFitConfig, compare_oos
 from .onpgd import BlowUpError, OnpgdConfig
-from .regret import regret_run, regret_to_csv
+from .regret import regret_run
 from .seeding import substream
 from .stats import DegenerateDataError, paired_tests, summarize
 from .theory import BoundSpec, compute_constants
@@ -81,6 +82,30 @@ def _write_report(root, report):
         fh.write("\n")
 
 
+def _write_csv(path, header, rows):
+    """Write a header and rows; every float is written as repr(float(v)),
+    the shortest text that reads back to the same bits."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def loss_trace_to_csv(trace, path):
+    _write_csv(path, ["iter", "loss"], enumerate(trace))
+
+
+def regret_to_csv(bundle, path, trial, n_particles, beta, lam):
+    """Write all series of a bundle as rows
+    t, instantaneous, cumulative, variant, benchmark, trial, N, beta, lambda."""
+    rows = ([t, i_val, c_val, v, b, trial, n_particles, beta, lam]
+            for (b, v), s in sorted(bundle.series.items())
+            for t, i_val, c_val in zip(s.times, s.instantaneous, s.cumulative))
+    _write_csv(path, ["t", "instantaneous", "cumulative", "variant", "benchmark",
+                      "trial", "N", "beta", "lambda"], rows)
+
+
 def _pool_map(fn, items, threads):
     if threads <= 1:
         return [fn(item) for item in items]
@@ -113,8 +138,12 @@ def run_generate(settings: Settings) -> dict:
     def one(trial):
         train, test = generate_pair(settings, trial)
         tdir = _trial_dir(root, settings.scenario, trial)
-        train.to_csv(os.path.join(tdir, "train.csv"))
-        test.to_csv(os.path.join(tdir, "test.csv"))
+        for name, traj in (("train", train), ("test", test)):
+            truth = [None] * traj.n_steps if traj.truth is None else traj.truth
+            rows = ([k + 1, float((k + 1) * traj.dt), *traj.x[k], traj.y[k], truth[k]]
+                    for k in range(traj.n_steps))
+            _write_csv(os.path.join(tdir, f"{name}.csv"),
+                       ["k", "t"] + [f"x{j + 1}" for j in range(traj.x_dim)] + ["y", "truth"], rows)
         return {
             "trial": trial,
             "train_second_moment": response_second_moment(train),
@@ -143,7 +172,7 @@ def run_oos_compare(settings: Settings) -> dict:
     """Paired online/offline out-of-sample MSE over the trials."""
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-oos")
     cell, onpgd = learner_cell(settings, settings.n_particles, settings.beta, settings.lam)
-    offline = OfflineFitConfig(iters=settings.offline_iters, learning_rate=settings.offline_lr)
+    offline = OfflineFitConfig(iters=settings.offline_iters)
 
     def one(trial):
         train, test = generate_pair(settings, trial)
@@ -156,13 +185,8 @@ def run_oos_compare(settings: Settings) -> dict:
     rows = _pool_map(one, range(settings.trials), settings.threads)
 
     os.makedirs(os.path.join(root, cell), exist_ok=True)
-    with open(os.path.join(root, cell, "mse_pairs.csv"), "w", newline="") as fh:
-        import csv
-
-        w = csv.writer(fh)
-        w.writerow(["trial", "mse_online", "mse_offline"])
-        for r in rows:
-            w.writerow([r["trial"], repr(r["mse_online"]), repr(r["mse_offline"])])
+    _write_csv(os.path.join(root, cell, "mse_pairs.csv"), ["trial", "mse_online", "mse_offline"],
+               ([r["trial"], r["mse_online"], r["mse_offline"]] for r in rows))
 
     online = [r["mse_online"] for r in rows]
     offline_vals = [r["mse_offline"] for r in rows]
@@ -233,7 +257,7 @@ def run_regret_sweep(settings: Settings) -> dict:
             bundle = regret_run(
                 train, cell["onpgd"], settings.eval_stride,
                 cell_seed(settings, cell["name"], trial), n_is=settings.n_is,
-                root_tol=settings.root_tol, include_static=settings.include_static, test=test,
+                include_static=settings.include_static, test=test,
             )
             tdir = _trial_dir(root, cell["name"], trial)
             regret_to_csv(bundle, os.path.join(tdir, "regret.csv"), trial=trial,
@@ -357,7 +381,7 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
         m_quad, _ = solve_mu_star_quadrature((x, y), beta, lam, grid)
         samples = draw_prior_samples(200000, 1, prior_var, srng)
         try:
-            m_is, _ = solve_mu_star(samples, (x, y), beta, settings.root_tol, sigma_fn=sigma_fn)
+            m_is, _ = solve_mu_star(samples, (x, y), beta, sigma_fn=sigma_fn)
             worst_cross = max(worst_cross, abs(m_is - m_quad))
         except ConvergenceError:
             worst_cross = float("inf")
@@ -399,8 +423,6 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
 
 def run_stats(input_csv, columns=None) -> dict:
     """Summaries (and paired tests for two columns) of a numeric CSV."""
-    import csv
-
     with open(input_csv, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:

@@ -112,16 +112,6 @@ def fit_offline(traj, config: OfflineFitConfig, learner: OnpgdConfig, rng):
     return thetas, trace, float(np.abs(grad).max())
 
 
-def loss_trace_to_csv(trace, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "loss"])
-        for j, v in enumerate(trace):
-            w.writerow([j, repr(float(v))])
-
-
 @dataclass
 class OosComparison:
     """Paired out-of-sample MSEs of the two learners on one data draw."""

@@ -45,9 +45,8 @@ class OnpgdConfig:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         self._require(lambda v: v >= 0, "nonnegative")
-        if self.init_sd is None and self.lam == 0:
-            raise ValueError("lam (onpgd.lambda) = 0 leaves the Gibbs init N(0, beta / lam) "
-                             "undefined; give init_sd (onpgd.init_sd) explicitly")
+        if self.init_sd is None:
+            self.prior_var()  # the Gibbs init
 
     def _require(self, ok, what):
         """Raise ValueError naming beta or lam, whichever ok rejects first;
@@ -66,7 +65,7 @@ class OnpgdConfig:
     def initial_sd(self) -> float:
         if self.init_sd is not None:
             return self.init_sd
-        return float(np.sqrt(self.beta / self.lam))
+        return float(np.sqrt(self.prior_var()))
 
 
 def init_ensemble(config: OnpgdConfig, dim: int, rng) -> np.ndarray:

@@ -19,7 +19,6 @@ the subgrid {1, stride, 2 stride, ..., K}, so the first point is the
 untrained ensemble and cumulative regret starts at zero there.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +95,7 @@ class RegretBundle:
         return self.series[(benchmark, variant)]
 
 
-def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_tol=1e-10,
+def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000,
                include_static=False, test=None) -> RegretBundle:
     """Train online on ``train`` and measure regret on the subgrid.
 
@@ -106,9 +105,9 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
     benchmark: fresh prior samples are drawn per evaluation point from a
     substream keyed by the point's ordinal, so threading over trials or
     points cannot change results; each point's fixed point is solved to
-    root_tol.  Static benchmark (include_static) solves the hindsight
-    measure once from its own substream.  With ``test`` given,
-    out-of-sample predictions are recorded during the run.
+    solve_mu_star's default tolerance.  Static benchmark (include_static)
+    solves the hindsight measure once from its own substream.  With
+    ``test`` given, out-of-sample predictions are recorded during the run.
     """
     lam = onpgd_config.lam
     beta = onpgd_config.beta
@@ -148,7 +147,7 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
         rng = substream(seed, "dynamic-benchmark", j)
         samples = draw_prior_samples(n_is, dim, prior_var, rng)
         try:
-            _, mu_hat = solve_mu_star(samples, z, beta, root_tol)
+            _, mu_hat = solve_mu_star(samples, z, beta)
         except ConvergenceError as exc:
             raise ConvergenceError(f"benchmark solve failed at subgrid index {j} (step {k}): {exc}") from exc
         mu_ess.append(mu_hat.ess())
@@ -173,18 +172,3 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000, root_
     mse = oos_mse(result.extra_pred, test) if test is not None else None
     return RegretBundle(eval_ks=ks, series=series, mse=mse, rho_star=static_solution,
                         mu_star_ess=mu_ess)
-
-
-def regret_to_csv(bundle: RegretBundle, path, trial=0, n_particles=None, beta=None, lam=None):
-    """Write all series of a bundle as rows
-    t, instantaneous, cumulative, variant, benchmark, trial, N, beta, lambda."""
-    cols = ["t", "instantaneous", "cumulative", "variant", "benchmark",
-            "trial", "N", "beta", "lambda"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for (b, v), s in sorted(bundle.series.items()):
-            for t, i_val, c_val in zip(s.times, s.instantaneous, s.cumulative):
-                w.writerow([repr(float(t)), repr(float(i_val)), repr(float(c_val)),
-                            v, b, trial, n_particles, repr(beta) if beta is not None else "",
-                            repr(lam) if lam is not None else ""])

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from mfonline.config import Settings
-from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
+from mfonline.datastream import Trajectory
 from mfonline.equilibrium import (
     QuadratureGrid,
     _tilted_map,
@@ -28,7 +28,7 @@ from mfonline.equilibrium import (
     draw_prior_samples,
     solve_mu_star_quadrature,
 )
-from mfonline.experiments import run_regret_sweep, run_verify
+from mfonline.experiments import cell_seed, generate_pair, run_regret_sweep, run_verify
 from mfonline.measures import predict, second_moment
 from mfonline.offline import OfflineFitConfig, batch_loss, batch_loss_grad, compare_oos
 from mfonline.onpgd import OnpgdConfig, _advance, init_ensemble
@@ -50,15 +50,9 @@ def _line(capsys, num, name, ok, detail):
         print(f"[criterion {num}] {name}: {verdict}  ({detail})", flush=True)
 
 
-def data_pair(scenario, trial):
-    seed = int(substream(MASTER, "data", trial).integers(2**63))
-    if scenario == "periodic":
-        return gen_periodic(seed)
-    return gen_nonlinear(seed)
-
-
-def cell_seed(cell, trial):
-    return int(substream(MASTER, "cell", cell, "trial", trial).integers(2**63))
+# data and cell seeds come from the master seed as the CLI derives them
+SETTINGS = {scenario: Settings(scenario=scenario, seed=MASTER)
+            for scenario in ("periodic", "nonlinear")}
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +71,9 @@ def oos_results():
     for scenario in ("periodic", "nonlinear"):
 
         def one(trial):
-            train, test = data_pair(scenario, trial)
-            r = compare_oos(train, test, onpgd, offline, cell_seed(cell, trial))
+            train, test = generate_pair(SETTINGS[scenario], trial)
+            r = compare_oos(train, test, onpgd, offline,
+                            cell_seed(SETTINGS[scenario], cell, trial))
             return r.mse_online, r.mse_offline
 
         with ThreadPoolExecutor(THREADS) as pool:
@@ -115,8 +110,9 @@ def regret_cells():
                             init_sd=INIT_SD)
 
         def one(trial):
-            train, test = data_pair("nonlinear", trial)
-            b = regret_run(train, onpgd, 100, cell_seed(name, trial), test=test)
+            train, test = generate_pair(SETTINGS["nonlinear"], trial)
+            b = regret_run(train, onpgd, 100, cell_seed(SETTINGS["nonlinear"], name, trial),
+                           test=test)
             reg = b.get("dynamic", "regularized")
             unreg = b.get("dynamic", "unregularized")
             return {
@@ -178,7 +174,7 @@ def test_c1_online_vs_offline_bands(oos_results, capsys):
 def test_c2_response_moment_bands(capsys):
     means = {}
     for scenario, center, half in (("periodic", 0.525, 0.15), ("nonlinear", 0.047, 0.02)):
-        vals = [float(np.mean(data_pair(scenario, t)[0].y ** 2)) for t in range(TRIALS)]
+        vals = [float(np.mean(generate_pair(SETTINGS[scenario], t)[0].y ** 2)) for t in range(TRIALS)]
         means[scenario] = (float(np.mean(vals)), center, half)
     ok = all(abs(m - c) <= h for m, c, h in means.values())
     detail = "; ".join(f"{s} mean-sq {m:.4f} target {c}+-{h}"

@@ -81,7 +81,7 @@ def test_importance_weights_rejects_a_non_finite_maximum(bad):
 
 
 @pytest.mark.parametrize("case", sorted(_lse_cases()))
-def test_importance_weights_bitwise_equal_to_scipy(case):
+def test_importance_weights_match_long_double_softmax(case):
     # held to a long-double softmax within the bound of _assert_softmax_close
     e = _lse_cases()[case]
     before = e.copy()
@@ -95,7 +95,7 @@ def _is_case(beta):
 
 
 @pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
-def test_solve_mu_star_bitwise_equal_to_scipy_oracle(beta):
+def test_solve_mu_star_within_two_root_tol_of_scipy_oracle(beta):
     # m* within 2 root_tol of the scipy-normalized solve (g' <= -1, so two
     # points with |g| <= root_tol lie within 2 root_tol of each other), and
     # the weights are the softmax of the exponents at m*
@@ -119,7 +119,7 @@ def test_solve_mu_star_moments_bitwise_equal_to_weighted_oracle(beta):
     assert _bits(measure.q) == _bits(weighted_second_moment(samples, measure.weights))
 
 
-def test_solve_rho_star_moments_bitwise_equal_to_weighted_oracle():
+def test_solve_rho_star_moments_match_weighted_oracle():
     train, _ = gen_periodic(3, n_steps=40)
     samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
     sol = solve_rho_star(train, samples, beta=0.02)
@@ -163,14 +163,14 @@ def test_default_sigma_fn_dims():
         default_sigma_fn(1.0, np.ones((3, 2)))
 
 
-def test_phi_hat_constant_sigma():
+def test_tilted_map_constant_sigma():
     # sigma == c for every sample makes the reweighted mean exactly c
     svals = np.full(50, 0.4)
     val = _tilted_map(0.7, svals, svals * svals, 0.2, 0.1)[0]
     assert abs(val - 0.4) < 1e-14
 
 
-def test_phi_hat_monotone_pairs():
+def test_tilted_map_monotone_pairs():
     # the fixed-point map Phi(m), the reweighted mean prediction at tilt
     # level m, is nonincreasing in m
     rng = substream(7, "pairs")

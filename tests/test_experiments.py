@@ -17,6 +17,7 @@ from mfonline import cli
 import mfonline.experiments as exp
 import mfonline.regret as regret
 from mfonline.config import OUT_ENV_VAR, Settings
+from mfonline.datastream import gen_nonlinear
 from mfonline.equilibrium import ConvergenceError
 from mfonline.experiments import (
     generate_pair,
@@ -26,6 +27,8 @@ from mfonline.experiments import (
     run_stats,
 )
 from mfonline.offline import OfflineFitConfig, fit_offline
+from mfonline.onpgd import OnpgdConfig
+from mfonline.regret import regret_run
 from mfonline.seeding import substream
 
 
@@ -123,6 +126,27 @@ def test_generate_layout_and_determinism(tmp_path):
     assert rep == {**rep2}
 
 
+def test_generate_csv_holds_the_trajectory_bits(tmp_path):
+    s = small_settings(tmp_path, trials=1)
+    run_generate(s)
+    train, _ = generate_pair(s, 0)
+    path = os.path.join(s.out_dir(), "periodic-data", "periodic", "trial000", "train.csv")
+    with open(path) as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    assert header == ["k", "t", "x1", "y", "truth"]
+    assert [int(r[0]) for r in rows] == list(range(1, s.n_steps + 1))
+    cols = np.array([[float(v) for v in r[1:]] for r in rows])
+    assert np.array_equal(cols[:, 0], np.arange(1, s.n_steps + 1) * s.dt)
+    assert np.array_equal(cols[:, 1:], np.column_stack([train.x, train.y, train.truth]))
+
+
+def test_write_csv_formats_each_float_one_way(tmp_path):
+    path = tmp_path / "rows.csv"
+    exp._write_csv(path, ["a", "b", "c", "d"], [[1, 0.1, np.float64(0.1), None],
+                                                [2, 1e-300, np.float64(2.0), "x"]])
+    assert path.read_bytes() == b"a,b,c,d\r\n1,0.1,0.1,\r\n2,1e-300,2.0,x\r\n"
+
+
 def test_data_shared_across_parameter_cells(tmp_path):
     # the data substream ignores learner settings, so paired comparisons
     # across cells see identical trajectories
@@ -165,7 +189,7 @@ def test_oos_compare_reports_offline_grad_max(tmp_path):
     with open(os.path.join(s.out_dir(), "periodic-oos", "report.json")) as fh:
         assert json.load(fh)["per_trial"] == rep["per_trial"]
     cell, onpgd = exp.learner_cell(s, s.n_particles, s.beta, s.lam)
-    offline = OfflineFitConfig(iters=s.offline_iters, learning_rate=s.offline_lr)
+    offline = OfflineFitConfig(iters=s.offline_iters)
     for row in rep["per_trial"]:
         train, _ = generate_pair(s, row["trial"])
         seed = exp.cell_seed(s, cell, row["trial"])
@@ -310,11 +334,27 @@ def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
                                  dict(sweep_beta=[-0.1]), dict(sweep_lam=[0.0]),
                                  dict(sweep_lam=[0.1, float("nan")]), dict(sweep_beta=[0.0])])
 def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
-    match = {"sweep_lam": r"\(onpgd\.lambda\) must be",
-             "sweep_beta": r"\(onpgd\.beta\) must be"}.get(next(iter(bad)))
+    (name, values), = bad.items()
+    key = {"sweep_lam": "onpgd.lambda", "sweep_beta": "onpgd.beta"}.get(name)
+    # Settings rejects a NaN entry by its sweep key; the learner the others
+    if any(v != v for v in values):
+        key = {"sweep_lam": "sweep.lambda", "sweep_beta": "sweep.beta"}[name]
+    match = key and re.escape(f"({key}) must be")
     with pytest.raises(ValueError, match=match):
         run_regret_sweep(small_settings(tmp_path, **bad))
     assert not os.path.exists(os.path.join(str(tmp_path), "periodic-sweep"))
+
+
+def test_regret_to_csv(tmp_path):
+    train, _ = gen_nonlinear(53, n_steps=40)
+    bundle = regret_run(train, OnpgdConfig(n_particles=8), 20, seed=3, n_is=1000)
+    path = tmp_path / "regret.csv"
+    exp.regret_to_csv(bundle, path, trial=4, n_particles=8, beta=0.02, lam=0.1)
+    lines = path.read_text().strip().splitlines()
+    # header + 2 variants x 3 eval points (dynamic only)
+    assert lines[0] == "t,instantaneous,cumulative,variant,benchmark,trial,N,beta,lambda"
+    assert len(lines) == 1 + 2 * 3
+    assert all(",dynamic," in ln for ln in lines[1:])
 
 
 def test_static_sweep_failure_names_the_hindsight_solve(tmp_path, monkeypatch):
@@ -437,9 +477,20 @@ def test_cli_verify_rejects_a_missing_gibbs_prior(tmp_path, capsys, line, key):
     out = tmp_path / "verifyout"
     assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    # zero fails the prior's check, and a negative or NaN value the learner's
+    # zero fails the prior's check, a negative value the learner's and NaN
+    # the settings' own
     assert re.search(rf"ValueError: \w+ \({re.escape(key)}\) must be "
-                     r"(positive for the Gibbs prior|nonnegative)", err)
+                     r"(positive for the Gibbs prior|nonnegative|finite)", err)
+    assert not out.exists()
+
+
+def test_cli_oos_compare_rejects_a_gibbs_init_without_prior(tmp_path, capsys):
+    # at beta = 0 the Gibbs init would start both learners at theta = 0
+    cfg = write_small_cfg(tmp_path, "onpgd.init_sd = gibbs\nonpgd.beta = 0\n")
+    out = tmp_path / "oosout"
+    assert cli.main(["oos-compare", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ValueError: beta (onpgd.beta) must be positive for the Gibbs prior" in err
     assert not out.exists()
 
 

@@ -60,7 +60,7 @@ def test_forward_matches_scalar():
             assert abs(th[k, i] - grad_sigma(X[k], thetas[i])[0]) < 1e-14
 
 
-def test_forward_into_buffers_is_bitwise_equal():
+def test_activations_into_buffers_is_bitwise_equal():
     # np.dot and np.matmul agree bit for bit on batches of K >= 2
     # covariates, not on a (1, n) batch or an (n,) covariate at n >= 3
     rng = np.random.default_rng(4)

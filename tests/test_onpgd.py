@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ def test_config_validation():
         OnpgdConfig(n_particles=0)
     with pytest.raises(ValueError):
         OnpgdConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        OnpgdConfig(lam=0.0)  # no Gibbs prior without init_sd
-    OnpgdConfig(lam=0.0, init_sd=1.0)
+    # no Gibbs init without a Gibbs prior; at beta = 0 every particle would start at 0
+    for name, key in (("beta", "onpgd.beta"), ("lam", "onpgd.lambda")):
+        with pytest.raises(ValueError, match=re.escape(f"({key}) must be positive for the Gibbs")):
+            OnpgdConfig(**{name: 0.0})
+        OnpgdConfig(**{name: 0.0}, init_sd=1.0)
     with pytest.raises(ValueError):
         OnpgdConfig(self_interaction=False, n_particles=1)
     for bad in (dict(dt=np.nan), dict(beta=np.nan), dict(lam=np.nan, init_sd=1.0)):

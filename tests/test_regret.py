@@ -14,7 +14,6 @@ from mfonline.regret import (
     eval_indices,
     instantaneous_regret,
     regret_run,
-    regret_to_csv,
 )
 from mfonline.seeding import substream
 
@@ -187,21 +186,10 @@ def test_benchmark_prior_is_the_learners(monkeypatch):
     assert prior_vars == [0.02 / 0.4] * len(prior_vars)
 
 
-@pytest.mark.parametrize("bad", [dict(beta=0.0), dict(lam=0.0, init_sd=1.0)])
+@pytest.mark.parametrize("bad", [dict(beta=0.0, init_sd=1.0), dict(lam=0.0, init_sd=1.0)])
 def test_regret_run_needs_a_gibbs_prior(bad):
     train, _ = gen_nonlinear(54, n_steps=40)
     key = "onpgd.beta" if "beta" in bad else "onpgd.lambda"
     with pytest.raises(ValueError, match=re.escape(f"({key}) must be positive for the Gibbs prior")):
         regret_run(train, OnpgdConfig(n_particles=5, **bad), 20, seed=2, n_is=500)
 
-
-def test_regret_to_csv(tmp_path):
-    train, _ = gen_nonlinear(53, n_steps=40)
-    bundle = regret_run(train, OnpgdConfig(n_particles=8), 20, seed=3, n_is=1000)
-    path = tmp_path / "regret.csv"
-    regret_to_csv(bundle, path, trial=4, n_particles=8, beta=0.02, lam=0.1)
-    lines = path.read_text().strip().splitlines()
-    # header + 2 variants x 3 eval points (dynamic only)
-    assert lines[0] == "t,instantaneous,cumulative,variant,benchmark,trial,N,beta,lambda"
-    assert len(lines) == 1 + 2 * 3
-    assert all(",dynamic," in ln for ln in lines[1:])
