@@ -16,6 +16,8 @@ learner's temperature and penalty:
   time-averaged tilt exp(-(2/(beta T)) sum_k (u_k - y_k) sigma(x_k, theta) dt)
   where u_k is the measure's own prediction at x_k; solved by L-BFGS on
   the gradient of a strongly convex merit H, the fixed-point residual.
+  The exponents are affine in u, so the line search prices its trials
+  on the exponent vector and not on the neuron matrix.
 
 Each solver reports its measure as a ``WeightedMeasure``: the weights and
 the two moments a cost needs, the prediction m (per data point for the
@@ -186,7 +188,10 @@ class RhoStarSolution:
     ``residual_trace`` holds max_k |U(u)_k - u_k| at u = 0 and at every
     accepted iterate after it, so ``n_iters == len(residual_trace)`` and
     ``residual == residual_trace[-1]``.  ``n_evals`` counts residual
-    evaluations, line-search trials included: two passes over S each."""
+    evaluations: one per accepted step, one pass over S each, and the
+    ones at u = 0 and for the certificate, two passes each; line-search
+    trials make none.  A solve that is certified at once has
+    ``n_evals == n_iters + 1``."""
 
     u: np.ndarray
     measure: WeightedMeasure
@@ -196,42 +201,62 @@ class RhoStarSolution:
     residual_trace: list = field(default_factory=list)
 
 
-def _lbfgs(grad, x0, tol, max_iters):
+# The line search accepts the first step whose slope along d is at most
+# this fraction of the slope at t = 0 in magnitude: a near-exact search,
+# since trials along the line are cheap for the hindsight merit.
+CURVATURE = 0.01
+
+
+def _lbfgs(grad, line, x0, tol, max_iters):
     """Minimize a strongly convex function by L-BFGS from its gradient alone.
 
-    ``grad(x)`` returns (g, aux), the gradient at x and what the caller
-    wants back at the solution.  Directions come from the two-loop
+    ``grad(x)`` returns (g, aux): the gradient at x and what the caller
+    wants back at the solution.  ``line(x, d)`` returns two callables on
+    the line x + t d: ``slope(t)``, the slope d.g(x + t d), and ``step(t)``,
+    called once with the accepted t (the last one given to ``slope``), which
+    returns (g, aux) at x + t d.  Directions come from the two-loop
     recursion over the last 10 pairs (s, y) of steps and gradient changes
     (Nocedal & Wright, Numerical Optimization, algorithm 7.4).  The line
-    search reads only the slope d.g(x + t d): from t = 1 it doubles t until
-    a trial passes the minimum along d, then bisects, and it takes the
-    first t with |slope| <= 0.9 |d.g(x)| (the strong-Wolfe curvature test,
-    which keeps s.y > 0).  No function value is computed.
+    search reads only the slope: from t = 1 it doubles t until a trial
+    passes the minimum along d, then bisects, and it takes the first t with
+    |slope| <= CURVATURE |slope(0)| (the strong-Wolfe curvature test, which
+    keeps s.y > 0).  No function value is computed.
 
     ``max_iters`` counts residual checks max |g| <= tol, the one at x0 and
-    one per accepted step.  Returns (x, aux, trace, n_evals): the residual
-    at x0 and at each accepted iterate, and the number of ``grad`` calls.
-    Raises ConvergenceError, carrying the trace, when a gradient is not
-    finite, when a line search takes 60 evaluations, or when the
-    residual is still above tol after max_iters checks.
+    one per accepted step.  A gradient from ``step`` that passes the check
+    is certified by ``grad`` at the same x, and the recomputed residual
+    replaces it in the trace.  Returns (x, aux, trace, n_evals): the
+    residual at x0 and at each accepted iterate, and the number of
+    ``grad`` and ``step`` calls.  Raises ConvergenceError, carrying the
+    trace, when a gradient or a slope is not finite, when a line search
+    takes 60 trials, or when the residual is still above tol after
+    max_iters checks.
     """
     trace = []
     n_evals = 0
 
-    def evaluate(x):
+    def check(what, value):
+        if not np.all(np.isfinite(value)):
+            raise ConvergenceError(f"L-BFGS: {what} not finite after {len(trace)} residual checks",
+                                   residual_trace=trace)
+
+    def evaluate(fn, arg):
         nonlocal n_evals
         n_evals += 1
-        g, aux = grad(x)
-        if not np.all(np.isfinite(g)):
-            raise ConvergenceError(f"L-BFGS: gradient not finite after {len(trace)} residual checks",
-                                   residual_trace=trace)
+        g, aux = fn(arg)
+        check("gradient", g)
         return g, aux
 
     x = np.array(x0, dtype=float)
-    g, aux = evaluate(x)
+    g, aux = evaluate(grad, x)
+    certified = True
     pairs = deque(maxlen=10)  # (s, y, 1 / s.y); 10 is scipy's default maxcor
     while True:
         trace.append(float(np.max(np.abs(g))))
+        if trace[-1] <= tol and not certified:
+            g, aux = evaluate(grad, x)
+            certified = True
+            trace[-1] = float(np.max(np.abs(g)))
         if trace[-1] <= tol:
             return x, aux, trace, n_evals
         if len(trace) >= max_iters:
@@ -249,11 +274,12 @@ def _lbfgs(grad, x0, tol, max_iters):
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
             d += (alpha - rho * float(y @ d)) * s
         slope0 = float(d @ g)
+        slope_at, step = line(x, d)
         lo, hi, t = 0.0, np.inf, 1.0
         for _ in range(60):  # doublings to 2**59, or bisections to below an ulp
-            g_new, aux_new = evaluate(x + t * d)
-            slope = float(d @ g_new)
-            if abs(slope) <= -0.9 * slope0:
+            slope = slope_at(t)
+            check("slope", slope)
+            if abs(slope) <= -CURVATURE * slope0:
                 break
             if slope < 0:
                 lo = t
@@ -262,10 +288,33 @@ def _lbfgs(grad, x0, tol, max_iters):
             t = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
         else:
             raise ConvergenceError(f"L-BFGS line search exhausted its bracket [{lo}, {hi}] "
-                                   "after 60 evaluations", residual_trace=trace)
+                                   "after 60 trials", residual_trace=trace)
+        g_new, aux = evaluate(step, t)
+        certified = False
         s, y = t * d, g_new - g
         pairs.append((s, y, 1.0 / float(s @ y)))
-        x, g, aux = x + s, g_new, aux_new
+        x, g = x + s, g_new
+
+
+def _neuron_matrix(samples, X):
+    """Neuron values S[k, i] = a_i tanh(w_i . x_k + b_i), shape (K, n_is).
+
+    Built in blocks of 8 rows, so that each block stays in cache through
+    the product, the bias, the tanh and the amplitude.  No block has a
+    single row: ``activations`` takes another product for one covariate,
+    whose bits differ, so a last single row joins the block before it.
+    """
+    K = X.shape[0]
+    S = np.empty((K, samples.shape[0]))
+    a = np.ascontiguousarray(samples[:, 0])
+    starts = list(range(0, K, 8))
+    if len(starts) > 1 and K - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [K]):
+        block = S[lo:hi]
+        activations(samples, X[lo:hi], out=block)
+        block *= a
+    return S
 
 
 def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500) -> RhoStarSolution:
@@ -274,17 +323,26 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500) -> RhoStarSolut
     ``samples`` are network parameters, shape (n_is, n + 2) for the
     trajectory's covariate dimension n.  The tilt integral uses one
     rectangle of width dt per data point, and T = K dt, so the per-sample
-    exponent is -(2 / (beta K)) sum_k (u_k - y_k) S_ki with the neuron
-    values S_ki = sigma(x_k, theta_i).  The fixed point u = U(u) of the
-    reweighted predictions is the minimizer of the strictly convex merit
-        H(u) = |u|^2 / 2 + (beta K / 2) logsumexp_i(-(2/(beta K)) S_i (u - y)),
+    exponent is E_i(u) = -(2 / (beta K)) sum_k (u_k - y_k) S_ki with the
+    neuron values S_ki = sigma(x_k, theta_i).  The fixed point u = U(u) of
+    the reweighted predictions U(u) = S w(u), w = softmax(E(u)), is the
+    minimizer of the strictly convex merit
+        H(u) = |u|^2 / 2 + (beta K / 2) logsumexp_i(E_i(u)),
     whose gradient is exactly u - U(u) and whose Hessian
     I + (2/(beta K)) Cov_w(S) is at least I.  ``_lbfgs`` runs from u = 0 on
     that gradient alone until the fixed-point residual
-    max_k |U(u)_k - u_k| falls to tol.  ``max_iters`` counts residual
-    checks, the one at u = 0 and one per accepted step; ``measure.m`` is
-    U(u) from the same evaluation.  Raises ConvergenceError, carrying the
-    residual trace, when the residual is still above tol.
+    max_k |U(u)_k - u_k| falls to tol.
+
+    E is affine in u, so along a search direction d it is E + t D with
+    D = coef (d @ S): one pass over S per iteration.  A line-search trial
+    is one softmax of E + t D and its slope d.u + t |d|^2 - (d @ S).w(t),
+    with no pass over S; the accepted step costs one more pass, S @ w.  An
+    iteration thus costs two passes.  The residual at u = 0 and the one
+    that certifies the result come from exponents recomputed from u, two
+    passes each.  ``max_iters`` counts residual checks, the one at u = 0
+    and one per accepted step; ``measure.m`` is U(u) from the certifying
+    evaluation.  Raises ConvergenceError, carrying the residual trace, when
+    the residual is still above tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -293,16 +351,38 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500) -> RhoStarSolut
     samples = np.asarray(samples, dtype=float)
     K = traj.n_steps
     # row k holds the network neurons (d = n + 2) at x_k
-    S = activations(samples, traj.x)
-    S *= samples[:, 0]
+    S = _neuron_matrix(samples, traj.x)
     coef = -2.0 / (beta * K)
+    E = None  # the exponents at the current iterate
 
-    def residual_map(u):
-        w = importance_weights(coef * ((u - traj.y) @ S))
+    def residual_at(u, w):
         preds = S @ w
         return u - preds, (w, preds)
 
-    u, (w, preds), trace, n_evals = _lbfgs(residual_map, np.zeros(K), tol, max_iters)
+    def residual_map(u):
+        nonlocal E
+        E = coef * ((u - traj.y) @ S)
+        return residual_at(u, importance_weights(E))
+
+    def line(u, d):
+        dS = d @ S
+        D = coef * dS
+        du, dd = float(d @ u), float(d @ d)
+        w = None  # the weights of the last trial, the one step accepts
+
+        def slope(t):
+            nonlocal w
+            w = importance_weights(E + t * D)
+            return du + t * dd - float(dS @ w)
+
+        def step(t):
+            nonlocal E
+            E = E + t * D
+            return residual_at(u + t * d, w)
+
+        return slope, step
+
+    u, (w, preds), trace, n_evals = _lbfgs(residual_map, line, np.zeros(K), tol, max_iters)
     measure = WeightedMeasure(w, preds, float(sq_norms(samples) @ w))
     return RhoStarSolution(u=u, measure=measure, residual=trace[-1], n_iters=len(trace),
                            n_evals=n_evals, residual_trace=trace)

@@ -240,9 +240,11 @@ def run_regret_sweep(settings: Settings) -> dict:
     all successful trials, and how many of those points have ESS below
     LOW_ESS.  With include_static each cell also reports its hindsight
     solves as ``rho_star``: the iteration and residual-evaluation counts
-    of each trial that succeeded, in trial order, the largest final
-    residual, the smallest final ESS and the number of trials whose final
-    ESS is below LOW_ESS.
+    of each trial that succeeded, in trial order (an iteration costs two
+    passes over the K x n_is neuron matrix, its line-search trials none;
+    see ``RhoStarSolution.n_evals``), the largest final residual, the
+    smallest final ESS and the number of trials whose final ESS is below
+    LOW_ESS.
     A sweep value that no config accepts raises before any trial runs.
     A trial that raises one of TRIAL_ERRORS is listed under its cell's
     ``failures``; any other exception propagates and ends the sweep.

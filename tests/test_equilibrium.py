@@ -20,6 +20,7 @@ from mfonline.equilibrium import (
     verify_dym_formula,
     verify_gap_decomposition,
 )
+from mfonline.network import activations
 from mfonline.seeding import substream
 from measure_oracle import weighted_predict, weighted_second_moment
 from mu_oracle import bisect_fixed_point, oracle_mu_star
@@ -371,6 +372,13 @@ def test_dym_formula():
     assert rep.abs_diff < 1e-4
 
 
+def _line_of(grad):
+    """``line`` for _lbfgs from a gradient alone: each trial evaluates it."""
+    def line(x, d):
+        return (lambda t: float(d @ grad(x + t * d))), (lambda t: (grad(x + t * d), None))
+    return line
+
+
 def test_lbfgs_reaches_the_minimizer_of_a_quadratic():
     # H(x) = x.A x / 2 - b.x with A = diag + rank one, so A >= I and
     # |x - x*|_2 <= |A x - b|_2 <= sqrt(n) max|A x - b|
@@ -380,22 +388,35 @@ def test_lbfgs_reaches_the_minimizer_of_a_quadratic():
     A = np.diag(rng.uniform(1.0, 100.0, size=n)) + np.outer(v, v)
     b = rng.normal(size=n)
     tol = 1e-10
-    x, aux, trace, n_evals = _lbfgs(lambda x: (A @ x - b, x.copy()), np.zeros(n), tol, 500)
+    x, aux, trace, n_evals = _lbfgs(lambda x: (A @ x - b, x.copy()), _line_of(lambda x: A @ x - b),
+                                    np.zeros(n), tol, 500)
     assert np.max(np.abs(x - np.linalg.solve(A, b))) <= np.sqrt(n) * tol
     assert trace[-1] == np.max(np.abs(A @ x - b)) <= tol
     assert np.array_equal(aux, x)  # the caller's aux is the one at the solution
     assert 1 < len(trace) <= n_evals
 
 
+def _raise_on_first_step(bad, line_of):
+    # finite at x0 only: what the line for the first step reads is not
+    grad = lambda x: x - 1.0 if not x.any() else np.full_like(x, bad)
+    with pytest.raises(ConvergenceError, match="not finite") as exc:
+        _lbfgs(lambda x: (grad(x), None), line_of(grad), np.zeros(3), 1e-8, 100)
+    assert exc.value.residual_trace == [1.0]
+    return str(exc.value)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_lbfgs_non_finite_gradient_raises_with_the_trace(bad):
-    # finite at x0 only: the first line-search trial is not finite
-    def grad(x):
-        return (x - 1.0 if not x.any() else np.full_like(x, bad)), None
+    # the first trial is accepted and its step's gradient is not finite
+    def line_of(grad):
+        return lambda x, d: ((lambda t: 0.0), (lambda t: (grad(x + t * d), None)))
 
-    with pytest.raises(ConvergenceError, match="gradient not finite") as exc:
-        _lbfgs(grad, np.zeros(3), 1e-8, 100)
-    assert exc.value.residual_trace == [1.0]
+    assert "gradient not finite" in _raise_on_first_step(bad, line_of)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lbfgs_non_finite_slope_raises_with_the_trace(bad):
+    assert "slope not finite" in _raise_on_first_step(bad, _line_of)
 
 
 @pytest.mark.parametrize("grad", [
@@ -404,8 +425,78 @@ def test_lbfgs_non_finite_gradient_raises_with_the_trace(bad):
 ], ids=["kink", "unbounded"])
 def test_lbfgs_line_search_that_exhausts_its_bracket_raises(grad):
     with pytest.raises(ConvergenceError, match="line search exhausted its bracket") as exc:
-        _lbfgs(lambda x: (grad(x), None), np.zeros(1), 1e-8, 100)
+        _lbfgs(lambda x: (grad(x), None), _line_of(grad), np.zeros(1), 1e-8, 100)
     assert exc.value.residual_trace == [1.0]
+
+
+class _PassCounter(np.ndarray):
+    """An array view that counts the matrix products it takes part in."""
+
+    passes = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _PassCounter.passes += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _PassCounter) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("n_steps,seed", [(40, 3), (60, 14), (100, 3)])
+def test_rho_star_line_search_trials_make_no_pass_over_the_matrix(monkeypatch, n_steps, seed):
+    # two passes over S at u = 0, two per iteration (the line's direction
+    # and the accepted step) and two for the certificate, however many
+    # trials the line searches take; each trial is one softmax
+    train, _ = gen_periodic(seed, n_steps=n_steps)
+    samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(seed, "p"))
+    real_matrix, real_weights = equilibrium._neuron_matrix, equilibrium.importance_weights
+    softmaxes = []
+
+    def counted_weights(e):
+        softmaxes.append(e)
+        return real_weights(e)
+
+    monkeypatch.setattr(equilibrium, "_neuron_matrix",
+                        lambda *args: real_matrix(*args).view(_PassCounter))
+    monkeypatch.setattr(equilibrium, "importance_weights", counted_weights)
+    _PassCounter.passes = 0
+    sol = solve_rho_star(train, samples, beta=0.005, tol=1e-10)
+    assert sol.residual <= 1e-10
+    assert _PassCounter.passes == 2 * sol.n_iters + 2
+    assert sol.n_evals == sol.n_iters + 1
+    trials = len(softmaxes) - 2  # one softmax each at u = 0 and for the certificate
+    assert trials > sol.n_iters - 1  # some trials were rejected
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("window", ["periodic", "nonlinear"])
+def test_rho_star_residual_is_certified_from_u(window, tol):
+    # the reported residual and measure are those of exponents recomputed
+    # from the returned u, not of the running update E + t D
+    if window == "periodic":
+        train, _ = gen_periodic(3, n_steps=60)
+        samples = draw_prior_samples(2000, train.x_dim + 2, 0.05, substream(3, "p"))
+        beta = 0.005
+    else:
+        train, _ = gen_nonlinear(14, n_steps=60)
+        samples = draw_prior_samples(2000, train.x_dim + 2, 0.2, substream(14, "s"))
+        beta = 0.02
+    sol = solve_rho_star(train, samples, beta, tol=tol)
+    S = activations(samples, train.x) * samples[:, 0]
+    w = importance_weights((-2.0 / (beta * train.n_steps)) * ((sol.u - train.y) @ S))
+    m = S @ w
+    assert sol.residual == np.max(np.abs(sol.u - m)) <= tol
+    assert np.array_equal(sol.measure.m, m)
+    assert np.array_equal(sol.measure.weights, w)
+
+
+@pytest.mark.parametrize("n_steps", [1, 57])
+def test_neuron_matrix_in_blocks_is_bitwise_equal_to_one_build(n_steps):
+    # 57 = 7 * 8 + 1: the last row joins the block before it, since a
+    # single-row block would take activations' single-covariate product
+    train, _ = gen_nonlinear(14, n_steps=n_steps)
+    samples = draw_prior_samples(2000, train.x_dim + 2, 0.2, substream(14, "s"))
+    S = equilibrium._neuron_matrix(samples, train.x)
+    assert _bits(S) == _bits(activations(samples, train.x) * samples[:, 0])
 
 
 def test_rho_star_trivial_fixed_point():
