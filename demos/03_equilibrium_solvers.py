@@ -3,10 +3,11 @@ certify them.
 
 For a single observation z = (x, y) the equilibrium density is a Gibbs
 tilt of the Gaussian prior whose mean prediction m solves m = Phi(m).
-Route one discretizes the density on a grid (1-d only); route two
-reweights prior samples (any dimension).  Both solve the same fixed
-point with the same safeguarded Newton root finder, so their
-disagreement is pure Monte Carlo error.
+Route one discretizes the density on a grid over the single parameter
+theta of the toy neuron tanh(theta x); route two reweights prior samples
+of network parameters (a, w, b), here the toy neuron's rows (1, theta, 0).
+Both solve the same fixed point with the same safeguarded Newton root
+finder, so their disagreement is pure Monte Carlo error.
 
 The free-energy gap F(rho) - F(mu*) of any perturbed density splits into
 beta times a KL term, which is nonnegative and computable two ways.
@@ -20,6 +21,7 @@ from mfonline.equilibrium import (
     quadrature_free_energy,
     solve_mu_star,
     solve_mu_star_quadrature,
+    toy_rows,
     verify_dym_formula,
     verify_gap_decomposition,
 )
@@ -33,7 +35,7 @@ m_quad, mu = solve_mu_star_quadrature(z, beta, lam, grid)
 print(f"quadrature:  m* = {m_quad:+.6f}   density mass = {grid.integrate(mu):.12f}")
 
 rng = substream(99, "demo-is")
-samples = draw_prior_samples(200000, 1, beta / lam, rng)
+samples = toy_rows(draw_prior_samples(200000, 1, beta / lam, rng))
 m_is, measure = solve_mu_star(samples, z, beta)
 print(f"sampling:    m* = {m_is:+.6f}   ESS = {measure.ess():.0f} of {len(samples)}")
 print(f"route gap: {abs(m_is - m_quad):.2e}  (tolerance in the verify suite: 3e-3)")

@@ -23,14 +23,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _setting(p, flag, key, help):
+    """A settings flag, read as its config line is, so Settings checks both."""
+    p.add_argument(flag, dest=key, type=partial(parse_value, key), help=help)
+
+
 def _add_common(p):
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--trials", type=int, help="number of trials")
-    p.add_argument("--out", help="output root directory")
-    p.add_argument("--threads", type=int, help="worker threads")
-    p.add_argument("--scenario", choices=["periodic", "nonlinear"], help="data model")
-    p.add_argument("--experiment", help="experiment name (output subdirectory)")
+    _setting(p, "--seed", "seed", "master seed")
+    _setting(p, "--trials", "trials", "number of trials")
+    _setting(p, "--out", "out", "output root directory")
+    _setting(p, "--threads", "threads", "worker threads")
+    _setting(p, "--scenario", "scenario", "data model: periodic or nonlinear")
+    _setting(p, "--experiment", "experiment", "experiment name (output subdirectory)")
 
 
 def build_parser():
@@ -46,15 +51,12 @@ def build_parser():
 
     p = sub.add_parser("regret-sweep", help="regret series over a parameter grid")
     _add_common(p)
-    p.add_argument("--stride", type=int, dest="regret.stride", help="evaluation subgrid stride")
+    _setting(p, "--stride", "regret.stride", "evaluation subgrid stride")
     p.add_argument("--static", action="store_const", const=True, dest="regret.static",
                    help="also compute the fixed-benchmark series")
-    p.add_argument("--sweep-n", type=partial(parse_value, "sweep.n"), dest="sweep.n",
-                   help="comma list of particle counts")
-    p.add_argument("--sweep-beta", type=partial(parse_value, "sweep.beta"), dest="sweep.beta",
-                   help="comma list of temperatures")
-    p.add_argument("--sweep-lambda", type=partial(parse_value, "sweep.lambda"),
-                   dest="sweep.lambda", help="comma list of weight decays")
+    _setting(p, "--sweep-n", "sweep.n", "comma list of particle counts")
+    _setting(p, "--sweep-beta", "sweep.beta", "comma list of temperatures")
+    _setting(p, "--sweep-lambda", "sweep.lambda", "comma list of weight decays")
 
     p = sub.add_parser("verify", help="run the numerical identity suite")
     _add_common(p)

@@ -19,18 +19,18 @@ learner's temperature and penalty:
   The exponents are affine in u, so the line search prices its trials
   on the exponent vector and not on the neuron matrix.
 
-Each solver reports its measure as a ``WeightedMeasure``: the weights and
-the two moments a cost needs, the prediction m (per data point for the
-hindsight measure) and the second moment q = <rho, |theta|^2>, so the
-samples never leave the solver.
+Both take network samples theta = (a, w, b) and the neuron a tanh(w.x + b)
+of ``network``.  Each reports its measure as a ``WeightedMeasure``: the
+weights and the two moments a cost needs, the prediction m (per data
+point for the hindsight measure) and the second moment q = <rho, |theta|^2>.
 
 Both normalize their weights with ``importance_weights``, a one-pass
 numpy softmax that exponentiates each weight vector once.
 
 A deterministic 1-d Simpson quadrature oracle solves the same equilibrium
-for single-parameter neurons sigma(x, theta) = tanh(theta x) and backs the
-closed-form identity checks: the free-energy gap decomposition and the
-equilibrium prediction's response derivative.
+for the toy neuron tanh(theta x), the network neuron at rows ``toy_rows``
+(1, theta, 0), and backs the closed-form identity checks: the free-energy
+gap decomposition and the equilibrium prediction's response derivative.
 """
 
 from collections import deque
@@ -74,24 +74,6 @@ def draw_prior_samples(n: int, dim: int, prior_var: float, rng) -> np.ndarray:
     out = rng.standard_normal((n, dim))
     out *= np.sqrt(prior_var)
     return out
-
-
-def _tanh_1d(x, thetas):
-    """Single-parameter neuron tanh(x * theta) at a scalar covariate x."""
-    return np.tanh(float(np.asarray(x).reshape(())) * thetas)
-
-
-def default_sigma_fn(x, samples) -> np.ndarray:
-    """Neuron values for samples (n, d): full tanh network when d >= 3,
-    the single-parameter neuron tanh(theta * x) when d == 1."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError("samples must be (n, d)")
-    if samples.shape[1] == 1:
-        return _tanh_1d(x, samples[:, 0])
-    if samples.shape[1] >= 3:
-        return forward(samples, np.atleast_1d(x))[0]
-    raise ValueError("d == 2 has no default neuron; pass sigma_fn explicitly")
 
 
 def importance_weights(exponents) -> np.ndarray:
@@ -159,23 +141,27 @@ def _newton_fixed_point(phi, lo, hi, start, root_tol, max_iters=100):
     raise ConvergenceError(f"Newton stalled after {max_iters} evaluations: bracket [{lo}, {hi}]")
 
 
-def solve_mu_star(samples, z, beta, root_tol=1e-10, sigma_fn=None):
-    """Instantaneous equilibrium from prior samples at one data point.
+MU_ROOT_TOL = 1e-10  # |Phi(m) - m| at which every mu* solve stops
+
+
+def solve_mu_star(samples, z, beta):
+    """Instantaneous equilibrium from network samples (n_is, n + 2) of the
+    prior at one data point z with an n-dimensional covariate.
 
     Returns (m_star, measure): the fixed-point root and the measure at that
     tilt, whose prediction ``measure.m = Phi(m_star)`` reproduces m_star
-    within root_tol.
+    within MU_ROOT_TOL.
     """
     x, y = unpack(z)
     samples = np.asarray(samples, dtype=float)
-    svals = (sigma_fn or default_sigma_fn)(x, samples)
+    svals = forward(samples, x)[0]
     # Phi(m) is a weighted mean of svals, so g > 0 at lo and g < 0 at hi;
     # at m = y the tilt vanishes and the first Newton step is linear response
     lo = float(svals.min()) - 1.0
     hi = float(svals.max()) + 1.0
     sq = svals * svals
     m_star, w = _newton_fixed_point(lambda m: _tilted_map(m, svals, sq, y, beta),
-                                    lo, hi, float(y), root_tol)
+                                    lo, hi, float(y), MU_ROOT_TOL)
     return m_star, WeightedMeasure(w, float(w @ svals), float(sq_norms(samples) @ w))
 
 
@@ -393,6 +379,17 @@ def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500) -> RhoStarSolut
 # ---------------------------------------------------------------------------
 
 
+def _tanh_1d(x, thetas):
+    """Single-parameter neuron tanh(x * theta) at a scalar covariate x."""
+    return np.tanh(float(np.asarray(x).reshape(())) * thetas)
+
+
+def toy_rows(thetas, amplitude=1.0) -> np.ndarray:
+    """Network rows (amplitude, theta, 0) of toy parameters (n, 1): ``forward``
+    gives amplitude * tanh(theta x) on them, to the last bit but a zero's sign."""
+    return np.hstack((np.full_like(thetas, amplitude), thetas, np.zeros_like(thetas)))
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Uniform 1-d grid for composite Simpson; n_points must be odd >= 3."""
@@ -434,7 +431,7 @@ def _log_tilted_density(grid, z, beta, lam, m):
     return -lam * th**2 / (2.0 * beta) - (2.0 / beta) * (m - y) * s, s
 
 
-def solve_mu_star_quadrature(z, beta, lam, grid: QuadratureGrid, root_tol=1e-10):
+def solve_mu_star_quadrature(z, beta, lam, grid: QuadratureGrid, root_tol=MU_ROOT_TOL):
     """Deterministic equilibrium solve on a 1-d grid.
 
     Returns (m_star, density) with the density Simpson-normalized on the

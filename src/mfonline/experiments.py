@@ -23,10 +23,10 @@ from .datastream import gen_nonlinear, gen_periodic, response_second_moment
 from .equilibrium import (
     ConvergenceError,
     QuadratureGrid,
-    default_sigma_fn,
     draw_prior_samples,
     solve_mu_star,
     solve_mu_star_quadrature,
+    toy_rows,
     verify_dym_formula,
     verify_gap_decomposition,
 )
@@ -332,27 +332,29 @@ HAND_CASES = [
 def run_verify(settings: Settings, inject_bug=False) -> dict:
     """Numerical identity and cross-validation suite; ok=False on any miss.
 
-    inject_bug halves the neuron values fed to the sampling solver, a
-    negative control that must make the cross-validation fail loudly.
+    Every check runs on the toy neuron tanh(theta x), rows (1, theta, 0) for
+    the sampling solver.  inject_bug passes rows (0.5, theta, 0), halving the
+    neuron values, a negative control that must make cross-validation fail.
     """
     beta, lam = settings.beta, settings.lam
     # every check solves a Gibbs measure with prior N(0, beta / lam);
     # Settings allows beta = 0 for oos-compare
     prior_var = learner_cell(settings, settings.n_particles, beta, lam)[1].prior_var()
-    grid = QuadratureGrid(-8.0, 8.0, 2001)
+    # the tilt is bounded, so the tails fall as the prior's: +-16 sd, at least +-8
+    half = max(8.0, 16.0 * np.sqrt(prior_var))
+    grid = QuadratureGrid(-half, half, 2001)
     rng = substream(settings.seed, "verify")
     checks = []
 
     # free-energy gap decomposition on perturbed densities
     worst_gap, worst_negativity = 0.0, 0.0
-    for i in range(20):
-        x = rng.uniform(0.5, 1.5)
-        y = rng.normal(0.0, 0.3)
-        _, mu = solve_mu_star_quadrature((x, y), beta, lam, grid)
+    for _ in range(20):
+        z = (rng.uniform(0.5, 1.5), rng.normal(0.0, 0.3))
+        _, mu = solve_mu_star_quadrature(z, beta, lam, grid)
         bump = 0.3 * np.tanh(rng.normal() * grid.thetas) + 0.2 * np.sin(rng.normal() * grid.thetas)
         rho = mu * np.exp(bump)
         rho /= grid.integrate(rho)
-        rep = verify_gap_decomposition(rho, (x, y), beta, lam, grid)
+        rep = verify_gap_decomposition(rho, z, beta, lam, grid)
         worst_gap = max(worst_gap, rep.abs_diff)
         worst_negativity = min(worst_negativity, rep.lhs)
     checks.append({"name": "gap_decomposition", "worst_abs_diff": worst_gap,
@@ -361,10 +363,8 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
 
     # equilibrium response derivative vs central difference
     worst_dym = 0.0
-    for i in range(5):
-        x = rng.uniform(0.5, 1.5)
-        y = rng.normal(0.0, 0.3)
-        rep = verify_dym_formula((x, y), beta, lam, grid)
+    for _ in range(5):
+        rep = verify_dym_formula((rng.uniform(0.5, 1.5), rng.normal(0.0, 0.3)), beta, lam, grid)
         worst_dym = max(worst_dym, rep.abs_diff)
     checks.append({"name": "dym_formula", "worst_abs_diff": worst_dym, "tol": 1e-4,
                    "ok": worst_dym <= 1e-4})
@@ -374,16 +374,15 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
     # value or as a solver failure.  Negated neurons would pass unseen: the
     # prior is symmetric and tanh is odd, so -sigma has the law of sigma
     # under the prior and the same fixed point.
-    sigma_fn = (lambda x, s: 0.5 * default_sigma_fn(x, s)) if inject_bug else None
+    amplitude = 0.5 if inject_bug else 1.0
     worst_cross = 0.0
     for i in range(20):
         srng = substream(settings.seed, "verify-cross", i)
-        x = srng.uniform(0.5, 1.5)
-        y = srng.normal(0.0, 0.3)
-        m_quad, _ = solve_mu_star_quadrature((x, y), beta, lam, grid)
-        samples = draw_prior_samples(200000, 1, prior_var, srng)
+        z = (srng.uniform(0.5, 1.5), srng.normal(0.0, 0.3))
+        m_quad, _ = solve_mu_star_quadrature(z, beta, lam, grid)
+        samples = toy_rows(draw_prior_samples(200000, 1, prior_var, srng), amplitude)
         try:
-            m_is, _ = solve_mu_star(samples, (x, y), beta, sigma_fn=sigma_fn)
+            m_is, _ = solve_mu_star(samples, z, beta)
             worst_cross = max(worst_cross, abs(m_is - m_quad))
         except ConvergenceError:
             worst_cross = float("inf")

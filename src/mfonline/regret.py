@@ -100,14 +100,14 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000,
     """Train online on ``train`` and measure regret on the subgrid.
 
     seed is an integer; the learner and each benchmark draw from their
-    own named substream of it.  Both benchmarks reweight n_is samples of
-    the prior N(0, (beta / lam) I_d) of ``onpgd_config``.  Dynamic
-    benchmark: fresh prior samples are drawn per evaluation point from a
-    substream keyed by the point's ordinal, so threading over trials or
-    points cannot change results; each point's fixed point is solved to
-    solve_mu_star's default tolerance.  Static benchmark (include_static)
-    solves the hindsight measure once from its own substream.  With
-    ``test`` given, out-of-sample predictions are recorded during the run.
+    own named substream of it.  Both benchmarks reweight n_is network
+    samples (a, w, b) of the prior N(0, (beta / lam) I_d) of ``onpgd_config``.
+    Dynamic benchmark: fresh prior samples are drawn per evaluation point
+    from a substream keyed by the point's ordinal, so threading over trials
+    or points cannot change results; each point is solved to MU_ROOT_TOL.
+    Static benchmark (include_static) solves the hindsight measure once from
+    its own substream.  With ``test`` given, out-of-sample predictions are
+    recorded during the run.
     """
     lam = onpgd_config.lam
     beta = onpgd_config.beta

@@ -13,7 +13,8 @@ of each other.
 import numpy as np
 from scipy.special import logsumexp
 
-from mfonline.equilibrium import _newton_fixed_point, default_sigma_fn
+from mfonline.equilibrium import _newton_fixed_point
+from mfonline.network import forward
 
 
 def tilted_map(m, svals, sq, y, beta):
@@ -27,7 +28,7 @@ def tilted_map(m, svals, sq, y, beta):
 def oracle_mu_star(samples, z, beta, root_tol):
     """(m_star, weights) by Newton on the scipy-normalized map."""
     x, y = z
-    svals = default_sigma_fn(x, samples)
+    svals = forward(samples, np.atleast_1d(x))[0]
     sq = svals * svals
     lo, hi = float(svals.min()) - 1.0, float(svals.max()) + 1.0
     return _newton_fixed_point(lambda m: tilted_map(m, svals, sq, y, beta),

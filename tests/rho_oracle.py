@@ -14,7 +14,7 @@ L-BFGS solver is checked against an independent iteration.
 import numpy as np
 from scipy.special import logsumexp
 
-from mfonline.equilibrium import default_sigma_fn
+from mfonline.network import forward
 
 
 def damped_rho_star(traj, samples, beta, tol=1e-6, max_iters=500):
@@ -28,7 +28,7 @@ def damped_rho_star(traj, samples, beta, tol=1e-6, max_iters=500):
     K = traj.n_steps
     S = np.empty((samples.shape[0], K))
     for k in range(K):
-        S[:, k] = default_sigma_fn(traj.x[k], samples)
+        S[:, k] = forward(samples, traj.x[k])[0]
     coef = -2.0 / (beta * K)
     scale = 0.5 * beta * K
 

@@ -24,12 +24,13 @@ from mfonline.datastream import Trajectory
 from mfonline.equilibrium import (
     QuadratureGrid,
     _tilted_map,
-    default_sigma_fn,
     draw_prior_samples,
     solve_mu_star_quadrature,
+    toy_rows,
 )
 from mfonline.experiments import cell_seed, generate_pair, run_regret_sweep, run_verify
 from mfonline.measures import predict, second_moment
+from mfonline.network import forward
 from mfonline.offline import OfflineFitConfig, batch_loss, batch_loss_grad, compare_oos
 from mfonline.onpgd import OnpgdConfig, _advance, init_ensemble
 from mfonline.regret import cumulative_regret, instantaneous_regret, regret_run
@@ -212,7 +213,7 @@ def test_c4_solver_cross_validation(verify_report, capsys):
     # raising m tilts the weights away from large sigma values
     rng = substream(MASTER, "acceptance-monotone")
     beta = 0.02
-    samples = draw_prior_samples(20000, 1, beta / 0.1, rng)
+    samples = toy_rows(draw_prior_samples(20000, 1, beta / 0.1, rng))
     violations = 0
     worst_step = 0.0
     for _ in range(1000):
@@ -220,7 +221,7 @@ def test_c4_solver_cross_validation(verify_report, capsys):
         m1, m2 = np.sort(rng.uniform(-1.5, 1.5, size=2))
         # extreme test levels degrade the weights on purpose, and the
         # monotone property holds for the estimator itself
-        svals = default_sigma_fn(z[0], samples)
+        svals = forward(samples, [z[0]])[0]
         v1 = _tilted_map(m1, svals, svals * svals, z[1], beta)[0]
         v2 = _tilted_map(m2, svals, svals * svals, z[1], beta)[0]
         if v2 > v1 + 1e-12:

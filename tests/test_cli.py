@@ -12,11 +12,12 @@ import importlib.util
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
-from mfonline.cli import _overrides, build_parser
-from mfonline.config import SCHEMA, Settings, build_settings
+from mfonline.cli import _overrides, build_parser, main
+from mfonline.config import SCHEMA, Settings, build_settings, parse_value
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -40,6 +41,14 @@ def test_settings_flag_dests_are_config_keys():
     for name, parser in _commands().items():
         dests = {a.dest for a in parser._actions} - COMMAND_ONLY
         assert dests <= set(SCHEMA), name
+        # SCHEMA alone decides a value's kind and range: a flag's text is
+        # read by its key's parse_value, or the flag takes no text
+        for a in parser._actions:
+            if a.dest in SCHEMA:
+                assert a.choices is None, a.dest
+                assert a.type is None or (isinstance(a.type, partial)
+                                          and a.type.func is parse_value
+                                          and a.type.args == (a.dest,)), a.dest
     regret = {a.dest for a in _commands()["regret-sweep"]._actions}
     assert {"regret.stride", "regret.static", "sweep.n", "sweep.beta", "sweep.lambda"} <= regret
     assert {a.dest for a in _commands()["stats"]._actions} == {"help", "input", "columns"}
@@ -63,6 +72,26 @@ def test_flag_builds_the_same_settings_as_its_config_line(tmp_path, flags, line)
     from_flag = _settings(["regret-sweep"] + flags)
     assert from_flag == build_settings(config_path=path)
     assert from_flag != Settings()
+
+
+@pytest.mark.parametrize("command, flags, line", [
+    ("generate", ["--trials", "8.5"], "trials = 8.5"),
+    ("generate", ["--seed", "1.5"], "seed = 1.5"),
+    ("generate", ["--scenario", "foo"], "scenario = foo"),
+    ("generate", ["--threads", "0"], "threads = 0"),
+    ("regret-sweep", ["--stride", "x"], "regret.stride = x"),
+])
+def test_bad_flag_fails_as_its_config_line_does(tmp_path, capsys, command, flags, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    out = ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(path)] + out) == 1
+    from_file = capsys.readouterr().err
+    assert main([command] + flags + out) == 1
+    assert capsys.readouterr().err == from_file
+    assert from_file.startswith("mfonline: error: ValueError: ")
+    assert line.split(" = ")[0] in from_file
+    assert not (tmp_path / "out").exists()
 
 
 def test_flags_not_given_leave_the_file_values(tmp_path):

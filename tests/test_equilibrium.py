@@ -4,23 +4,25 @@ import pytest
 import mfonline.equilibrium as equilibrium
 from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
 from mfonline.equilibrium import (
+    MU_ROOT_TOL,
     ConvergenceError,
     GridTooNarrowError,
     QuadratureGrid,
     _lbfgs,
     _newton_fixed_point,
+    _tanh_1d,
     _tilted_map,
-    default_sigma_fn,
     draw_prior_samples,
     importance_weights,
     quadrature_free_energy,
     solve_mu_star,
     solve_mu_star_quadrature,
     solve_rho_star,
+    toy_rows,
     verify_dym_formula,
     verify_gap_decomposition,
 )
-from mfonline.network import activations
+from mfonline.network import activations, forward
 from mfonline.seeding import substream
 from measure_oracle import weighted_predict, weighted_second_moment
 from mu_oracle import bisect_fixed_point, oracle_mu_star
@@ -101,10 +103,10 @@ def test_solve_mu_star_within_two_root_tol_of_scipy_oracle(beta):
     # points with |g| <= root_tol lie within 2 root_tol of each other), and
     # the weights are the softmax of the exponents at m*
     samples, z = _is_case(beta)
-    m_star, measure = solve_mu_star(samples, z, beta, 1e-10)
-    m_ref, _ = oracle_mu_star(samples, z, beta, 1e-10)
-    assert abs(m_star - m_ref) <= 2e-10
-    svals = default_sigma_fn(z[0], samples)
+    m_star, measure = solve_mu_star(samples, z, beta)
+    m_ref, _ = oracle_mu_star(samples, z, beta, MU_ROOT_TOL)
+    assert abs(m_star - m_ref) <= 2 * MU_ROOT_TOL
+    svals = forward(samples, z[0])[0]
     _assert_softmax_close(measure.weights, -(2.0 / beta) * (m_star - z[1]) * svals)
 
 
@@ -115,7 +117,7 @@ def _bits(v):
 @pytest.mark.parametrize("beta", [0.005, 0.02, 0.2])
 def test_solve_mu_star_moments_bitwise_equal_to_weighted_oracle(beta):
     samples, z = _is_case(beta)
-    _, measure = solve_mu_star(samples, z, beta, 1e-10)
+    _, measure = solve_mu_star(samples, z, beta)
     assert _bits(measure.m) == _bits(weighted_predict(samples, measure.weights, z[0]))
     assert _bits(measure.q) == _bits(weighted_second_moment(samples, measure.weights))
 
@@ -129,7 +131,7 @@ def test_solve_rho_star_moments_match_weighted_oracle():
     # same 2000 products summed in another order, so each differs by a few
     # eps sum_i w_i |sigma_i| (measured 2.4, or 4 ulps of m)
     ref = np.array([weighted_predict(samples, w, x) for x in train.x])
-    abs_sums = np.array([np.abs(default_sigma_fn(x, samples)) @ w for x in train.x])
+    abs_sums = np.array([np.abs(forward(samples, x)[0]) @ w for x in train.x])
     assert np.all(np.abs(sol.measure.m - ref) <= 8.0 * np.finfo(float).eps * abs_sums)
     assert _bits(sol.measure.q) == _bits(weighted_second_moment(samples, w))
     # the measure's predictions are the fixed point u within the solve's tol
@@ -150,18 +152,25 @@ def test_draw_prior_samples_moments():
     assert np.all(np.abs(s.mean(axis=0)) < 0.01)
 
 
-def test_default_sigma_fn_dims():
-    th1 = np.array([[0.5], [-1.0]])
-    vals = default_sigma_fn(2.0, th1)
-    assert np.allclose(vals, np.tanh(2.0 * th1[:, 0]))
+@pytest.mark.parametrize("x", [1.3, -0.7, 0.0])
+def test_toy_rows_through_forward_equal_the_toy_neuron_bitwise(x):
+    # the network neuron at (a, w, b) = (a, theta, 0) is a tanh(theta x); the
+    # bias adds +0, which turns a zero product of sign - into +0 and changes
+    # no other bit
+    thetas = np.concatenate([substream(1, "toy").normal(0.0, 2.0, size=200), [0.0, -0.0]])
+    ref = _tanh_1d(x, thetas) + 0.0
+    rows = toy_rows(thetas[:, None])
+    assert _bits(rows[:, 1]) == _bits(thetas) and not rows[:, 2].any()
+    assert _bits(forward(rows, [x])[0]) == _bits(ref)
+    assert _bits(forward(toy_rows(thetas[:, None], 0.5), [x])[0]) == _bits(0.5 * ref)
 
-    th5 = substream(1, "t").standard_normal((4, 5))
-    x = np.array([0.1, -0.2, 0.3])
-    vals = default_sigma_fn(x, th5)
-    assert vals.shape == (4,)
 
-    with pytest.raises(ValueError):
-        default_sigma_fn(1.0, np.ones((3, 2)))
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_mu_star_rejects_samples_that_are_not_network_rows(d):
+    # a 1-d covariate takes rows (a, w, b) of width 3; the kernel says so
+    samples = draw_prior_samples(50, d, 0.2, substream(1, "width"))
+    with pytest.raises(ValueError, match=r"thetas must be \(N, n\+2\)"):
+        solve_mu_star(samples, (1.0, 0.3), 0.02)
 
 
 def test_tilted_map_constant_sigma():
@@ -175,9 +184,9 @@ def test_tilted_map_monotone_pairs():
     # the fixed-point map Phi(m), the reweighted mean prediction at tilt
     # level m, is nonincreasing in m
     rng = substream(7, "pairs")
-    samples = draw_prior_samples(5000, 1, 0.2, rng)
+    samples = toy_rows(draw_prior_samples(5000, 1, 0.2, rng))
     x, y = 1.0, 0.3
-    svals = default_sigma_fn(x, samples)
+    svals = forward(samples, [x])[0]
     for _ in range(200):
         m1, m2 = np.sort(rng.uniform(-1.5, 1.5, size=2))
         if m1 == m2:
@@ -225,17 +234,17 @@ def test_solve_mu_star_matches_bisection_in_fewer_evaluations(beta, stall, monke
         samples, z = draw_prior_samples(20000, 3, 0.2, substream(37, "stall")), (np.array([1.5]), 1.0)
     else:
         samples, z = _is_case(beta)
-    svals = default_sigma_fn(z[0], samples)
+    svals = forward(samples, z[0])[0]
     m_bisect, n_bisect = bisect_fixed_point(
         lambda m: float(importance_weights(-(2.0 / beta) * (m - z[1]) * svals) @ svals),
-        float(svals.min()) - 1.0, float(svals.max()) + 1.0, 1e-10)
+        float(svals.min()) - 1.0, float(svals.max()) + 1.0, MU_ROOT_TOL)
 
     calls = []
     real = equilibrium._tilted_map
     monkeypatch.setattr(equilibrium, "_tilted_map", lambda *a: calls.append(a[0]) or real(*a))
-    m_newton, measure = solve_mu_star(samples, z, beta, 1e-10)
-    assert abs(m_newton - m_bisect) <= 2e-10
-    assert abs(float(measure.weights @ svals) - m_newton) <= 1e-10
+    m_newton, measure = solve_mu_star(samples, z, beta)
+    assert abs(m_newton - m_bisect) <= 2 * MU_ROOT_TOL
+    assert abs(float(measure.weights @ svals) - m_newton) <= MU_ROOT_TOL
     assert calls[-1] == m_newton  # the weights are those of the last evaluation
     assert len(calls) < n_bisect
 
@@ -251,26 +260,27 @@ def test_solve_mu_star_quadrature_matches_bisection(beta, monkeypatch):
         return grid.integrate(s * q) / grid.integrate(q)
 
     s = np.tanh(z[0] * grid.thetas)
-    m_bisect, n_bisect = bisect_fixed_point(phi, float(s.min()) - 1.0, float(s.max()) + 1.0, 1e-10)
+    m_bisect, n_bisect = bisect_fixed_point(phi, float(s.min()) - 1.0, float(s.max()) + 1.0,
+                                            MU_ROOT_TOL)
 
     calls = []
     real = equilibrium._log_tilted_density
     monkeypatch.setattr(equilibrium, "_log_tilted_density",
                         lambda *a: calls.append(a[-1]) or real(*a))
-    m_newton, density = solve_mu_star_quadrature(z, beta, lam, grid, root_tol=1e-10)
-    assert abs(m_newton - m_bisect) <= 2e-10
-    assert abs(grid.integrate(s * density) - m_newton) <= 1e-10
+    m_newton, density = solve_mu_star_quadrature(z, beta, lam, grid)
+    assert abs(m_newton - m_bisect) <= 2 * MU_ROOT_TOL
+    assert abs(grid.integrate(s * density) - m_newton) <= MU_ROOT_TOL
     assert len(calls) < n_bisect
 
 
 def test_solve_mu_star_fixed_point_residual():
     rng = substream(11, "mu")
-    samples = draw_prior_samples(20000, 1, 0.2, rng)
+    thetas = draw_prior_samples(20000, 1, 0.2, rng)
     z = (1.2, 0.4)
-    m_star, measure = solve_mu_star(samples, z, beta=0.02, root_tol=1e-10)
+    m_star, measure = solve_mu_star(toy_rows(thetas), z, beta=0.02)
     # the returned measure reproduces the fixed point
-    svals = np.tanh(1.2 * samples[:, 0])
-    assert abs(float(measure.weights @ svals) - m_star) <= 1e-10
+    svals = np.tanh(1.2 * thetas[:, 0])
+    assert abs(float(measure.weights @ svals) - m_star) <= MU_ROOT_TOL
     assert abs(measure.weights.sum() - 1.0) < 1e-12
 
 
@@ -287,7 +297,7 @@ def test_is_vs_quadrature_single_instance():
     z = (1.0, 0.3)
     beta, lam = 0.02, 0.1
     m_quad, _ = solve_mu_star_quadrature(z, beta, lam, GRID)
-    samples = draw_prior_samples(100_000, 1, beta / lam, substream(3, "cross"))
+    samples = toy_rows(draw_prior_samples(100_000, 1, beta / lam, substream(3, "cross")))
     m_is, _ = solve_mu_star(samples, z, beta)
     assert abs(m_is - m_quad) <= 3e-3
 
@@ -523,7 +533,7 @@ def test_rho_star_matches_mu_star_on_one_point():
     traj = Trajectory(dt=0.3, x=np.array([[1.1]]), y=np.array([0.4]))
     beta = 0.5
     sol = solve_rho_star(traj, samples, beta, tol=1e-10)
-    m_star, _ = solve_mu_star(samples, (traj.x[0], traj.y[0]), beta, root_tol=1e-10)
+    m_star, _ = solve_mu_star(samples, (traj.x[0], traj.y[0]), beta)
     assert abs(sol.u[0] - m_star) < 1e-8
 
 

@@ -25,6 +25,7 @@ from mfonline.experiments import (
     run_oos_compare,
     run_regret_sweep,
     run_stats,
+    run_verify,
 )
 from mfonline.offline import OfflineFitConfig, fit_offline
 from mfonline.onpgd import OnpgdConfig
@@ -518,3 +519,10 @@ def test_cli_verify_exit_codes(capsys):
     failed = {c["name"]: c["ok"] for c in rep["checks"]}
     assert failed["is_vs_quadrature"] is False  # the corruption is caught
     assert failed["gap_decomposition"] is True  # untouched checks still pass
+
+
+def test_verify_passes_at_a_temperature_the_sweep_uses():
+    # at beta / lambda = 2 the tilted density has mass beyond the +-8 grid
+    # the lower temperatures use; the grid spans 16 prior sd instead
+    rep = run_verify(Settings(beta=0.2, lam=0.1))
+    assert rep["ok"] is True, rep["checks"]
