@@ -21,7 +21,7 @@ from mfonline.onpgd import OnpgdConfig
 from mfonline.seeding import substream
 
 TRIALS = 4
-onpgd = OnpgdConfig(init_sd=1.0)
+onpgd = OnpgdConfig()
 offline = OfflineFitConfig()
 
 

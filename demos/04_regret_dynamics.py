@@ -51,7 +51,7 @@ print()
 print("one full-resolution series (unit init, lambda=0.1, first seed):")
 data_seed = int(substream(1, "data", 0).integers(2**63))
 train, _ = gen_nonlinear(data_seed)
-b = regret_run(train, OnpgdConfig(n_particles=40, init_sd=1.0), 100,
+b = regret_run(train, OnpgdConfig(n_particles=40), 100,
                int(substream(1, "demo-series").integers(2**63)), n_is=N_IS)
 reg = b.get("dynamic", "regularized")
 for k, inst, cum in zip(b.eval_ks, reg.instantaneous, reg.cumulative):

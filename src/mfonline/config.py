@@ -25,6 +25,11 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .datastream import DT, N_STEPS
+from .offline import OfflineFitConfig
+from .onpgd import OnpgdConfig
+from .regret import N_IS
+
 
 def _coerce(text: str, types):
     text = text.strip()
@@ -111,15 +116,16 @@ SCHEMA = {
     # a stride beyond n_steps is left to each trial to report
     "regret.stride": ("eval_stride", INT, _at_least(1)),
     "regret.static": ("include_static", BOOL, None),
-    "sweep.n": ("sweep_n", INT, None),
-    "sweep.beta": ("sweep_beta", NUMBER, None),
-    "sweep.lambda": ("sweep_lam", NUMBER, None),
+    "sweep.n": ("sweep_n", INT, _at_least(1)),
+    "sweep.beta": ("sweep_beta", NUMBER, POSITIVE),
+    "sweep.lambda": ("sweep_lam", NUMBER, POSITIVE),
 }
 
 
 @dataclass
 class Settings:
-    """Resolved run settings shared by all commands."""
+    """Resolved run settings shared by all commands; a learner, offline,
+    stream or sample-count default is that of the object that uses it."""
 
     scenario: str = "nonlinear"
     trials: int = 30
@@ -127,17 +133,17 @@ class Settings:
     out: str | None = None
     threads: int = 1
     experiment: str | None = None
-    n_steps: int = 1000
-    n_particles: int = 80
-    lam: float = 0.1
-    beta: float = 0.02
-    dt: float = 0.02
+    n_steps: int = N_STEPS
+    n_particles: int = OnpgdConfig.n_particles
+    lam: float = OnpgdConfig.lam
+    beta: float = OnpgdConfig.beta
+    dt: float = DT
     # learner particle init scale; the literal "gibbs" selects the
     # lambda-coupled N(0, beta/lambda) prior instead of a fixed scale
-    init_sd: float | str | None = 1.0
-    self_interaction: bool = True
-    n_is: int = 20000
-    offline_iters: int = 2000
+    init_sd: float | str | None = OnpgdConfig.init_sd
+    self_interaction: bool = OnpgdConfig.self_interaction
+    n_is: int = N_IS
+    offline_iters: int = OfflineFitConfig.iters
     eval_stride: int = 100
     include_static: bool = False
     sweep_n: list = field(default_factory=list)

@@ -7,7 +7,7 @@ a uniform grid t_k = k*dt, k = 1..K:
   channel.  The regression function oscillates in time.
 * nonlinear: 3-d OU covariate, response is a wide random tanh network whose
   neuron parameters themselves follow OU paths around frozen anchors, plus
-  an OU noise channel.  One truth model is shared by train and test.
+  an OU noise channel.  One drifting network is shared by train and test.
 
 All randomness is drawn from named substreams of a master seed (train-x,
 train-xi, test-x, test-xi, phi-init, phi-path), so outputs are identical no
@@ -16,14 +16,13 @@ of their OU process; observation noise starts at zero.
 
 Both scenarios are fixed models: their coefficients are the module
 constants below, and a generator takes only the seed, the horizon n_steps
-and the step dt.
+and the step dt, which default to N_STEPS and DT.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import forward
 from .seeding import substream
 
 
@@ -108,6 +107,7 @@ def response_second_moment(traj: Trajectory) -> float:
     return float(np.mean(traj.y**2))
 
 
+N_STEPS, DT = 1000, 0.02  # both scenarios' default horizon K and grid step
 # periodic scenario
 PERIODIC_H = 0.3  # angular frequency of the regression coefficient
 PERIODIC_X_OU = OuParams(rate=0.5, mean=0.0, vol=1.0)
@@ -121,32 +121,6 @@ NONLINEAR_AMPLITUDE = 2.5  # numerator of the 2.5/M sum scaling
 PHI_RATE = 0.6
 PHI_VOL = 0.9
 PHI_INIT_SD = 0.8
-
-
-@dataclass
-class NonlinearTruthModel:
-    """Drifting truth f_t(x) = scale * sum_m sigma(x, phi_t^m).
-
-    phi holds the parameter paths, shape (K, M, d); scale is the 2.5/M
-    factor applied to the neuron sum.
-    """
-
-    scale: float
-    phi: np.ndarray
-
-    def evaluate(self, k_idx: int, x) -> float:
-        """Truth value at grid index k_idx (0-based) and covariate x."""
-        vals, _ = forward(self.phi[k_idx], x)
-        return float(self.scale * vals.sum())
-
-    def evaluate_path(self, xs: np.ndarray) -> np.ndarray:
-        """Truth values along a covariate path xs of shape (K, n)."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape[0] != self.phi.shape[0]:
-            raise ValueError("covariate path length must match phi path")
-        u = np.einsum("kmj,kj->km", self.phi[:, :, 1:-1], xs) + self.phi[:, :, -1]
-        vals = self.phi[:, :, 0] * np.tanh(u)
-        return self.scale * vals.sum(axis=1)
 
 
 def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, dt, truth_fn):
@@ -164,7 +138,7 @@ def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, dt, truth_fn):
     return tuple(pair)
 
 
-def gen_periodic(seed: int, n_steps: int = 1000, dt: float = 0.02):
+def gen_periodic(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     """Periodic scenario: returns (train, test) trajectories.
 
     Response y_k = sin(h t_k) x_k + xi_k, h = PERIODIC_H, with OU covariate
@@ -177,25 +151,26 @@ def gen_periodic(seed: int, n_steps: int = 1000, dt: float = 0.02):
                         lambda xs: coeff * xs)
 
 
-def gen_nonlinear(seed: int, n_steps: int = 1000, dt: float = 0.02, return_truth_model=False):
+def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     """Nonlinear scenario: returns (train, test) trajectories.
 
-    One truth model per call: M neurons with OU parameter paths around
-    anchors drawn once from N(0, PHI_INIT_SD^2).  Train and test share the
-    truth model and differ only in covariate and noise paths.
+    One truth network per call, f_k(x) = (NONLINEAR_AMPLITUDE / M) sum_m
+    sigma(x, phi_k^m): the parameters of its M neurons follow OU paths around
+    anchors drawn once from N(0, PHI_INIT_SD^2).  Train and test share it
+    and differ only in covariate and noise paths.
     """
-    d = NONLINEAR_X_DIM + 2
-    M = NONLINEAR_N_NEURONS
+    M, d = NONLINEAR_N_NEURONS, NONLINEAR_X_DIM + 2
 
     rng_init = substream(seed, "phi-init")
     phi_bar = PHI_INIT_SD * rng_init.standard_normal((M, d))
     phi0 = PHI_INIT_SD * rng_init.standard_normal((M, d))
     phi_ou = OuParams(rate=PHI_RATE, mean=phi_bar, vol=PHI_VOL)
-    phi = euler_ou_path(phi_ou, phi0, n_steps, dt, substream(seed, "phi-path"))
-    model = NonlinearTruthModel(scale=NONLINEAR_AMPLITUDE / M, phi=phi)
+    phi = euler_ou_path(phi_ou, phi0, n_steps, dt, substream(seed, "phi-path"))  # (K, M, d)
 
-    train, test = _stream_pair(seed, NONLINEAR_X_OU, NONLINEAR_X_DIM, NONLINEAR_NOISE_OU,
-                               n_steps, dt, model.evaluate_path)
-    if return_truth_model:
-        return train, test, model
-    return train, test
+    def truth(xs):
+        u = np.einsum("kmj,kj->km", phi[:, :, 1:-1], xs) + phi[:, :, -1]
+        vals = phi[:, :, 0] * np.tanh(u)
+        return NONLINEAR_AMPLITUDE / M * vals.sum(axis=1)
+
+    return _stream_pair(seed, NONLINEAR_X_OU, NONLINEAR_X_DIM, NONLINEAR_NOISE_OU,
+                        n_steps, dt, truth)

@@ -303,7 +303,10 @@ def _neuron_matrix(samples, X):
     return S
 
 
-def solve_rho_star(traj, samples, beta, tol=1e-6, max_iters=500) -> RhoStarSolution:
+RHO_TOL = 1e-6  # max_k |U(u)_k - u_k| at which a rho* solve stops by default
+
+
+def solve_rho_star(traj, samples, beta, tol=RHO_TOL, max_iters=500) -> RhoStarSolution:
     """Hindsight benchmark over a whole trajectory by gradient-only L-BFGS.
 
     ``samples`` are network parameters, shape (n_is, n + 2) for the

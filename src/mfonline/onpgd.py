@@ -9,7 +9,8 @@ mean prediction m, each particle moves by
 
 With self_interaction on (default), m is the full ensemble mean; off, each
 particle sees the leave-one-out mean of the others.  Particles start from
-the Gibbs prior N(0, (beta / lam) I_d) unless an explicit init_sd is given.
+N(0, init_sd^2 I_d), unit sd by default, or from the Gibbs prior
+N(0, (beta / lam) I_d) at init_sd=None.  The step dt is the stream's own.
 
 Convention: the state at data index k is the pre-update ensemble (k = 1 is
 the initial draw), and the update at step k consumes z_k.  Snapshots and
@@ -33,17 +34,14 @@ class OnpgdConfig:
     n_particles: int = 80
     lam: float = 0.1  # L2 penalty lambda
     beta: float = 0.02  # entropy / noise temperature
-    dt: float = 0.02
     self_interaction: bool = True
-    init_sd: float | None = None  # default sqrt(beta / lam)
+    init_sd: float | None = 1.0  # None: sqrt(beta / lam), the Gibbs prior's sd
 
     def __post_init__(self):
         if not self.n_particles >= 1:
             raise ValueError("need at least one particle")
         if not self.self_interaction and self.n_particles < 2:
             raise ValueError("leave-one-out mean needs at least two particles")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
         self._require(lambda v: v >= 0, "nonnegative")
         if self.init_sd is None:
             self.prior_var()  # the Gibbs init
@@ -77,8 +75,8 @@ def init_ensemble(config: OnpgdConfig, dim: int, rng) -> np.ndarray:
     return config.initial_sd() * rng.standard_normal((config.n_particles, dim))
 
 
-def _advance(thetas, x, y, config, noise, step_index):
-    """One vectorized Euler update; returns (new thetas, mean prediction).
+def _advance(thetas, x, y, config, dt, noise, step_index):
+    """One vectorized Euler step dt; returns (new thetas, mean prediction).
 
     Raises BlowUpError naming step_index if the new state is not finite.
     """
@@ -105,10 +103,10 @@ def _advance(thetas, x, y, config, noise, step_index):
     # accumulated in place in the result array
     new = -config.lam * thetas
     new += grad
-    new *= config.dt
+    new *= dt
     new += thetas
     if noise is not None:
-        new += np.sqrt(2.0 * config.beta * config.dt) * noise
+        new += np.sqrt(2.0 * config.beta * dt) * noise
     if not np.isfinite(new).all():
         bad = np.argwhere(~np.isfinite(new))[0]
         raise BlowUpError(
@@ -125,17 +123,17 @@ class OnlineRunResult:
     snapshots: list of (k, thetas) pre-update states at the requested
     indices.  train_pred[k-1] is the pre-update full-mean prediction at the
     train covariate x_k; extra_pred the same at the supplied covariates
-    (e.g. a test path).  final is the (N, d) particle array after all K steps.
+    (e.g. a test path).
     """
 
     snapshots: list
     train_pred: np.ndarray
     extra_pred: np.ndarray | None
-    final: np.ndarray
 
 
 def run_online(traj, config: OnpgdConfig, rng, snapshot_at=(), predict_xs=None) -> OnlineRunResult:
-    """Train on a trajectory, recording predictions and optional snapshots.
+    """Train on a trajectory at its step traj.dt, recording predictions and
+    optional snapshots.
 
     The Generator rng draws the initial ensemble and then one (N, d) noise
     block per step.  snapshot_at lists the data indices (1..K) whose
@@ -161,8 +159,7 @@ def run_online(traj, config: OnpgdConfig, rng, snapshot_at=(), predict_xs=None) 
         if extra_pred is not None:
             extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
         noise = rng.standard_normal(thetas.shape) if config.beta > 0 else None
-        thetas, train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config, noise, k)
+        thetas, train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config,
+                                             traj.dt, noise, k)
 
-    return OnlineRunResult(
-        snapshots=snapshots, train_pred=train_pred, extra_pred=extra_pred, final=thetas
-    )
+    return OnlineRunResult(snapshots=snapshots, train_pred=train_pred, extra_pred=extra_pred)

@@ -33,6 +33,7 @@ from .measures import cost_u, cost_u_unreg, oos_mse, second_moment
 from .onpgd import run_online
 from .seeding import substream
 
+N_IS = 20000  # prior network samples per benchmark solve, the is.n default
 VARIANTS = ("regularized", "unregularized")
 BENCHMARKS = ("dynamic", "static")
 
@@ -95,7 +96,7 @@ class RegretBundle:
         return self.series[(benchmark, variant)]
 
 
-def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is=20000,
+def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is: int,
                include_static=False, test=None) -> RegretBundle:
     """Train online on ``train`` and measure regret on the subgrid.
 

@@ -113,7 +113,7 @@ def regret_cells():
         def one(trial):
             train, test = generate_pair(SETTINGS["nonlinear"], trial)
             b = regret_run(train, onpgd, 100, cell_seed(SETTINGS["nonlinear"], name, trial),
-                           test=test)
+                           n_is=SETTINGS["nonlinear"].n_is, test=test)
             reg = b.get("dynamic", "regularized")
             unreg = b.get("dynamic", "unregularized")
             return {
@@ -290,26 +290,27 @@ def test_c6_property_suite(tmp_path_factory, capsys):
     checks = []
 
     # injected noise variance matches 2 beta dt within 2%
-    cfg = OnpgdConfig(n_particles=50_000, lam=0.1, beta=0.02, dt=0.02)
+    cfg, dt = OnpgdConfig(n_particles=50_000, lam=0.1, beta=0.02, init_sd=None), 0.02
     thetas = init_ensemble(cfg, 3, substream(11, "init"))
     x, y = np.array([0.8]), -0.1
-    det, _ = _advance(thetas, x, y, cfg, np.zeros_like(thetas), 1)
-    rnd, _ = _advance(thetas, x, y, cfg, substream(11, "noise").standard_normal(thetas.shape), 1)
-    target = 2.0 * cfg.beta * cfg.dt
+    det, _ = _advance(thetas, x, y, cfg, dt, np.zeros_like(thetas), 1)
+    rnd, _ = _advance(thetas, x, y, cfg, dt, substream(11, "noise").standard_normal(thetas.shape),
+                      1)
+    target = 2.0 * cfg.beta * dt
     rel = abs((rnd - det).var() - target) / target
     checks.append(("noise variance 2*beta*dt", rel < 0.02, f"rel err {rel:.4f}"))
 
     # pure confinement contracts geometrically, bit for bit
-    cfg = OnpgdConfig(n_particles=5, lam=0.2, beta=0.0, dt=0.1, init_sd=1.0)
+    cfg, dt = OnpgdConfig(n_particles=5, lam=0.2, beta=0.0), 0.1
     thetas = substream(11, "decay").standard_normal((5, 3))
     thetas[:, 0] = 0.0  # zero amplitudes kill the interaction term
     ens = thetas.copy()
     expected = thetas.copy()
     for k in range(1, 10):
-        ens, _ = _advance(ens, np.array([0.7]), 0.0, cfg, None, k)
-        expected = expected + (-cfg.lam * expected) * cfg.dt
+        ens, _ = _advance(ens, np.array([0.7]), 0.0, cfg, dt, None, k)
+        expected = expected + (-cfg.lam * expected) * dt
     exact = np.array_equal(ens, expected)
-    closed = np.max(np.abs(ens - thetas * (1 - cfg.lam * cfg.dt) ** 9))
+    closed = np.max(np.abs(ens - thetas * (1 - cfg.lam * dt) ** 9))
     checks.append(("geometric decay exact", exact and closed < 1e-14,
                    f"closed-form gap {closed:.1e}"))
 

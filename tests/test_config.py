@@ -6,6 +6,10 @@ import re
 import pytest
 
 from mfonline.config import OUT_ENV_VAR, SCHEMA, Settings, build_settings, parse_config
+from mfonline.datastream import DT, N_STEPS, gen_periodic
+from mfonline.offline import OfflineFitConfig
+from mfonline.onpgd import OnpgdConfig
+from mfonline.regret import N_IS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -96,8 +100,18 @@ def test_settings_validation():
     Settings(n_steps=10, eval_stride=50)  # beyond n_steps: each trial reports it
 
 
+def test_defaults_are_those_of_the_objects_that_use_them():
+    s, learner = Settings(), OnpgdConfig()
+    assert (s.n_particles, s.lam, s.beta, s.init_sd, s.self_interaction) == (
+        learner.n_particles, learner.lam, learner.beta, learner.init_sd, learner.self_interaction)
+    assert s.offline_iters == OfflineFitConfig().iters
+    assert (s.n_steps, s.dt, s.n_is) == (N_STEPS, DT, N_IS)
+    train, _ = gen_periodic(1, n_steps=3)
+    assert (train.n_steps, train.dt) == (3, DT)
+
+
 def test_init_sd_forms():
-    assert Settings().init_sd == 1.0
+    assert Settings().init_sd == OnpgdConfig().init_sd == 1.0
     assert Settings(init_sd="gibbs").init_sd is None  # lambda-coupled prior
     assert Settings(init_sd=0.5).init_sd == 0.5
     with pytest.raises(ValueError, match="init_sd"):
@@ -115,10 +129,12 @@ def test_sweep_scalars_become_lists(tmp_path):
     assert s.sweep_beta == [0.02]
     assert s.sweep_n == [20, 200]
     assert s.sweep_lam == []
-    # a zero is a value too, not an empty sweep
-    path.write_text("sweep.beta = 0\nsweep.lambda = 0.0\n")
-    s = build_settings(config_path=path)
-    assert s.sweep_beta == [0] and s.sweep_lam == [0.0]
+    # a zero is a value too, not an empty sweep, so its range check rejects it
+    for line in ("sweep.beta = 0", "sweep.lambda = 0.0", "sweep.n = 0"):
+        path.write_text(line + "\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ValueError, match=re.escape(f"({key}) must be")):
+            build_settings(config_path=path)
 
 
 @pytest.mark.parametrize("line", [
@@ -168,6 +184,9 @@ def test_overrides_take_dotted_keys_only():
     # a non-finite number would blow up every trial's learner at its first step
     "onpgd.beta = inf", "onpgd.lambda = inf", "onpgd.dt = inf", "onpgd.init_sd = inf",
     "sweep.beta = 0.02, inf",
+    # each sweep entry is a learner's N, beta or lambda, checked by its own key
+    "sweep.n = 0", "sweep.n = 20, 0", "sweep.beta = -1", "sweep.beta = 0.02, 0",
+    "sweep.lambda = 0", "sweep.lambda = 0.1, -0.4",
 ])
 def test_range_errors_name_the_key(tmp_path, line):
     path = tmp_path / "run.cfg"

@@ -9,6 +9,9 @@ from mfonline.datastream import (
     NONLINEAR_X_DIM,
     PERIODIC_H,
     PERIODIC_NOISE_OU,
+    PHI_INIT_SD,
+    PHI_RATE,
+    PHI_VOL,
     OuParams,
     Trajectory,
     euler_ou_path,
@@ -17,6 +20,7 @@ from mfonline.datastream import (
     response_second_moment,
 )
 from mfonline.seeding import substream
+from neuron_oracle import sigma
 
 
 def test_ou_params_validation():
@@ -114,16 +118,22 @@ def test_gen_periodic_deterministic():
 
 
 def test_gen_nonlinear_shared_truth_model():
-    train, test, model = gen_nonlinear(13, n_steps=60, return_truth_model=True)
-    assert train.x_dim == NONLINEAR_X_DIM
-    assert model.phi.shape == (60, NONLINEAR_N_NEURONS, NONLINEAR_X_DIM + 2)
-    assert abs(model.scale - NONLINEAR_AMPLITUDE / NONLINEAR_N_NEURONS) < 1e-15
-    # the recorded truth equals the model evaluated on each covariate path,
-    # i.e. one shared drifting network underlies both trajectories
-    assert np.max(np.abs(train.truth - model.evaluate_path(train.x))) < 1e-12
-    assert np.max(np.abs(test.truth - model.evaluate_path(test.x))) < 1e-12
-    for k in (0, 30, 59):
-        assert abs(model.evaluate(k, train.x[k]) - train.truth[k]) < 1e-12
+    # replay the drifting network's parameter paths from the seed's phi-init
+    # and phi-path substreams and price the truth neuron by neuron: one
+    # network underlies both trajectories
+    seed, K = 13, 60
+    train, test = gen_nonlinear(seed, n_steps=K)
+    assert train.x_dim == test.x_dim == NONLINEAR_X_DIM
+    M, d = NONLINEAR_N_NEURONS, NONLINEAR_X_DIM + 2
+    rng = substream(seed, "phi-init")
+    phi_bar = PHI_INIT_SD * rng.standard_normal((M, d))
+    phi0 = PHI_INIT_SD * rng.standard_normal((M, d))
+    phi = euler_ou_path(OuParams(rate=PHI_RATE, mean=phi_bar, vol=PHI_VOL), phi0, K,
+                        train.dt, substream(seed, "phi-path"))
+    for traj in (train, test):
+        for k in (0, 30, 59):
+            want = NONLINEAR_AMPLITUDE / M * sum(sigma(traj.x[k], p) for p in phi[k])
+            assert abs(traj.truth[k] - want) < 1e-12
 
 
 def test_gen_nonlinear_deterministic():

@@ -335,13 +335,10 @@ def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
                                  dict(sweep_beta=[-0.1]), dict(sweep_lam=[0.0]),
                                  dict(sweep_lam=[0.1, float("nan")]), dict(sweep_beta=[0.0])])
 def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
-    (name, values), = bad.items()
-    key = {"sweep_lam": "onpgd.lambda", "sweep_beta": "onpgd.beta"}.get(name)
-    # Settings rejects a NaN entry by its sweep key; the learner the others
-    if any(v != v for v in values):
-        key = {"sweep_lam": "sweep.lambda", "sweep_beta": "sweep.beta"}[name]
-    match = key and re.escape(f"({key}) must be")
-    with pytest.raises(ValueError, match=match):
+    (name, _), = bad.items()
+    # Settings rejects a bad entry by its own sweep key
+    key = {"sweep_n": "sweep.n", "sweep_lam": "sweep.lambda", "sweep_beta": "sweep.beta"}[name]
+    with pytest.raises(ValueError, match=re.escape(f"({key}) must be")):
         run_regret_sweep(small_settings(tmp_path, **bad))
     assert not os.path.exists(os.path.join(str(tmp_path), "periodic-sweep"))
 
@@ -513,6 +510,10 @@ def test_cli_verify_exit_codes(capsys):
     assert cli.main(["verify", "--seed", "1"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True
+    # every perturbed density has a strictly positive free-energy gap, and
+    # the report carries the smallest one, not a floor of zero
+    gap = {c["name"]: c for c in rep["checks"]}["gap_decomposition"]
+    assert 0.0 < gap["min_lhs"] < 1e-3
     assert cli.main(["verify", "--seed", "1", "--inject-bug"]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is False

@@ -4,10 +4,13 @@ package imports."""
 import ast
 import glob
 import os
+import runpy
 import subprocess
 import sys
 
 import mfonline
+from mfonline.datastream import DT, N_STEPS
+from mfonline.equilibrium import MU_ROOT_TOL, RHO_TOL
 from mfonline.stats import paired_tests
 from test_tracer import SMALL_CONFIG
 
@@ -85,3 +88,12 @@ def test_every_imported_name_is_read():
         unused += [f"{os.path.basename(path)}:{line} {name}"
                    for name, line in sorted(imported.items()) if name not in read]
     assert unused == []
+
+
+def test_benchmark_gate_restates_the_solver_tolerances_and_horizon():
+    # perfbench/gate.py derives every regret tolerance from these three
+    # values; it is read from its source (runpy writes no bytecode there)
+    gate = runpy.run_path(os.path.join(os.path.dirname(SRC), "perfbench", "gate.py"))
+    assert gate["MU_ROOT_TOL"] == MU_ROOT_TOL
+    assert gate["RHO_TOL"] == RHO_TOL
+    assert gate["HORIZON"] == N_STEPS * DT
