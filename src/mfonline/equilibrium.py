@@ -287,8 +287,9 @@ def _neuron_matrix(samples, X):
 
     Built in blocks of 8 rows, so that each block stays in cache through
     the product, the bias, the tanh and the amplitude.  No block has a
-    single row: ``activations`` takes another product for one covariate,
-    whose bits differ, so a last single row joins the block before it.
+    single row: BLAS takes a matrix-vector product for one row, whose bits
+    differ from that row's in a batch at n >= 3, so a last single row
+    joins the block before it.
     """
     K = X.shape[0]
     S = np.empty((K, samples.shape[0]))

@@ -36,11 +36,12 @@ def sq_norms(thetas) -> np.ndarray:
 
 
 def second_moment(thetas) -> float:
-    """q = <rho, |theta|^2> of an ensemble (N, d)."""
+    """q = <rho, |theta|^2> of an ensemble (N, d): the dot product of the
+    flattened array with itself, over N."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:
         raise ValueError("ensemble must be a 2-d array (N, d)")
-    return float(sq_norms(thetas).mean())
+    return float(np.vdot(thetas, thetas) / thetas.shape[0])
 
 
 def cost_u(m, q, y, lam: float) -> float:

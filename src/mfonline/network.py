@@ -21,14 +21,7 @@ def activations(thetas, X, out=None):
     X = np.asarray(X, dtype=float)
     if thetas.ndim != 2 or X.ndim not in (1, 2) or thetas.shape[1] != X.shape[-1] + 2:
         raise ValueError("thetas must be (N, n+2) for covariate dimension n")
-    # np.dot sends a batch of K >= 2 covariates to BLAS, with the bits of
-    # np.matmul, which runs its own slower loop when n = 1.  For a single
-    # covariate, (n,) or (1, n), the two round differently, so that path
-    # keeps np.matmul and the bits it has always had.
-    if X.ndim == 2 and X.shape[0] > 1:
-        th = np.dot(X, thetas[:, 1:-1].T, out=out)
-    else:
-        th = np.matmul(X, thetas[:, 1:-1].T, out=out)
+    th = np.dot(X, thetas[:, 1:-1].T, out=out)
     th += thetas[:, -1]
     return np.tanh(th, out=th)
 

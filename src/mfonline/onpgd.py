@@ -13,15 +13,15 @@ N(0, init_sd^2 I_d), unit sd by default, or from the Gibbs prior
 N(0, (beta / lam) I_d) at init_sd=None.  The step dt is the stream's own.
 
 Convention: the state at data index k is the pre-update ensemble (k = 1 is
-the initial draw), and the update at step k consumes z_k.  Snapshots and
-recorded predictions follow the same predict-then-update indexing.
+the initial draw), and the update at step k consumes z_k.  The recorded
+moments and predictions follow the same predict-then-update indexing.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import predict
+from .measures import predict, second_moment
 from .network import forward
 
 
@@ -41,10 +41,15 @@ class OnpgdConfig:
         if not self.n_particles >= 1:
             raise ValueError("need at least one particle")
         if not self.self_interaction and self.n_particles < 2:
-            raise ValueError("leave-one-out mean needs at least two particles")
+            raise ValueError("n_particles (onpgd.n or an entry of sweep.n) must be >= 2 when "
+                             "self_interaction (onpgd.self_interaction) is false: the "
+                             f"leave-one-out mean needs two particles, got {self.n_particles!r}")
         self._require(lambda v: v >= 0, "nonnegative")
         if self.init_sd is None:
             self.prior_var()  # the Gibbs init
+        elif not 0 < self.init_sd < np.inf:  # NaN fails too
+            raise ValueError(f"init_sd (onpgd.init_sd) must be positive and finite, "
+                             f"got {self.init_sd!r}")
 
     def _require(self, ok, what):
         """Raise ValueError naming beta or lam, whichever ok rejects first;
@@ -120,46 +125,43 @@ def _advance(thetas, x, y, config, dt, noise, step_index):
 class OnlineRunResult:
     """Outputs of one training pass.
 
-    snapshots: list of (k, thetas) pre-update states at the requested
-    indices.  train_pred[k-1] is the pre-update full-mean prediction at the
-    train covariate x_k; extra_pred the same at the supplied covariates
-    (e.g. a test path).
+    train_pred[k-1] and train_q[k-1] are the two moments (m, q) of the
+    pre-update ensemble at step k: its full-mean prediction at the train
+    covariate x_k and its second moment.  extra_pred is the prediction at
+    the supplied covariates (e.g. a test path).
     """
 
-    snapshots: list
     train_pred: np.ndarray
+    train_q: np.ndarray
     extra_pred: np.ndarray | None
 
 
-def run_online(traj, config: OnpgdConfig, rng, snapshot_at=(), predict_xs=None) -> OnlineRunResult:
-    """Train on a trajectory at its step traj.dt, recording predictions and
-    optional snapshots.
+def run_online(traj, config: OnpgdConfig, rng, predict_xs=None) -> OnlineRunResult:
+    """Train on a trajectory at its step traj.dt, recording the ensemble's
+    moments and predictions at every step.
 
     The Generator rng draws the initial ensemble and then one (N, d) noise
-    block per step.  snapshot_at lists the data indices (1..K) whose
-    pre-update states are kept.  predict_xs, when given, must be a (K, n)
-    covariate array evaluated with the pre-update state each step.
+    block per step.  predict_xs, when given, must be a (K, n) covariate
+    array evaluated with the pre-update state each step.
     """
     K = traj.n_steps
     thetas = init_ensemble(config, traj.x_dim + 2, rng)
 
-    want = set(snapshot_at)
     if predict_xs is not None:
         predict_xs = np.asarray(predict_xs, dtype=float)
         if predict_xs.shape != (K, traj.x_dim):
             raise ValueError("predict_xs must be (K, n) matching the trajectory")
 
-    snapshots = []
     train_pred = np.empty(K)
+    train_q = np.empty(K)
     extra_pred = np.empty(K) if predict_xs is not None else None
 
     for k in range(1, K + 1):
-        if k in want:
-            snapshots.append((k, thetas.copy()))
+        train_q[k - 1] = second_moment(thetas)
         if extra_pred is not None:
             extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
         noise = rng.standard_normal(thetas.shape) if config.beta > 0 else None
         thetas, train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config,
                                              traj.dt, noise, k)
 
-    return OnlineRunResult(snapshots=snapshots, train_pred=train_pred, extra_pred=extra_pred)
+    return OnlineRunResult(train_pred=train_pred, train_q=train_q, extra_pred=extra_pred)

@@ -14,9 +14,10 @@ Both are Gibbs measures of the learner's own free energy, so their prior
 N(0, (beta / lam) I_d) is taken from the learner's config.
 
 Each gap comes in a regularized (penalty included on both sides) and an
-unregularized variant.  Evaluation uses the pre-update ensemble states on
-the subgrid {1, stride, 2 stride, ..., K}, so the first point is the
-untrained ensemble and cumulative regret starts at zero there.
+unregularized variant.  Evaluation prices the pre-update ensemble moments
+that the online pass records, on the subgrid {1, stride, 2 stride, ..., K},
+so the first point is the untrained ensemble and cumulative regret starts
+at zero there.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .equilibrium import (
     solve_mu_star,
     solve_rho_star,
 )
-from .measures import cost_u, cost_u_unreg, oos_mse, second_moment
+from .measures import cost_u, cost_u_unreg, oos_mse
 from .onpgd import run_online
 from .seeding import substream
 
@@ -119,10 +120,8 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is: int,
         train,
         onpgd_config,
         substream(seed, "onpgd"),
-        snapshot_at=ks,
         predict_xs=test.x if test is not None else None,
     )
-    snaps = dict(result.snapshots)
 
     dim = train.x_dim + 2
     times = train.dt * np.asarray(ks, dtype=float)
@@ -143,8 +142,8 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is: int,
     for j, k in enumerate(ks):
         y = float(train.y[k - 1])
         z = (train.x[k - 1], y)
-        # the online pass recorded the pre-update prediction at x_k
-        learner = (float(result.train_pred[k - 1]), second_moment(snaps[k]))
+        # the online pass recorded the pre-update moments at step k
+        learner = (float(result.train_pred[k - 1]), float(result.train_q[k - 1]))
         rng = substream(seed, "dynamic-benchmark", j)
         samples = draw_prior_samples(n_is, dim, prior_var, rng)
         try:

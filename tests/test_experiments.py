@@ -9,10 +9,13 @@ import functools
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mfonline
 from mfonline import cli
 import mfonline.experiments as exp
 import mfonline.regret as regret
@@ -480,6 +483,43 @@ def test_cli_verify_rejects_a_missing_gibbs_prior(tmp_path, capsys, line, key):
     assert re.search(rf"ValueError: \w+ \({re.escape(key)}\) must be "
                      r"(positive for the Gibbs prior|nonnegative|finite)", err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("oos-compare", "onpgd.n = 1"),
+    ("regret-sweep", "sweep.n = 8, 1"),
+])
+def test_cli_leave_one_out_with_one_particle_names_its_keys(tmp_path, capsys, command, line):
+    cfg = write_small_cfg(tmp_path, f"onpgd.self_interaction = false\n{line}\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("ValueError: n_particles (onpgd.n or an entry of sweep.n) must be >= 2 when "
+            "self_interaction (onpgd.self_interaction) is false") in err
+    assert not out.exists()
+
+
+def _cli_tree(out, argv, blas_threads):
+    """Output tree of one CLI run in a fresh interpreter whose OpenBLAS
+    runs blas_threads threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.path.dirname(os.path.dirname(mfonline.__file__)))
+    subprocess.run([sys.executable, "-m", "mfonline.cli", *argv, "--out", str(out)], env=env,
+                   capture_output=True, timeout=300, check=True)
+    return tree_bytes(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate"], ["oos-compare", "--scenario", "periodic"],
+    ["oos-compare", "--scenario", "nonlinear"],
+], ids=["generate", "oos-periodic", "oos-nonlinear"])
+def test_blas_thread_count_does_not_change_bytes(tmp_path, argv):
+    # the neuron product goes through BLAS for one covariate and for a
+    # batch; the output bits must not depend on how many threads BLAS runs
+    argv = [*argv, "--config", write_small_cfg(tmp_path), "--seed", "3", "--trials", "2"]
+    one = _cli_tree(tmp_path / "blas1", argv, 1)
+    two = _cli_tree(tmp_path / "blas2", argv, 2)
+    assert one and one == two
 
 
 def test_cli_oos_compare_rejects_a_gibbs_init_without_prior(tmp_path, capsys):

@@ -70,13 +70,17 @@ def test_oos_mse_from_predictions():
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_second_moment_bitwise_equal_to_row_sums(d):
-    # the column loop must give the bits of the former np.sum(thetas**2, axis=1)
+    # the column loop must give the bits of the former np.sum(thetas**2, axis=1);
+    # an ensemble's q is one dot product of the flattened array, within
+    # rounding of the mean of those row sums
     rng = np.random.default_rng(d)
     thetas = 0.7 * rng.standard_normal((20000, d))
     w = rng.random(20000)
     w /= w.sum()
     sq = np.sum(thetas**2, axis=1)
     assert sq_norms(thetas).tobytes() == sq.tobytes()
-    assert np.float64(second_moment(thetas)).tobytes() == np.float64(sq.mean()).tobytes()
+    flat = thetas.ravel()
+    assert np.float64(second_moment(thetas)).tobytes() == np.float64(flat @ flat / 20000).tobytes()
+    assert abs(second_moment(thetas) - sq.mean()) < 1e-14 * sq.mean()
     assert (np.float64(sq_norms(thetas) @ w).tobytes()
             == np.float64(weighted_second_moment(thetas, w)).tobytes())

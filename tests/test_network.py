@@ -61,15 +61,14 @@ def test_forward_matches_scalar():
 
 
 def test_activations_into_buffers_is_bitwise_equal():
-    # np.dot and np.matmul agree bit for bit on batches of K >= 2
-    # covariates, not on a (1, n) batch or an (n,) covariate at n >= 3
+    # one product, np.dot, for one covariate and for a batch of any size
     rng = np.random.default_rng(4)
     for n in (1, 3, 5):
         thetas = rng.normal(size=(80, n + 2))
         for K in (None, 1, 2, 7, 1000):  # None: one covariate (n,)
             X = rng.normal(size=(n,) if K is None else (K, n))
             # the kernel's operations, written as one allocating expression
-            expr = np.tanh(X @ thetas[:, 1:-1].T + thetas[:, -1])
+            expr = np.tanh(np.dot(X, thetas[:, 1:-1].T) + thetas[:, -1])
             assert np.array_equal(activations(thetas, X), expr)
             th_buf = np.full(expr.shape, np.nan)
             assert activations(thetas, X, out=th_buf) is th_buf

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
-from mfonline.measures import predict
+from mfonline.measures import predict, second_moment
 from mfonline.network import forward
 from mfonline.onpgd import BlowUpError, OnpgdConfig, _advance, init_ensemble, run_online
 from mfonline.seeding import substream
@@ -27,8 +27,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match=re.escape(f"({key}) must be positive for the Gibbs")):
             OnpgdConfig(**{name: 0.0}, init_sd=None)
         OnpgdConfig(**{name: 0.0})
-    with pytest.raises(ValueError):
+    # the learner's own rejections name the config keys a run sets them by
+    with pytest.raises(ValueError, match=re.escape(
+            "n_particles (onpgd.n or an entry of sweep.n) must be >= 2 when "
+            "self_interaction (onpgd.self_interaction) is false")):
         OnpgdConfig(self_interaction=False, n_particles=1)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=re.escape("init_sd (onpgd.init_sd) must be positive")):
+            OnpgdConfig(init_sd=bad)
     for bad in (dict(beta=np.nan), dict(lam=np.nan)):
         with pytest.raises(ValueError):
             OnpgdConfig(**bad)
@@ -135,33 +141,29 @@ def test_blow_up_detection():
 def test_run_online_pre_update_convention():
     train, test = gen_periodic(41, n_steps=30)
     cfg = OnpgdConfig(n_particles=12)
-    res = run_online(train, cfg, substream(7, "onpgd"), snapshot_at=[1, 10, 20, 30],
-                     predict_xs=test.x)
+    res = run_online(train, cfg, substream(7, "onpgd"), predict_xs=test.x)
 
-    ks = [k for k, _ in res.snapshots]
-    assert ks == [1, 10, 20, 30]
-    # snapshot at k = 1 is the untouched init draw, the first draw of the stream
+    # the state at k = 1 is the untouched init draw, the first draw of the
+    # stream: the moments and predictions recorded at step 1 are its own
     init = init_ensemble(cfg, train.x_dim + 2, substream(7, "onpgd"))
-    assert np.array_equal(res.snapshots[0][1], init)
-    # recorded predictions at step 1 come from that same pre-update state
-    from mfonline.measures import predict
-
-    assert abs(res.train_pred[0] - predict(init, train.x[0])) < 1e-15
-    assert abs(res.extra_pred[0] - predict(init, test.x[0])) < 1e-15
-    assert all(snap.shape == init.shape and np.all(np.isfinite(snap)) for _, snap in res.snapshots)
-    assert np.all(np.isfinite(res.train_pred)) and np.all(np.isfinite(res.extra_pred))
+    assert res.train_q[0] == second_moment(init)
+    assert res.train_pred[0] == predict(init, train.x[0])
+    assert res.extra_pred[0] == predict(init, test.x[0])
+    for moment in (res.train_pred, res.train_q, res.extra_pred):
+        assert moment.shape == (30,) and np.all(np.isfinite(moment))
 
 
 def test_run_online_deterministic_and_stable():
     train, _ = gen_periodic(2)
     cfg = OnpgdConfig()
     K = train.n_steps
-    r1 = run_online(train, cfg, substream(5, "onpgd"), snapshot_at=[K])
-    r2 = run_online(train, cfg, substream(5, "onpgd"), snapshot_at=[K])
-    assert np.array_equal(r1.snapshots[0][1], r2.snapshots[0][1])
+    r1 = run_online(train, cfg, substream(5, "onpgd"))
+    r2 = run_online(train, cfg, substream(5, "onpgd"))
+    assert np.array_equal(r1.train_q, r2.train_q)
     assert np.array_equal(r1.train_pred, r2.train_pred)
-    # defaults stay well-behaved over the full horizon
-    assert np.max(np.abs(r1.snapshots[0][1])) < 50.0
+    # defaults stay well-behaved over the full horizon: the second moment
+    # stays bounded at every one of the K steps
+    assert r1.train_q.shape == (K,) and np.max(r1.train_q) < 50.0
 
 
 def test_run_online_rejects_bad_predict_xs():
@@ -173,16 +175,19 @@ def test_run_online_rejects_bad_predict_xs():
 def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
     """Reference training pass: the Euler step of traj.dt as whole-array
     expressions, each allocating its result, with the error as an (N,)
-    vector in both interaction modes.  Returns (train_pred, extra_pred,
-    snapshots, blow_up_step), stopping at the first step whose new state is
-    not finite."""
+    vector in both interaction modes.  Returns (train_pred, train_q,
+    extra_pred, snapshots, blow_up_step), with the pre-update states at the
+    steps snapshot_at as (k, thetas) pairs, stopping at the first step
+    whose new state is not finite."""
     rng = substream(seed, "onpgd")
     thetas = config.initial_sd() * rng.standard_normal((config.n_particles, traj.x_dim + 2))
     n = config.n_particles
-    train_pred, extra_pred, snapshots = np.empty(traj.n_steps), np.empty(traj.n_steps), []
+    train_pred, train_q = np.empty(traj.n_steps), np.empty(traj.n_steps)
+    extra_pred, snapshots = np.empty(traj.n_steps), []
     for k in range(1, traj.n_steps + 1):
         if k in snapshot_at:
             snapshots.append((k, thetas.copy()))
+        train_q[k - 1] = thetas.ravel() @ thetas.ravel() / n
         extra_pred[k - 1] = forward(thetas, predict_xs[k - 1])[0].mean()
         noise = rng.standard_normal(thetas.shape) if config.beta > 0 else None
         x, y = traj.x[k - 1], traj.y[k - 1]
@@ -199,10 +204,10 @@ def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
         if noise is not None:
             new = new + np.sqrt(2.0 * config.beta * traj.dt) * noise
         if not np.all(np.isfinite(new)):
-            return train_pred, extra_pred, snapshots, k
+            return train_pred, train_q, extra_pred, snapshots, k
         train_pred[k - 1] = mean
         thetas = new
-    return train_pred, extra_pred, snapshots, None
+    return train_pred, train_q, extra_pred, snapshots, None
 
 
 @pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
@@ -211,15 +216,17 @@ def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
     train, test = gen_nonlinear(6, n_steps=200)
     cfg = OnpgdConfig(n_particles=12, lam=0.1, beta=beta, self_interaction=self_interaction)
     at = [1, 7, 100, 200]
-    res = run_online(train, cfg, substream(9, "onpgd"), snapshot_at=at, predict_xs=test.x)
-    train_pred, extra_pred, snapshots, blow_up = _allocating_run(train, cfg, 9, at, test.x)
+    res = run_online(train, cfg, substream(9, "onpgd"), predict_xs=test.x)
+    train_pred, train_q, extra_pred, snapshots, blow_up = _allocating_run(
+        train, cfg, 9, at, test.x)
     assert blow_up is None
     assert np.array_equal(res.train_pred, train_pred)
+    assert np.array_equal(res.train_q, train_q)
     assert np.array_equal(res.extra_pred, extra_pred)
-    assert [k for k, _ in res.snapshots] == [k for k, _ in snapshots] == at
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(res.snapshots, snapshots))
-    # the training prediction at step k is the snapshot's own prediction, bit for bit
-    assert all(res.train_pred[k - 1] == predict(snap, train.x[k - 1]) for k, snap in res.snapshots)
+    # the moments at step k are the pre-update state's own, bit for bit
+    assert [k for k, _ in snapshots] == at
+    assert all(res.train_pred[k - 1] == predict(snap, train.x[k - 1]) for k, snap in snapshots)
+    assert all(res.train_q[k - 1] == second_moment(snap) for k, snap in snapshots)
 
 
 @pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
@@ -238,11 +245,11 @@ def test_run_online_steps_at_the_stream_dt():
     # run is the oracle's at 0.05, and differs from the same data at 0.02
     train, test = gen_periodic(3, n_steps=40, dt=0.05)
     cfg = OnpgdConfig(n_particles=6)
-    at = [1, 20, 40]
-    res = run_online(train, cfg, substream(2, "onpgd"), snapshot_at=at, predict_xs=test.x)
-    train_pred, _, snapshots, _ = _allocating_run(train, cfg, 2, at, test.x)
+    res = run_online(train, cfg, substream(2, "onpgd"), predict_xs=test.x)
+    train_pred, train_q, *_ = _allocating_run(train, cfg, 2, (), test.x)
     assert np.array_equal(res.train_pred, train_pred)
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(res.snapshots, snapshots))
+    assert np.array_equal(res.train_q, train_q)
     coarse = Trajectory(dt=0.02, x=train.x, y=train.y)
-    other = run_online(coarse, cfg, substream(2, "onpgd"), snapshot_at=at)
-    assert not np.array_equal(other.snapshots[-1][1], res.snapshots[-1][1])
+    other = run_online(coarse, cfg, substream(2, "onpgd"))
+    assert not np.array_equal(other.train_q[1:], res.train_q[1:])
+    assert not np.array_equal(other.train_pred[1:], res.train_pred[1:])

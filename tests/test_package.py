@@ -3,6 +3,7 @@ package imports."""
 
 import ast
 import glob
+import json
 import os
 import runpy
 import subprocess
@@ -15,6 +16,7 @@ from mfonline.stats import paired_tests
 from test_tracer import SMALL_CONFIG
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mfonline.__file__)))
+PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")
 
 
 def _fresh_interpreter(code):
@@ -90,10 +92,48 @@ def test_every_imported_name_is_read():
     assert unused == []
 
 
+def _perfbench(name):
+    """The namespace of perfbench/<name>.py, run from its source: runpy
+    writes no bytecode for it, and the modules it imports from perfbench/
+    are loaded with bytecode writing off and dropped afterwards."""
+    path, dont_write = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, PERFBENCH)
+    sys.dont_write_bytecode = True
+    try:
+        return runpy.run_path(os.path.join(PERFBENCH, name + ".py"))
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, dont_write
+        for module in ("gate", "tracer"):
+            sys.modules.pop(module, None)
+
+
 def test_benchmark_gate_restates_the_solver_tolerances_and_horizon():
     # perfbench/gate.py derives every regret tolerance from these three
-    # values; it is read from its source (runpy writes no bytecode there)
-    gate = runpy.run_path(os.path.join(os.path.dirname(SRC), "perfbench", "gate.py"))
+    # values; it is read from its source
+    gate = _perfbench("gate")
     assert gate["MU_ROOT_TOL"] == MU_ROOT_TOL
     assert gate["RHO_TOL"] == RHO_TOL
     assert gate["HORIZON"] == N_STEPS * DT
+
+
+def test_benchmark_workloads_pass_the_gate_at_seed_one(tmp_path):
+    # each workload of BENCHMARK.json at CLI seed 1, gated against the
+    # stored reference as perfbench/run.py gates it: an output that moved
+    # beyond the gate's tolerance fails here before it fails the benchmark
+    with open(os.path.join(os.path.dirname(SRC), "BENCHMARK.json")) as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    run = _perfbench("run")
+    check, reference = run["gate"].check, run["load_reference"]()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    failed = {}
+    for name in names:
+        spec = run["WORKLOADS"][name]
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "mfonline.cli", *spec["args"], "--seed", "1",
+                               "--out", str(out), "--experiment", "bench"],
+                              env=env, capture_output=True, timeout=300)
+        result = check(spec, str(out / "bench"), proc.returncode, reference[name]["1"])
+        assert result["attempted"] > 0
+        if result["failed"]:
+            failed[name] = result["problems"]
+    assert failed == {}
