@@ -15,7 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from mfonline.datastream import gen_nonlinear, gen_periodic
+from mfonline.config import Settings
+from mfonline.experiments import generate_pair
 from mfonline.offline import OfflineFitConfig, compare_oos
 from mfonline.onpgd import OnpgdConfig
 from mfonline.seeding import substream
@@ -27,8 +28,7 @@ offline = OfflineFitConfig()
 
 def one(args):
     scenario, trial = args
-    gen = gen_periodic if scenario == "periodic" else gen_nonlinear
-    train, test = gen(int(substream(1, "data", trial).integers(2**63)))
+    train, test = generate_pair(Settings(seed=1, scenario=scenario), trial)
     run_seed = int(substream(1, "demo-oos", scenario, trial).integers(2**63))
     r = compare_oos(train, test, onpgd, offline, run_seed)
     return r.mse_online, r.mse_offline

@@ -19,7 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from mfonline.datastream import gen_nonlinear
+from mfonline.config import Settings
+from mfonline.experiments import generate_pair
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import regret_run
 from mfonline.seeding import substream
@@ -27,11 +28,11 @@ from mfonline.seeding import substream
 TRIALS = 3
 STRIDE = 200
 N_IS = 5000
+DATA = Settings(seed=1, scenario="nonlinear")
 
 
 def cum_regret(lam, init_sd, trial):
-    data_seed = int(substream(1, "data", trial).integers(2**63))
-    train, _ = gen_nonlinear(data_seed)
+    train, _ = generate_pair(DATA, trial)
     cfg = OnpgdConfig(n_particles=40, lam=lam, beta=0.02, init_sd=init_sd)
     seed = int(substream(1, "demo-regret", f"{lam}-{init_sd}", trial).integers(2**63))
     b = regret_run(train, cfg, STRIDE, seed, n_is=N_IS)
@@ -49,8 +50,7 @@ for init_sd, label in ((1.0, "unit init"), (None, "prior-coupled init")):
 
 print()
 print("one full-resolution series (unit init, lambda=0.1, first seed):")
-data_seed = int(substream(1, "data", 0).integers(2**63))
-train, _ = gen_nonlinear(data_seed)
+train, _ = generate_pair(DATA, 0)
 b = regret_run(train, OnpgdConfig(n_particles=40), 100,
                int(substream(1, "demo-series").integers(2**63)), n_is=N_IS)
 reg = b.get("dynamic", "regularized")

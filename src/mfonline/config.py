@@ -104,10 +104,10 @@ SCHEMA = {
     "threads": ("threads", INT, _at_least(1)),
     "experiment": ("experiment", TEXT, None),
     "data.n_steps": ("n_steps", INT, _at_least(1)),
+    "data.dt": ("dt", NUMBER, POSITIVE),
     "onpgd.n": ("n_particles", INT, _at_least(1)),
     "onpgd.lambda": ("lam", NUMBER, None),
     "onpgd.beta": ("beta", NUMBER, None),
-    "onpgd.dt": ("dt", NUMBER, POSITIVE),
     # "gibbs" (None once resolved) selects the lambda-coupled prior
     "onpgd.init_sd": ("init_sd", ((int, float, type(None)), "a number or 'gibbs'"), POSITIVE),
     "onpgd.self_interaction": ("self_interaction", BOOL, None),

@@ -94,10 +94,11 @@ def loss_trace_to_csv(trace, path):
     _write_csv(path, ["iter", "loss"], enumerate(trace))
 
 
-def regret_to_csv(bundle, path, trial, n_particles, beta, lam):
+def regret_to_csv(bundle, path, trial, onpgd: OnpgdConfig):
     """Write all series of a bundle as rows
-    t, instantaneous, cumulative, variant, benchmark, trial, N, beta, lambda."""
-    rows = ([t, i_val, c_val, v, b, trial, n_particles, beta, lam]
+    t, instantaneous, cumulative, variant, benchmark, trial, N, beta, lambda,
+    the last three from the cell's learner config."""
+    rows = ([t, i_val, c_val, v, b, trial, onpgd.n_particles, onpgd.beta, onpgd.lam]
             for (b, v), s in sorted(bundle.series.items())
             for t, i_val, c_val in zip(s.times, s.instantaneous, s.cumulative))
     _write_csv(path, ["t", "instantaneous", "cumulative", "variant", "benchmark",
@@ -137,8 +138,7 @@ def run_generate(settings: Settings) -> dict:
         train, test = generate_pair(settings, trial)
         tdir = _trial_dir(root, settings.scenario, trial)
         for name, traj in (("train", train), ("test", test)):
-            truth = [None] * traj.n_steps if traj.truth is None else traj.truth
-            rows = ([k + 1, float((k + 1) * traj.dt), *traj.x[k], traj.y[k], truth[k]]
+            rows = ([k + 1, float((k + 1) * traj.dt), *traj.x[k], traj.y[k], traj.truth[k]]
                     for k in range(traj.n_steps))
             _write_csv(os.path.join(tdir, f"{name}.csv"),
                        ["k", "t"] + [f"x{j + 1}" for j in range(traj.x_dim)] + ["y", "truth"], rows)
@@ -210,10 +210,10 @@ def run_oos_compare(settings: Settings) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cells(settings: Settings):
-    """The (N, beta, lambda) grid with each cell's learner config, built
-    here so that a bad sweep value, a cell without a Gibbs prior, or two
-    cells whose names would share a directory fail before any trial."""
+def _sweep_cells(settings: Settings) -> dict:
+    """The (N, beta, lambda) grid as {name: learner config}, in grid order,
+    built here so that a bad sweep value, a cell without a Gibbs prior, or
+    two cells whose names would share a directory fail before any trial."""
     ns = settings.sweep_n or [settings.n_particles]
     betas = settings.sweep_beta or [settings.beta]
     lams = settings.sweep_lam or [settings.lam]
@@ -224,14 +224,15 @@ def _sweep_cells(settings: Settings):
         onpgd.prior_var()  # the benchmarks' prior
         if name in cells:
             c = cells[name]
-            raise ValueError(f"sweep cells (N, beta, lambda) = ({c['n']}, {c['beta']!r}, "
-                             f"{c['lam']!r}) and ({n}, {beta!r}, {lam!r}) share the name {name}")
-        cells[name] = {"n": n, "beta": beta, "lam": lam, "name": name, "onpgd": onpgd}
-    return list(cells.values())
+            raise ValueError(f"sweep cells (N, beta, lambda) = ({c.n_particles}, {c.beta!r}, "
+                             f"{c.lam!r}) and ({n}, {beta!r}, {lam!r}) share the name {name}")
+        cells[name] = onpgd
+    return cells
 
 
 def run_regret_sweep(settings: Settings) -> dict:
-    """Regret series and out-of-sample MSE per (N, beta, lambda) cell.
+    """Regret series and out-of-sample MSE per (N, beta, lambda) cell; each
+    cell statistic is a _summary_dict over the cell's successful trials.
 
     Every cell with a successful trial reports its dynamic benchmark
     solves as ``mu_star``: the smallest ESS over all evaluation points of
@@ -251,18 +252,18 @@ def run_regret_sweep(settings: Settings) -> dict:
     cells = _sweep_cells(settings)
 
     def one(task):
-        cell, trial = task
+        name, trial = task
+        onpgd = cells[name]
         try:
             train, test = generate_pair(settings, trial)
             bundle = regret_run(
-                train, cell["onpgd"], settings.eval_stride,
-                cell_seed(settings, cell["name"], trial), n_is=settings.n_is,
+                train, onpgd, settings.eval_stride,
+                cell_seed(settings, name, trial), n_is=settings.n_is,
                 include_static=settings.include_static, test=test,
             )
-            tdir = _trial_dir(root, cell["name"], trial)
-            regret_to_csv(bundle, os.path.join(tdir, "regret.csv"), trial=trial,
-                          n_particles=cell["n"], beta=cell["beta"], lam=cell["lam"])
-            out = {"trial": trial, "cell": cell["name"], "oos_mse": bundle.mse,
+            tdir = _trial_dir(root, name, trial)
+            regret_to_csv(bundle, os.path.join(tdir, "regret.csv"), trial, onpgd)
+            out = {"trial": trial, "cell": name, "oos_mse": bundle.mse,
                    "mu_star_ess": bundle.mu_star_ess}
             for (bench, variant), series in bundle.series.items():
                 out[f"cumulative_T_{bench}_{variant}"] = float(series.cumulative[-1])
@@ -272,24 +273,22 @@ def run_regret_sweep(settings: Settings) -> dict:
                 out["rho_star"] = (sol.n_iters, sol.n_evals, sol.residual, sol.measure.ess())
             return out
         except TRIAL_ERRORS as e:  # keep the sweep complete; no silent gaps
-            return {"trial": trial, "cell": cell["name"], "error": f"{type(e).__name__}: {e}"}
+            return {"trial": trial, "cell": name, "error": f"{type(e).__name__}: {e}"}
 
-    tasks = [(cell, trial) for cell in cells for trial in range(settings.trials)]
+    tasks = [(name, trial) for name in cells for trial in range(settings.trials)]
     rows = _pool_map(one, tasks, settings.threads)
 
     cell_reports = []
-    for cell in cells:
-        mine = [r for r in rows if r["cell"] == cell["name"]]
+    for name, onpgd in cells.items():
+        mine = [r for r in rows if r["cell"] == name]
         good = [r for r in mine if "error" not in r]
         failures = [{"trial": r["trial"], "error": r["error"]} for r in mine if "error" in r]
-        agg = {"name": cell["name"], "n": cell["n"], "beta": cell["beta"],
-               "lambda": cell["lam"], "trials": len(mine), "failures": failures}
+        agg = {"name": name, "n": onpgd.n_particles, "beta": onpgd.beta,
+               "lambda": onpgd.lam, "trials": len(mine), "failures": failures}
         if good:
-            agg["oos_mse"] = _summary_dict([r["oos_mse"] for r in good])
-            for key in sorted(good[0]):
-                if key.startswith("cumulative_T_") or key.startswith("final_instantaneous_"):
-                    vals = [r[key] for r in good]
-                    agg[key] = {"mean": float(np.mean(vals)), "sd": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0}
+            for key in good[0]:
+                if key.startswith(("oos_mse", "cumulative_T_", "final_instantaneous_")):
+                    agg[key] = _summary_dict([r[key] for r in good])
             mu_ess = [e for r in good for e in r["mu_star_ess"]]
             agg["mu_star"] = {"min_ess": min(mu_ess),
                               "low_ess": sum(e < LOW_ESS for e in mu_ess)}

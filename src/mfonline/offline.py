@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import oos_mse
+from .measures import oos_mse, second_moment
 from .network import activations, forward
 from .onpgd import OnpgdConfig, init_ensemble, run_online
 from .seeding import substream
@@ -48,8 +48,7 @@ def batch_loss(thetas, traj, lam: float, th=None) -> float:
     n = thetas.shape[0]
     th = activations(thetas, traj.x) if th is None else th  # (K, N)
     m = th @ thetas[:, 0] / n
-    penalty = 0.5 * lam / n * float(np.sum(thetas**2))
-    return float(np.mean((m - traj.y) ** 2)) + penalty
+    return float(np.mean((m - traj.y) ** 2)) + 0.5 * lam * second_moment(thetas)
 
 
 def batch_loss_grad(thetas, traj, lam: float, th=None) -> np.ndarray:

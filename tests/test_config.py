@@ -44,8 +44,9 @@ def test_parse_rejects_malformed_lines():
 
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
-    # the mu* tolerance and the offline descent step are solver defaults, not keys
-    for key in ("onpgd.gamma", "is.root_tol", "offline.lr"):
+    # the mu* tolerance and the offline descent step are solver defaults, not
+    # keys; the stream's step is data.dt, not a learner setting
+    for key in ("onpgd.gamma", "is.root_tol", "offline.lr", "onpgd.dt"):
         path.write_text(f"{key} = 2\n")
         with pytest.raises(ValueError, match="unknown config keys: " + re.escape(key)):
             build_settings(config_path=path)
@@ -152,7 +153,7 @@ def test_integer_keys_reject_other_types(tmp_path, line):
 
 
 @pytest.mark.parametrize("line", [
-    "onpgd.beta = fast", "onpgd.lambda = yes", "onpgd.dt = off", "onpgd.init_sd = true",
+    "onpgd.beta = fast", "onpgd.lambda = yes", "data.dt = off", "onpgd.init_sd = true",
     "sweep.beta = 0.02, fast", "sweep.beta = fast", "sweep.lambda = 0.1, no",
 ])
 def test_float_keys_reject_other_types(tmp_path, line):
@@ -179,10 +180,10 @@ def test_overrides_take_dotted_keys_only():
 
 
 @pytest.mark.parametrize("line", [
-    "trials = 0", "threads = 0", "seed = -1", "data.n_steps = 0", "onpgd.n = 0", "onpgd.dt = 0",
-    "onpgd.dt = -0.02", "onpgd.init_sd = 0", "is.n = 1", "offline.iters = 0", "scenario = 3",
+    "trials = 0", "threads = 0", "seed = -1", "data.n_steps = 0", "onpgd.n = 0", "data.dt = 0",
+    "data.dt = -0.02", "onpgd.init_sd = 0", "is.n = 1", "offline.iters = 0", "scenario = 3",
     # a non-finite number would blow up every trial's learner at its first step
-    "onpgd.beta = inf", "onpgd.lambda = inf", "onpgd.dt = inf", "onpgd.init_sd = inf",
+    "onpgd.beta = inf", "onpgd.lambda = inf", "data.dt = inf", "onpgd.init_sd = inf",
     "sweep.beta = 0.02, inf",
     # each sweep entry is a learner's N, beta or lambda, checked by its own key
     "sweep.n = 0", "sweep.n = 20, 0", "sweep.beta = -1", "sweep.beta = 0.02, 0",

@@ -348,14 +348,17 @@ def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
 
 def test_regret_to_csv(tmp_path):
     train, _ = gen_nonlinear(53, n_steps=40)
-    bundle = regret_run(train, OnpgdConfig(n_particles=8), 20, seed=3, n_is=1000)
+    onpgd = OnpgdConfig(n_particles=8, beta=0.03, lam=0.2)
+    bundle = regret_run(train, onpgd, 20, seed=3, n_is=1000)
     path = tmp_path / "regret.csv"
-    exp.regret_to_csv(bundle, path, trial=4, n_particles=8, beta=0.02, lam=0.1)
+    exp.regret_to_csv(bundle, path, 4, onpgd)
     lines = path.read_text().strip().splitlines()
     # header + 2 variants x 3 eval points (dynamic only)
     assert lines[0] == "t,instantaneous,cumulative,variant,benchmark,trial,N,beta,lambda"
     assert len(lines) == 1 + 2 * 3
     assert all(",dynamic," in ln for ln in lines[1:])
+    # trial, N, beta and lambda: the trial given and the cell's learner config
+    assert all(ln.endswith(",4,8,0.03,0.2") for ln in lines[1:])
 
 
 def test_static_sweep_failure_names_the_hindsight_solve(tmp_path, monkeypatch):
@@ -566,4 +569,14 @@ def test_verify_passes_at_a_temperature_the_sweep_uses():
     # at beta / lambda = 2 the tilted density has mass beyond the +-8 grid
     # the lower temperatures use; the grid spans 16 prior sd instead
     rep = run_verify(Settings(beta=0.2, lam=0.1))
+    assert rep["ok"] is True, rep["checks"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known failure: at beta 0.005 the importance weights of the 200000 prior "
+    "samples are heavy-tailed, and is_vs_quadrature reads 3.26e-3 against its "
+    "3e-3 tolerance at seed 1; ROADMAP items 2 and 10 (an exact lane over g, "
+    "or a declared sample plan) are the ways to mend it"))
+def test_verify_passes_at_the_smallest_sweep_temperature():
+    rep = run_verify(Settings(seed=1, beta=0.005))
     assert rep["ok"] is True, rep["checks"]
