@@ -38,9 +38,9 @@ class OuParams:
     vol: float = 1.0
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise ValueError("rate must be nonnegative")
-        if self.vol < 0:
+        if not self.vol >= 0:
             raise ValueError("vol must be nonnegative")
 
     def stationary_sd(self) -> float:
@@ -55,7 +55,7 @@ def euler_ou_path(params: OuParams, x0, n_steps: int, dt: float, rng) -> np.ndar
     Returns the states after each step, shape (n_steps,) + shape(x0); x0
     itself is not included.  Noise increments are iid standard normal.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -86,7 +86,7 @@ class Trajectory:
         self.y = np.asarray(self.y, dtype=float)
         if self.truth is not None:
             self.truth = np.asarray(self.truth, dtype=float)
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError("x and y must have the same number of steps")
@@ -121,21 +121,27 @@ NONLINEAR_AMPLITUDE = 2.5  # numerator of the 2.5/M sum scaling
 PHI_RATE = 0.6
 PHI_VOL = 0.9
 PHI_INIT_SD = 0.8
+# The truth network's parameter path is stepped and priced in blocks of
+# PHI_BLOCK steps, so a draw holds one (PHI_BLOCK, M, d) block and its
+# normals (about 0.4 MB each at M*d = 500) rather than the whole (K, M, d)
+# path, and its memory does not grow with n_steps.
+PHI_BLOCK = 100
 
 
 def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, dt, truth_fn):
     """Train and test trajectories with independent covariate and noise
     paths from the seed's train-x/train-xi and test-x/test-xi substreams;
-    truth_fn maps a covariate path to its truth channel."""
-    pair = []
+    truth_fn maps the train and test covariate paths to their truth
+    channels."""
+    xs, xis = [], []
     for part in ("train", "test"):
         rng = substream(seed, f"{part}-x")
         x0 = x_ou.mean + x_ou.stationary_sd() * rng.standard_normal(x_shape)
-        xs = euler_ou_path(x_ou, x0, n_steps, dt, rng)
-        xi = euler_ou_path(noise_ou, 0.0, n_steps, dt, substream(seed, f"{part}-xi"))
-        truth = truth_fn(xs)
-        pair.append(Trajectory(dt=dt, x=xs, y=truth + xi, truth=truth))
-    return tuple(pair)
+        xs.append(euler_ou_path(x_ou, x0, n_steps, dt, rng))
+        xis.append(euler_ou_path(noise_ou, 0.0, n_steps, dt, substream(seed, f"{part}-xi")))
+    truths = truth_fn(*xs)
+    return tuple(Trajectory(dt=dt, x=x, y=truth + xi, truth=truth)
+                 for x, xi, truth in zip(xs, xis, truths))
 
 
 def gen_periodic(seed: int, n_steps: int = N_STEPS, dt: float = DT):
@@ -148,7 +154,7 @@ def gen_periodic(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     """
     coeff = np.sin(PERIODIC_H * dt * np.arange(1, n_steps + 1))
     return _stream_pair(seed, PERIODIC_X_OU, (), PERIODIC_NOISE_OU, n_steps, dt,
-                        lambda xs: coeff * xs)
+                        lambda *paths: [coeff * xs for xs in paths])
 
 
 def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
@@ -157,7 +163,10 @@ def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     One truth network per call, f_k(x) = (NONLINEAR_AMPLITUDE / M) sum_m
     sigma(x, phi_k^m): the parameters of its M neurons follow OU paths around
     anchors drawn once from N(0, PHI_INIT_SD^2).  Train and test share it
-    and differ only in covariate and noise paths.
+    and differ only in covariate and noise paths.  The parameter path is
+    stepped PHI_BLOCK steps at a time from the one phi-path stream, each
+    block pricing both trajectories, so its bits are those of one whole
+    (K, M, d) draw.
     """
     M, d = NONLINEAR_N_NEURONS, NONLINEAR_X_DIM + 2
 
@@ -165,12 +174,20 @@ def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     phi_bar = PHI_INIT_SD * rng_init.standard_normal((M, d))
     phi0 = PHI_INIT_SD * rng_init.standard_normal((M, d))
     phi_ou = OuParams(rate=PHI_RATE, mean=phi_bar, vol=PHI_VOL)
-    phi = euler_ou_path(phi_ou, phi0, n_steps, dt, substream(seed, "phi-path"))  # (K, M, d)
+    rng_path = substream(seed, "phi-path")
 
-    def truth(xs):
-        u = np.einsum("kmj,kj->km", phi[:, :, 1:-1], xs) + phi[:, :, -1]
-        vals = phi[:, :, 0] * np.tanh(u)
-        return NONLINEAR_AMPLITUDE / M * vals.sum(axis=1)
+    def truth(*paths):
+        out = [np.empty(n_steps) for _ in paths]
+        phi = phi0
+        for lo in range(0, n_steps, PHI_BLOCK):
+            hi = min(lo + PHI_BLOCK, n_steps)
+            block = euler_ou_path(phi_ou, phi, hi - lo, dt, rng_path)  # (B, M, d)
+            phi = block[-1]
+            for xs, f in zip(paths, out):
+                u = np.einsum("kmj,kj->km", block[:, :, 1:-1], xs[lo:hi]) + block[:, :, -1]
+                vals = block[:, :, 0] * np.tanh(u)
+                f[lo:hi] = NONLINEAR_AMPLITUDE / M * vals.sum(axis=1)
+        return out
 
     return _stream_pair(seed, NONLINEAR_X_OU, NONLINEAR_X_DIM, NONLINEAR_NOISE_OU,
                         n_steps, dt, truth)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mfonline.datastream import (
     NONLINEAR_X_DIM,
     PERIODIC_H,
     PERIODIC_NOISE_OU,
+    PHI_BLOCK,
     PHI_INIT_SD,
     PHI_RATE,
     PHI_VOL,
@@ -21,6 +23,7 @@ from mfonline.datastream import (
 )
 from mfonline.seeding import substream
 from neuron_oracle import sigma
+from stream_oracle import whole_path_nonlinear
 
 
 def test_ou_params_validation():
@@ -28,6 +31,10 @@ def test_ou_params_validation():
         OuParams(rate=-1.0)
     with pytest.raises(ValueError):
         OuParams(rate=1.0, vol=-0.1)
+    with pytest.raises(ValueError):
+        OuParams(rate=float("nan"))
+    with pytest.raises(ValueError):
+        OuParams(rate=1.0, vol=float("nan"))
     with pytest.raises(ValueError):
         OuParams(rate=0.0).stationary_sd()
     assert abs(OuParams(rate=0.5, vol=1.0).stationary_sd() - 1.0) < 1e-15
@@ -79,6 +86,10 @@ def test_euler_ou_vector_state_and_errors():
         euler_ou_path(params, 0.0, 0, 0.05, substream(2, "v"))
     with pytest.raises(ValueError):
         euler_ou_path(params, 0.0, 5, 0.0, substream(2, "v"))
+    with pytest.raises(ValueError):
+        euler_ou_path(params, 0.0, 5, float("nan"), substream(2, "v"))
+    with pytest.raises(ValueError):
+        gen_periodic(1, n_steps=5, dt=float("nan"))
 
 
 def test_trajectory_basics_and_validation():
@@ -87,6 +98,8 @@ def test_trajectory_basics_and_validation():
     assert tr.n_steps == 4 and tr.x_dim == 1
     with pytest.raises(ValueError):
         Trajectory(dt=0.0, x=np.ones((2, 1)), y=np.ones(2))
+    with pytest.raises(ValueError):
+        Trajectory(dt=float("nan"), x=np.ones((2, 1)), y=np.ones(2))
     with pytest.raises(ValueError):
         Trajectory(dt=0.1, x=np.ones((3, 1)), y=np.ones(2))
     with pytest.raises(ValueError):
@@ -140,6 +153,36 @@ def test_gen_nonlinear_deterministic():
     a1, b1 = gen_nonlinear(21, n_steps=40)
     a2, b2 = gen_nonlinear(21, n_steps=40)
     assert np.array_equal(a1.y, a2.y) and np.array_equal(b1.y, b2.y)
+
+
+@pytest.mark.parametrize("K", [1, PHI_BLOCK - 1, PHI_BLOCK, PHI_BLOCK + 1, 2 * PHI_BLOCK + 37,
+                               1000])
+@pytest.mark.parametrize("dt", [0.02, 0.05])
+def test_gen_nonlinear_blocks_match_whole_path(K, dt):
+    # stepping the parameter path block by block draws the same normals
+    # and does the same arithmetic as one whole-path draw
+    for seed in (1, 2, 3):
+        got = gen_nonlinear(seed, n_steps=K, dt=dt)
+        for traj, (x, y, truth) in zip(got, whole_path_nonlinear(seed, K, dt)):
+            assert np.array_equal(traj.x, x)
+            assert np.array_equal(traj.y, y)
+            assert np.array_equal(traj.truth, truth)
+
+
+def test_gen_nonlinear_memory_is_bounded_by_the_block():
+    # the outputs (x, noise, truth and y of both trajectories, 0.96 MB at
+    # K = 10000) plus room for eight (PHI_BLOCK, M, d) buffers (0.4 MB each):
+    # 4.2 MB, where the whole (K, M, d) path and its normals take 80 MB
+    K = 10_000
+    out_bytes = 2 * K * (NONLINEAR_X_DIM + 3) * 8
+    block_bytes = PHI_BLOCK * NONLINEAR_N_NEURONS * (NONLINEAR_X_DIM + 2) * 8
+    tracemalloc.start()
+    try:
+        gen_nonlinear(3, n_steps=K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out_bytes + 8 * block_bytes
 
 
 # sha256 of the x, y and truth bytes of train and test, as the scenarios
