@@ -54,9 +54,13 @@ def euler_ou_path(params: OuParams, x0, n_steps: int, dt: float, rng) -> np.ndar
 
     Returns the states after each step, shape (n_steps,) + shape(x0); x0
     itself is not included.  Noise increments are iid standard normal.
+    The chain contracts by |1 - rate dt| per step, so it is stable only
+    for rate * dt < 2; a larger step is rejected rather than diverging.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if not params.rate * dt < 2:
+        raise ValueError(f"unstable Euler OU step: rate * dt must be < 2, got {params.rate} * {dt!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x = np.array(x0, dtype=float, copy=True)

@@ -84,17 +84,14 @@ def eval_indices(n_steps: int, stride: int) -> list:
 @dataclass
 class RegretBundle:
     """All regret series for one training run, keyed (benchmark, variant),
-    plus the out-of-sample MSE when a test trajectory was supplied.  The
-    dynamic benchmark's predictions and ESS follow eval_ks."""
+    plus the out-of-sample MSE when a test trajectory was supplied.  Every
+    series shares the evaluation times dt * k on the subgrid, and the
+    dynamic benchmark's ESS follows them."""
 
-    eval_ks: list
     series: dict
     mse: float | None = None
     rho_star: object = None
     mu_star_ess: list = field(default_factory=list)
-
-    def get(self, benchmark="dynamic", variant="regularized") -> RegretSeries:
-        return self.series[(benchmark, variant)]
 
 
 def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is: int,
@@ -170,5 +167,4 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is: int,
             )
 
     mse = oos_mse(result.extra_pred, test) if test is not None else None
-    return RegretBundle(eval_ks=ks, series=series, mse=mse, rho_star=static_solution,
-                        mu_star_ess=mu_ess)
+    return RegretBundle(series=series, mse=mse, rho_star=static_solution, mu_star_ess=mu_ess)

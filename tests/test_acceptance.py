@@ -7,14 +7,19 @@ cross-validation, the regret trend battery, a mechanical property suite
 and the closed-form constants.  Each check prints one PASS/FAIL line on
 the real stdout so the verdict survives pytest's capture.
 
-The heavy work (two scenario comparisons, seven regret cells, 30 trials
-each) sits in session-scoped fixtures; the whole module runs in a few
-minutes with 8 worker threads.  All learner ensembles here start from a
-unit-variance init (the config default; see README on initialization).
+Every trial runs through the command-line runners (``run_generate``,
+``run_oos_compare``, ``run_regret_sweep``) at master seed 1 and 8 worker
+threads, into a temporary directory; the checks read the returned reports
+and the written CSVs, so they certify what ``mfonline ... --seed 1``
+computes.  The heavy runs (two scenario comparisons, seven regret cells,
+30 trials each) sit in session-scoped fixtures; the whole module runs in
+a few minutes.  All learner ensembles start from the unit-variance init
+(the config default; see README on initialization).
 """
 
+import csv
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,12 +33,12 @@ from mfonline.equilibrium import (
     solve_mu_star_quadrature,
     toy_rows,
 )
-from mfonline.experiments import cell_seed, generate_pair, run_regret_sweep, run_verify
+from mfonline.experiments import run_generate, run_oos_compare, run_regret_sweep, run_verify
 from mfonline.measures import predict, second_moment
 from mfonline.network import forward
-from mfonline.offline import OfflineFitConfig, batch_loss, batch_loss_grad, compare_oos
+from mfonline.offline import batch_loss, batch_loss_grad
 from mfonline.onpgd import OnpgdConfig, _advance, init_ensemble
-from mfonline.regret import cumulative_regret, instantaneous_regret, regret_run
+from mfonline.regret import cumulative_regret, instantaneous_regret
 from mfonline.seeding import substream
 from mfonline.stats import paired_tests
 from mfonline.theory import BoundSpec, compute_constants
@@ -41,8 +46,8 @@ from measure_oracle import weighted_predict, weighted_second_moment
 
 MASTER = 1
 TRIALS = 30
-INIT_SD = 1.0
 THREADS = 8
+SCENARIOS = ("periodic", "nonlinear")
 
 
 def _line(capsys, num, name, ok, detail):
@@ -51,9 +56,8 @@ def _line(capsys, num, name, ok, detail):
         print(f"[criterion {num}] {name}: {verdict}  ({detail})", flush=True)
 
 
-# data and cell seeds come from the master seed as the CLI derives them
-SETTINGS = {scenario: Settings(scenario=scenario, seed=MASTER)
-            for scenario in ("periodic", "nonlinear")}
+def _settings(out, **kw):
+    return Settings(seed=MASTER, trials=TRIALS, threads=THREADS, out=str(out), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -62,71 +66,50 @@ SETTINGS = {scenario: Settings(scenario=scenario, seed=MASTER)
 
 
 @pytest.fixture(scope="session")
-def oos_results():
-    """Paired online/offline OOS errors, 30 trials per scenario."""
-    onpgd = OnpgdConfig(init_sd=INIT_SD)
-    offline = OfflineFitConfig()
-    cell = "N80_beta0.02_lambda0.1"
-    out = {}
+def oos_results(tmp_path_factory):
+    """The oos-compare report of each scenario, and their wall time."""
+    out = tmp_path_factory.mktemp("oos")
     t0 = time.time()
-    for scenario in ("periodic", "nonlinear"):
-
-        def one(trial):
-            train, test = generate_pair(SETTINGS[scenario], trial)
-            r = compare_oos(train, test, onpgd, offline,
-                            cell_seed(SETTINGS[scenario], cell, trial))
-            return r.mse_online, r.mse_offline
-
-        with ThreadPoolExecutor(THREADS) as pool:
-            rows = list(pool.map(one, range(TRIALS)))
-        out[scenario] = {
-            "online": np.array([r[0] for r in rows]),
-            "offline": np.array([r[1] for r in rows]),
-        }
-    out["elapsed"] = time.time() - t0
-    return out
+    reports = {s: run_oos_compare(_settings(out, scenario=s)) for s in SCENARIOS}
+    return reports, time.time() - t0
 
 
-CELLS = {
-    "N80_beta0.02_lambda0.1": dict(n=80, lam=0.1, beta=0.02),
-    "N80_beta0.02_lambda0.4": dict(n=80, lam=0.4, beta=0.02),
-    "N20_beta0.02_lambda0.1": dict(n=20, lam=0.1, beta=0.02),
-    "N200_beta0.02_lambda0.1": dict(n=200, lam=0.1, beta=0.02),
-    "N80_beta0.005_lambda0.1": dict(n=80, lam=0.1, beta=0.005),
-    "N80_beta0.05_lambda0.1": dict(n=80, lam=0.1, beta=0.05),
-    "N80_beta0.2_lambda0.1": dict(n=80, lam=0.1, beta=0.2),
-}
+# criterion 5's cross around the default cell, as (N, beta, lambda)
+CELLS = [(80, 0.02, 0.1), (80, 0.02, 0.4), (20, 0.02, 0.1), (200, 0.02, 0.1),
+         (80, 0.005, 0.1), (80, 0.05, 0.1), (80, 0.2, 0.1)]
+
+
+def _dynamic_regularized(path, dt):
+    """Evaluation steps k, instantaneous and cumulative series of the
+    dynamic regularized rows of one trial's regret.csv."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh)
+                if (r["benchmark"], r["variant"]) == ("dynamic", "regularized")]
+    t, inst, cum = (np.array([float(r[c]) for r in rows])
+                    for c in ("t", "instantaneous", "cumulative"))
+    return np.rint(t / dt).astype(int), inst, cum
 
 
 @pytest.fixture(scope="session")
-def regret_cells():
-    """Dynamic-benchmark regret series per parameter cell, 30 trials each.
+def regret_cells(tmp_path_factory):
+    """A one-cell regret-sweep report per cell of the cross, with each
+    trial's dynamic regularized series read from its regret.csv.
 
     Data streams are keyed by (master, "data", trial) only, so every cell
     sees the same 30 trajectories and cross-cell contrasts are paired.
     """
+    out = tmp_path_factory.mktemp("regret")
     results = {}
-    for name, p in CELLS.items():
-        onpgd = OnpgdConfig(n_particles=p["n"], lam=p["lam"], beta=p["beta"],
-                            init_sd=INIT_SD)
-
-        def one(trial):
-            train, test = generate_pair(SETTINGS["nonlinear"], trial)
-            b = regret_run(train, onpgd, 100, cell_seed(SETTINGS["nonlinear"], name, trial),
-                           n_is=SETTINGS["nonlinear"].n_is, test=test)
-            reg = b.get("dynamic", "regularized")
-            unreg = b.get("dynamic", "unregularized")
-            return {
-                "cum_reg": float(reg.cumulative[-1]),
-                "cum_unreg": float(unreg.cumulative[-1]),
-                "inst_reg": np.asarray(reg.instantaneous),
-                "cum_series": np.asarray(reg.cumulative),
-                "ks": np.asarray(b.eval_ks),
-                "mse": b.mse,
-            }
-
-        with ThreadPoolExecutor(THREADS) as pool:
-            results[name] = list(pool.map(one, range(TRIALS)))
+    for i, (n, beta, lam) in enumerate(CELLS):
+        settings = _settings(out, scenario="nonlinear", experiment=f"cell{i}",
+                             sweep_n=[n], sweep_beta=[beta], sweep_lam=[lam])
+        (cell,) = run_regret_sweep(settings)["cells"]
+        assert cell["trials"] == TRIALS and cell["failures"] == [], cell["failures"]
+        cell_dir = os.path.join(out, settings.experiment, cell["name"])
+        cell["series"] = [_dynamic_regularized(
+            os.path.join(cell_dir, f"trial{t:03d}", "regret.csv"), settings.dt)
+            for t in range(TRIALS)]
+        results[cell["name"]] = cell
     return results
 
 
@@ -149,20 +132,21 @@ def test_c1_online_vs_offline_bands(oos_results, capsys):
         "periodic": {"online": (0.15, 0.35), "offline": (0.35, 0.75)},
         "nonlinear": {"online": (0.025, 0.045), "offline": (0.03, 0.055)},
     }
-    ok = oos_results["elapsed"] < 900.0
-    parts = [f"elapsed {oos_results['elapsed']:.0f}s"]
-    for scenario in ("periodic", "nonlinear"):
-        online = oos_results[scenario]["online"]
-        offline = oos_results[scenario]["offline"]
-        r = paired_tests(online, offline)
+    reports, elapsed = oos_results
+    ok = elapsed < 900.0
+    parts = [f"elapsed {elapsed:.0f}s"]
+    for scenario in SCENARIOS:
+        online = reports[scenario]["panel_a"]["online"]["mean"]
+        offline = reports[scenario]["panel_a"]["offline"]["mean"]
+        t_pvalue = reports[scenario]["panel_b"]["t_pvalue"]
         lo, hi = bands[scenario]["online"]
-        in_on = lo <= online.mean() <= hi
+        in_on = lo <= online <= hi
         lo, hi = bands[scenario]["offline"]
-        in_off = lo <= offline.mean() <= hi
-        better = online.mean() < offline.mean() and r.t_pvalue < 0.05
+        in_off = lo <= offline <= hi
+        better = online < offline and t_pvalue < 0.05
         ok = ok and in_on and in_off and better
-        parts.append(f"{scenario} online {online.mean():.4f} offline "
-                     f"{offline.mean():.4f} t_p {r.t_pvalue:.2e}")
+        parts.append(f"{scenario} online {online:.4f} offline "
+                     f"{offline:.4f} t_p {t_pvalue:.2e}")
     _line(capsys, 1, "online vs offline OOS bands", ok, "; ".join(parts))
     assert ok, parts
 
@@ -172,10 +156,11 @@ def test_c1_online_vs_offline_bands(oos_results, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_c2_response_moment_bands(capsys):
+def test_c2_response_moment_bands(tmp_path, capsys):
     means = {}
     for scenario, center, half in (("periodic", 0.525, 0.15), ("nonlinear", 0.047, 0.02)):
-        vals = [float(np.mean(generate_pair(SETTINGS[scenario], t)[0].y ** 2)) for t in range(TRIALS)]
+        report = run_generate(_settings(tmp_path, scenario=scenario))
+        vals = [r["train_second_moment"] for r in report["trial_moments"]]
         means[scenario] = (float(np.mean(vals)), center, half)
     ok = all(abs(m - c) <= h for m, c, h in means.values())
     detail = "; ".join(f"{s} mean-sq {m:.4f} target {c}+-{h}"
@@ -240,35 +225,36 @@ def test_c4_solver_cross_validation(verify_report, capsys):
 
 
 def test_c5_regret_trends(regret_cells, capsys):
-    base = regret_cells["N80_beta0.02_lambda0.1"]
+    base = regret_cells["N80_beta0.02_lambda0.1"]["series"]
 
     # (a) cumulative regret grows over the horizon; instantaneous settles
     # at a positive level after the initial transient
-    ks = base[0]["ks"]
+    ks = base[0][0]
     half = ks >= ks[-1] // 2
-    grow = sum(1 for r in base if np.all(np.diff(r["cum_series"][half]) >= 0.0))
-    positive_final = sum(1 for r in base if r["cum_reg"] > 0.0)
-    inst_mean = np.mean([r["inst_reg"] for r in base], axis=0)
+    grow = sum(1 for _, _, cum in base if np.all(np.diff(cum[half]) >= 0.0))
+    positive_final = sum(1 for _, _, cum in base if cum[-1] > 0.0)
+    inst_mean = np.mean([inst for _, inst, _ in base], axis=0)
     late = inst_mean[-3:]
     drop = inst_mean[1] - inst_mean[-1]
     settled = np.all(late > 0.0) and (late.max() - late.min()) <= 0.25 * abs(drop)
     ok_a = grow >= 25 and positive_final >= 25 and settled
 
     # (b) heavier weight decay raises cumulative regret by a mid-size factor
-    mean_cum = {name: float(np.mean([r["cum_reg"] for r in rows]))
-                for name, rows in regret_cells.items()}
-    ratio = mean_cum["N80_beta0.02_lambda0.4"] / mean_cum["N80_beta0.02_lambda0.1"]
+    def mean(name, key):
+        return regret_cells[name][key]["mean"]
+
+    ratio = (mean("N80_beta0.02_lambda0.4", "cumulative_T_dynamic_regularized")
+             / mean("N80_beta0.02_lambda0.1", "cumulative_T_dynamic_regularized"))
     ok_b = 1.05 <= ratio <= 1.45
 
     # (c) more particles do not hurt the unregularized seed-mean
-    unreg = {n: float(np.mean([r["cum_unreg"] for r in regret_cells[n]]))
+    unreg = {n: mean(n, "cumulative_T_dynamic_unregularized")
              for n in ("N20_beta0.02_lambda0.1", "N200_beta0.02_lambda0.1")}
     ok_c = unreg["N200_beta0.02_lambda0.1"] <= unreg["N20_beta0.02_lambda0.1"]
 
     # (d) OOS error is minimized at an interior temperature
     grid = [0.005, 0.02, 0.05, 0.2]
-    mse = {b: float(np.mean([r["mse"] for r in regret_cells[f"N80_beta{b:g}_lambda0.1"]]))
-           for b in grid}
+    mse = {b: mean(f"N80_beta{b:g}_lambda0.1", "oos_mse") for b in grid}
     argmin = min(grid, key=lambda b: mse[b])
     ok_d = argmin in (0.02, 0.05)
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,14 @@ def test_euler_ou_vector_state_and_errors():
         euler_ou_path(params, 0.0, 5, float("nan"), substream(2, "v"))
     with pytest.raises(ValueError):
         gen_periodic(1, n_steps=5, dt=float("nan"))
+    # from rate * dt = 2 on the chain does not contract; in the scenarios
+    # the noise channels (periodic rate 1.5, nonlinear rate 5.0) hit it first
+    with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
+        euler_ou_path(params, 0.0, 5, 2.0, substream(2, "v"))
+    with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
+        gen_periodic(1, n_steps=5, dt=1.4)
+    with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
+        gen_nonlinear(1, n_steps=5, dt=0.5)
 
 
 def test_trajectory_basics_and_validation():

@@ -5,6 +5,7 @@ whole file stays in the seconds range; statistical quality is not at
 stake here, only wiring, file layout, failure handling and exit codes.
 """
 
+import csv
 import functools
 import json
 import os
@@ -359,6 +360,14 @@ def test_regret_to_csv(tmp_path):
     assert all(",dynamic," in ln for ln in lines[1:])
     # trial, N, beta and lambda: the trial given and the cell's learner config
     assert all(ln.endswith(",4,8,0.03,0.2") for ln in lines[1:])
+    # each series reads back bit for bit
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for (b, v), s in bundle.series.items():
+        mine = [r for r in rows if (r["benchmark"], r["variant"]) == (b, v)]
+        for col, want in (("t", s.times), ("instantaneous", s.instantaneous),
+                          ("cumulative", s.cumulative)):
+            assert np.array_equal([float(r[col]) for r in mine], want)
 
 
 def test_static_sweep_failure_names_the_hindsight_solve(tmp_path, monkeypatch):
@@ -426,6 +435,15 @@ def test_cli_generate_uses_env_out_dir(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert os.path.exists(tmp_path / "envroot" / "periodic-data" / "report.json")
     capsys.readouterr()
+
+
+def test_cli_generate_unstable_stream_step_exits_one(tmp_path, capsys):
+    # at dt = 100 the Euler OU chain would diverge into NaN CSVs
+    cfg = write_small_cfg(tmp_path, "data.dt = 100\n")
+    out = tmp_path / "genout"
+    assert cli.main(["generate", "--config", cfg, "--trials", "1", "--out", str(out)]) == 1
+    assert "rate * dt must be < 2" in capsys.readouterr().err
+    assert not (out / "periodic-data" / "report.json").exists()
 
 
 def test_cli_regret_sweep_flags(tmp_path, capsys):

@@ -128,10 +128,10 @@ def test_regret_run_smoke(monkeypatch):
     _rho_star_max_iters(monkeypatch, 300)
     bundle = regret_run(train, onpgd, eval_stride=20, seed=7, n_is=2000,
                         include_static=True, test=test)
-    assert bundle.eval_ks == [1, 20, 40]
     assert set(bundle.series) == {(b, v) for b in ("dynamic", "static")
                                   for v in ("regularized", "unregularized")}
     for s in bundle.series.values():
+        assert np.array_equal(s.times, train.dt * np.array([1.0, 20.0, 40.0]))
         assert s.cumulative[0] == 0.0
         assert s.instantaneous.shape == (3,)
     assert bundle.mse is not None and bundle.mse > 0
@@ -182,7 +182,7 @@ def test_benchmark_prior_is_the_learners(monkeypatch):
     monkeypatch.setattr(regret_mod, "draw_prior_samples", recording)
     bundle = regret_run(train, onpgd, 20, seed=2, n_is=500, include_static=True)
     # one dynamic draw per evaluation point and one static (hindsight) draw
-    assert len(prior_vars) == len(bundle.eval_ks) + 1
+    assert len(prior_vars) == len(bundle.series[("dynamic", "regularized")].times) + 1
     assert prior_vars == [0.02 / 0.4] * len(prior_vars)
 
 
