@@ -41,8 +41,8 @@ with tempfile.TemporaryDirectory() as out:
 
 print()
 print("one full-resolution series (unit init, lambda=0.1, data seed 1):")
-train, _ = gen_nonlinear(1)
-b = regret_run(train, OnpgdConfig(n_particles=40), 100, seed=1, n_is=N_IS)
+train, test = gen_nonlinear(1)
+b = regret_run(train, test, OnpgdConfig(n_particles=40), 100, seed=1, n_is=N_IS)
 reg = b.series[("dynamic", "regularized")]
 for t, inst, cum in zip(reg.times, reg.instantaneous, reg.cumulative):
     print(f"  t = {t:5.1f}   instantaneous {inst:+.4f}   cumulative {cum:+.4f}")

@@ -19,7 +19,7 @@ constants below, and a generator takes only the seed, the horizon n_steps
 and the step dt, which default to N_STEPS and DT.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,14 @@ class OuParams:
         if not self.vol >= 0:
             raise ValueError("vol must be nonnegative")
 
+    def check_step(self, dt: float) -> None:
+        """Reject a step at which the Euler chain diverges: it contracts
+        by |1 - rate dt| per step, so it is stable only for rate * dt < 2."""
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        if not self.rate * dt < 2:
+            raise ValueError(f"unstable Euler OU step: rate * dt must be < 2, got {self.rate} * {dt!r}")
+
     def stationary_sd(self) -> float:
         if self.rate <= 0:
             raise ValueError("stationary law needs rate > 0")
@@ -54,13 +62,9 @@ def euler_ou_path(params: OuParams, x0, n_steps: int, dt: float, rng) -> np.ndar
 
     Returns the states after each step, shape (n_steps,) + shape(x0); x0
     itself is not included.  Noise increments are iid standard normal.
-    The chain contracts by |1 - rate dt| per step, so it is stable only
-    for rate * dt < 2; a larger step is rejected rather than diverging.
+    A step the chain diverges at is rejected (OuParams.check_step).
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not params.rate * dt < 2:
-        raise ValueError(f"unstable Euler OU step: rate * dt must be < 2, got {params.rate} * {dt!r}")
+    params.check_step(dt)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x = np.array(x0, dtype=float, copy=True)
@@ -124,6 +128,7 @@ NONLINEAR_N_NEURONS = 100  # width of the drifting truth network
 NONLINEAR_AMPLITUDE = 2.5  # numerator of the 2.5/M sum scaling
 PHI_RATE = 0.6
 PHI_VOL = 0.9
+PHI_OU = OuParams(rate=PHI_RATE, vol=PHI_VOL)  # its mean is each draw's anchors
 PHI_INIT_SD = 0.8
 # The truth network's parameter path is stepped and priced in blocks of
 # PHI_BLOCK steps, so a draw holds one (PHI_BLOCK, M, d) block and its
@@ -177,7 +182,7 @@ def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     rng_init = substream(seed, "phi-init")
     phi_bar = PHI_INIT_SD * rng_init.standard_normal((M, d))
     phi0 = PHI_INIT_SD * rng_init.standard_normal((M, d))
-    phi_ou = OuParams(rate=PHI_RATE, mean=phi_bar, vol=PHI_VOL)
+    phi_ou = replace(PHI_OU, mean=phi_bar)
     rng_path = substream(seed, "phi-path")
 
     def truth(*paths):
@@ -195,3 +200,17 @@ def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
 
     return _stream_pair(seed, NONLINEAR_X_OU, NONLINEAR_X_DIM, NONLINEAR_NOISE_OU,
                         n_steps, dt, truth)
+
+
+# every OU channel a scenario steps at its dt
+SCENARIO_OU = {
+    "periodic": (PERIODIC_X_OU, PERIODIC_NOISE_OU),
+    "nonlinear": (NONLINEAR_X_OU, NONLINEAR_NOISE_OU, PHI_OU),
+}
+
+
+def check_step(scenario: str, dt: float) -> None:
+    """Raise ValueError unless every OU channel of the scenario is stable
+    at step dt, so a caller can reject dt before drawing any stream."""
+    for params in SCENARIO_OU[scenario]:
+        params.check_step(dt)

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .config import Settings
-from .datastream import gen_nonlinear, gen_periodic, response_second_moment
+from .datastream import check_step, gen_nonlinear, gen_periodic, response_second_moment
 from .equilibrium import (
     ConvergenceError,
     QuadratureGrid,
@@ -34,7 +34,7 @@ from .offline import OfflineFitConfig, compare_oos
 from .onpgd import BlowUpError, OnpgdConfig
 from .regret import regret_run
 from .seeding import substream
-from .stats import DegenerateDataError, paired_tests, summarize
+from .stats import paired_tests, summarize
 from .theory import BoundSpec, compute_constants
 
 # An importance-sampling benchmark solve with effective sample size below
@@ -42,10 +42,20 @@ from .theory import BoundSpec, compute_constants
 LOW_ESS = 10.0
 
 # A regret-sweep trial that raises one of these is recorded as failed and
-# the sweep goes on: numerical failures of the data, the learner or a
-# benchmark solve, and settings a trial rejects (a stride beyond the
-# horizon).  Anything else is a fault of the program and ends the sweep.
-TRIAL_ERRORS = (BlowUpError, ConvergenceError, FloatingPointError, ValueError)
+# the sweep goes on: numerical failures of the learner or a benchmark
+# solve, and settings a trial rejects (a stride beyond the horizon).
+# Anything else is a fault of the program and ends the sweep.
+TRIAL_ERRORS = (BlowUpError, ConvergenceError, ValueError)
+
+
+def check_stream_step(settings: Settings):
+    """Reject a data.dt at which an OU channel of the scenario diverges,
+    before any trial draws a stream."""
+    try:
+        check_step(settings.scenario, settings.dt)
+    except ValueError as e:
+        raise ValueError(f"data.dt = {settings.dt!r} is too large for the "
+                         f"{settings.scenario} scenario: {e}") from None
 
 
 def generate_pair(settings: Settings, trial: int):
@@ -121,7 +131,7 @@ def _summary_dict(values):
 def _paired_dict(a, b):
     try:
         return asdict(paired_tests(np.asarray(a), np.asarray(b)))
-    except (DegenerateDataError, ValueError) as e:
+    except ValueError as e:  # DegenerateDataError included
         return {"error": str(e)}
 
 
@@ -133,6 +143,7 @@ def _paired_dict(a, b):
 def run_generate(settings: Settings) -> dict:
     """Write train/test trajectory CSVs for each trial."""
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-data")
+    check_stream_step(settings)
 
     def one(trial):
         train, test = generate_pair(settings, trial)
@@ -169,6 +180,7 @@ def run_generate(settings: Settings) -> dict:
 def run_oos_compare(settings: Settings) -> dict:
     """Paired online/offline out-of-sample MSE over the trials."""
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-oos")
+    check_stream_step(settings)
     cell, onpgd = learner_cell(settings, settings.n_particles, settings.beta, settings.lam)
     offline = OfflineFitConfig(iters=settings.offline_iters)
 
@@ -244,11 +256,13 @@ def run_regret_sweep(settings: Settings) -> dict:
     see ``RhoStarSolution.n_evals``), the largest final residual, the
     smallest final ESS and the number of trials whose final ESS is below
     LOW_ESS.
-    A sweep value that no config accepts raises before any trial runs.
+    A sweep value that no config accepts, or a data.dt at which the
+    streams diverge, raises before any trial runs.
     A trial that raises one of TRIAL_ERRORS is listed under its cell's
     ``failures``; any other exception propagates and ends the sweep.
     """
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-sweep")
+    check_stream_step(settings)
     cells = _sweep_cells(settings)
 
     def one(task):
@@ -257,9 +271,9 @@ def run_regret_sweep(settings: Settings) -> dict:
         try:
             train, test = generate_pair(settings, trial)
             bundle = regret_run(
-                train, onpgd, settings.eval_stride,
+                train, test, onpgd, settings.eval_stride,
                 cell_seed(settings, name, trial), n_is=settings.n_is,
-                include_static=settings.include_static, test=test,
+                include_static=settings.include_static,
             )
             tdir = _trial_dir(root, name, trial)
             regret_to_csv(bundle, os.path.join(tdir, "regret.csv"), trial, onpgd)

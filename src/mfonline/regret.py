@@ -84,19 +84,20 @@ def eval_indices(n_steps: int, stride: int) -> list:
 @dataclass
 class RegretBundle:
     """All regret series for one training run, keyed (benchmark, variant),
-    plus the out-of-sample MSE when a test trajectory was supplied.  Every
-    series shares the evaluation times dt * k on the subgrid, and the
-    dynamic benchmark's ESS follows them."""
+    and the run's out-of-sample MSE on its test trajectory.  Every series
+    shares the evaluation times dt * k on the subgrid, and the dynamic
+    benchmark's ESS follows them."""
 
     series: dict
-    mse: float | None = None
+    mse: float
     rho_star: object = None
     mu_star_ess: list = field(default_factory=list)
 
 
-def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is: int,
-               include_static=False, test=None) -> RegretBundle:
-    """Train online on ``train`` and measure regret on the subgrid.
+def regret_run(train, test, onpgd_config, eval_stride: int, seed, *, n_is: int,
+               include_static=False) -> RegretBundle:
+    """Train online on ``train``, measure regret on the subgrid, and score
+    the pre-update predictions on ``test``.
 
     seed is an integer; the learner and each benchmark draw from their
     own named substream of it.  Both benchmarks reweight n_is network
@@ -105,25 +106,18 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is: int,
     from a substream keyed by the point's ordinal, so threading over trials
     or points cannot change results; each point is solved to MU_ROOT_TOL.
     Static benchmark (include_static) solves the hindsight measure once from
-    its own substream.  With ``test`` given, out-of-sample predictions are
-    recorded during the run.
+    its own substream.  Only the benchmarks solved get series.
     """
     lam = onpgd_config.lam
     beta = onpgd_config.beta
     prior_var = onpgd_config.prior_var()
-    K = train.n_steps
-    ks = eval_indices(K, eval_stride)
-    result = run_online(
-        train,
-        onpgd_config,
-        substream(seed, "onpgd"),
-        predict_xs=test.x if test is not None else None,
-    )
+    ks = eval_indices(train.n_steps, eval_stride)
+    result = run_online(train, onpgd_config, substream(seed, "onpgd"), predict_xs=test.x)
 
     dim = train.x_dim + 2
     times = train.dt * np.asarray(ks, dtype=float)
-
-    inst = {(b, v): np.empty(len(ks)) for b in BENCHMARKS for v in VARIANTS}
+    benchmarks = BENCHMARKS if include_static else ("dynamic",)
+    inst = {(b, v): np.empty(len(ks)) for b in benchmarks for v in VARIANTS}
     mu_ess = []
 
     static_solution = None
@@ -156,15 +150,8 @@ def regret_run(train, onpgd_config, eval_stride: int, seed, *, n_is: int,
             inst[(b, "regularized")][j], inst[(b, "unregularized")][j] = \
                 instantaneous_regret(learner, moments, y, lam)
 
-    series = {}
-    benchmarks = BENCHMARKS if include_static else ("dynamic",)
-    for b in benchmarks:
-        for v in VARIANTS:
-            series[(b, v)] = RegretSeries(
-                times=times,
-                instantaneous=inst[(b, v)].copy(),
-                cumulative=cumulative_regret(times, inst[(b, v)]),
-            )
-
-    mse = oos_mse(result.extra_pred, test) if test is not None else None
-    return RegretBundle(series=series, mse=mse, rho_star=static_solution, mu_star_ess=mu_ess)
+    series = {key: RegretSeries(times=times, instantaneous=vals,
+                                cumulative=cumulative_regret(times, vals))
+              for key, vals in inst.items()}
+    return RegretBundle(series=series, mse=oos_mse(result.extra_pred, test),
+                        rho_star=static_solution, mu_star_ess=mu_ess)

@@ -227,10 +227,10 @@ def test_regret_sweep_cell_grid(tmp_path):
 def test_regret_sweep_records_failures(tmp_path, monkeypatch):
     real = exp.regret_run
 
-    def flaky(train, onpgd, stride, seed, **kw):
+    def flaky(train, test, onpgd, stride, seed, **kw):
         if onpgd.beta == 0.05:
             raise ConvergenceError("Newton stalled after 100 evaluations")
-        return real(train, onpgd, stride, seed, **kw)
+        return real(train, test, onpgd, stride, seed, **kw)
 
     monkeypatch.setattr(exp, "regret_run", flaky)
     s = small_settings(tmp_path, sweep_beta=[0.02, 0.05])
@@ -273,7 +273,7 @@ def test_sweep_reports_a_failed_data_draw_in_every_cell(tmp_path, monkeypatch):
 
     def flaky(settings, trial):
         if trial == 1:
-            raise FloatingPointError("overflow in the covariate path")
+            raise ConvergenceError("covariate path did not converge")
         return real(settings, trial)
 
     monkeypatch.setattr(exp, "generate_pair", flaky)
@@ -281,7 +281,7 @@ def test_sweep_reports_a_failed_data_draw_in_every_cell(tmp_path, monkeypatch):
     rep = run_regret_sweep(s)
     for cell in rep["cells"]:
         assert cell["failures"] == [
-            {"trial": 1, "error": "FloatingPointError: overflow in the covariate path"}]
+            {"trial": 1, "error": "ConvergenceError: covariate path did not converge"}]
         assert len(cell["oos_mse"]["values"]) == 1  # trial 0 alone
         sweep = os.path.join(s.out_dir(), "periodic-sweep", cell["name"])
         assert os.path.exists(os.path.join(sweep, "trial000", "regret.csv"))
@@ -315,8 +315,8 @@ def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
     real = exp.regret_run
     ess = {}
 
-    def recording(train, onpgd, *args, **kw):
-        bundle = real(train, onpgd, *args, **kw)
+    def recording(train, test, onpgd, *args, **kw):
+        bundle = real(train, test, onpgd, *args, **kw)
         ess.setdefault(onpgd.beta, []).extend(bundle.mu_star_ess)
         return bundle
 
@@ -348,9 +348,9 @@ def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
 
 
 def test_regret_to_csv(tmp_path):
-    train, _ = gen_nonlinear(53, n_steps=40)
+    train, test = gen_nonlinear(53, n_steps=40)
     onpgd = OnpgdConfig(n_particles=8, beta=0.03, lam=0.2)
-    bundle = regret_run(train, onpgd, 20, seed=3, n_is=1000)
+    bundle = regret_run(train, test, onpgd, 20, seed=3, n_is=1000)
     path = tmp_path / "regret.csv"
     exp.regret_to_csv(bundle, path, 4, onpgd)
     lines = path.read_text().strip().splitlines()
@@ -444,6 +444,19 @@ def test_cli_generate_unstable_stream_step_exits_one(tmp_path, capsys):
     assert cli.main(["generate", "--config", cfg, "--trials", "1", "--out", str(out)]) == 1
     assert "rate * dt must be < 2" in capsys.readouterr().err
     assert not (out / "periodic-data" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "oos-compare", "regret-sweep"])
+def test_cli_unstable_stream_step_fails_before_any_trial(tmp_path, capsys, command):
+    # the nonlinear noise channel (rate 5.0) diverges at dt = 0.5; every
+    # command that draws streams exits 1 before its first trial, naming the key
+    cfg = write_small_cfg(tmp_path, "data.dt = 0.5\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--scenario", "nonlinear", "--trials", "2",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "data.dt = 0.5" in err and "rate * dt must be < 2, got 5.0 * 0.5" in err
+    assert not out.exists()
 
 
 def test_cli_regret_sweep_flags(tmp_path, capsys):

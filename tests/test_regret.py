@@ -126,43 +126,62 @@ def test_regret_run_smoke(monkeypatch):
     train, test = gen_nonlinear(51, n_steps=40)
     onpgd = OnpgdConfig(n_particles=10)
     _rho_star_max_iters(monkeypatch, 300)
-    bundle = regret_run(train, onpgd, eval_stride=20, seed=7, n_is=2000,
-                        include_static=True, test=test)
+    bundle = regret_run(train, test, onpgd, eval_stride=20, seed=7, n_is=2000,
+                        include_static=True)
     assert set(bundle.series) == {(b, v) for b in ("dynamic", "static")
                                   for v in ("regularized", "unregularized")}
     for s in bundle.series.values():
         assert np.array_equal(s.times, train.dt * np.array([1.0, 20.0, 40.0]))
         assert s.cumulative[0] == 0.0
         assert s.instantaneous.shape == (3,)
-    assert bundle.mse is not None and bundle.mse > 0
+    assert bundle.mse > 0
     assert len(bundle.mu_star_ess) == 3
     assert all(1.0 <= e <= 2000 for e in bundle.mu_star_ess)
     assert bundle.rho_star is not None
 
     # rerun is deterministic
-    again = regret_run(train, onpgd, eval_stride=20, seed=7, n_is=2000,
-                       include_static=True, test=test)
+    again = regret_run(train, test, onpgd, eval_stride=20, seed=7, n_is=2000,
+                       include_static=True)
     for key in bundle.series:
         assert np.array_equal(bundle.series[key].instantaneous,
                               again.series[key].instantaneous)
 
 
+def test_regret_run_dynamic_only_bundle():
+    # without the hindsight benchmark the bundle holds the dynamic series
+    # alone, and the MSE on the test half is always priced
+    train, test = gen_nonlinear(51, n_steps=40)
+    onpgd = OnpgdConfig(n_particles=10)
+    bundle = regret_run(train, test, onpgd, 20, seed=7, n_is=2000)
+    assert list(bundle.series) == [("dynamic", "regularized"), ("dynamic", "unregularized")]
+    assert type(bundle.mse) is float and bundle.mse > 0
+    assert bundle.rho_star is None
+
+    again = regret_run(train, test, onpgd, 20, seed=7, n_is=2000)
+    assert again.mse.hex() == bundle.mse.hex()
+    assert again.mu_star_ess == bundle.mu_star_ess
+    assert list(again.series) == list(bundle.series)
+    for key, s in bundle.series.items():
+        for name in ("times", "instantaneous", "cumulative"):
+            assert getattr(s, name).tobytes() == getattr(again.series[key], name).tobytes()
+
+
 def test_regret_run_solver_failure_names_index(monkeypatch):
-    train, _ = gen_nonlinear(52, n_steps=40)
+    train, test = gen_nonlinear(52, n_steps=40)
 
     def boom(*args, **kwargs):
         raise ConvergenceError("Newton stalled")
 
     monkeypatch.setattr(regret_mod, "solve_mu_star", boom)
     with pytest.raises(ConvergenceError, match="subgrid index 0"):
-        regret_run(train, OnpgdConfig(n_particles=5), 20, seed=1, n_is=500)
+        regret_run(train, test, OnpgdConfig(n_particles=5), 20, seed=1, n_is=500)
 
 
 def test_regret_run_static_failure_is_named(monkeypatch):
-    train, _ = gen_nonlinear(52, n_steps=40)
+    train, test = gen_nonlinear(52, n_steps=40)
     _rho_star_max_iters(monkeypatch, 1)
     with pytest.raises(ConvergenceError, match="hindsight solve failed") as exc:
-        regret_run(train, OnpgdConfig(n_particles=5), 20, seed=1, n_is=500,
+        regret_run(train, test, OnpgdConfig(n_particles=5), 20, seed=1, n_is=500,
                    include_static=True)
     assert len(exc.value.residual_trace) == 1
 
@@ -170,7 +189,7 @@ def test_regret_run_static_failure_is_named(monkeypatch):
 def test_benchmark_prior_is_the_learners(monkeypatch):
     # both benchmarks are Gibbs measures of the learner's free energy, so
     # every prior draw must have variance beta / lam of the learner's config
-    train, _ = gen_nonlinear(54, n_steps=40)
+    train, test = gen_nonlinear(54, n_steps=40)
     onpgd = OnpgdConfig(n_particles=5, lam=0.4, beta=0.02)
     real = regret_mod.draw_prior_samples
     prior_vars = []
@@ -180,7 +199,7 @@ def test_benchmark_prior_is_the_learners(monkeypatch):
         return real(n, dim, prior_var, rng)
 
     monkeypatch.setattr(regret_mod, "draw_prior_samples", recording)
-    bundle = regret_run(train, onpgd, 20, seed=2, n_is=500, include_static=True)
+    bundle = regret_run(train, test, onpgd, 20, seed=2, n_is=500, include_static=True)
     # one dynamic draw per evaluation point and one static (hindsight) draw
     assert len(prior_vars) == len(bundle.series[("dynamic", "regularized")].times) + 1
     assert prior_vars == [0.02 / 0.4] * len(prior_vars)
@@ -188,8 +207,8 @@ def test_benchmark_prior_is_the_learners(monkeypatch):
 
 @pytest.mark.parametrize("bad", [dict(beta=0.0, init_sd=1.0), dict(lam=0.0, init_sd=1.0)])
 def test_regret_run_needs_a_gibbs_prior(bad):
-    train, _ = gen_nonlinear(54, n_steps=40)
+    train, test = gen_nonlinear(54, n_steps=40)
     key = "onpgd.beta" if "beta" in bad else "onpgd.lambda"
     with pytest.raises(ValueError, match=re.escape(f"({key}) must be positive for the Gibbs prior")):
-        regret_run(train, OnpgdConfig(n_particles=5, **bad), 20, seed=2, n_is=500)
+        regret_run(train, test, OnpgdConfig(n_particles=5, **bad), 20, seed=2, n_is=500)
 
