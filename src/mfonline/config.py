@@ -16,8 +16,8 @@ declares each key's ``Settings`` field, value kind and range once.  A
 value is read as its key's kind where the text is one (an integer, a
 number, a true/false word), a comma makes a list, and any other text
 stays a string, so ``experiment = 2024`` names a directory.  ``Settings``
-rejects a value of another kind, or a number that is not finite, with a
-message naming the key.
+rejects a value of another kind, a number that is not finite, or a data.dt
+at which the scenario's streams diverge, with a message naming the key.
 Command-line flags override file values, which override the defaults.
 """
 
@@ -25,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .datastream import DT, N_STEPS
+from .datastream import DT, N_STEPS, check_step
 from .offline import OfflineFitConfig
 from .onpgd import OnpgdConfig
 from .regret import N_IS
@@ -168,6 +168,11 @@ class Settings:
                     raise ValueError(f"{label} must be finite, got {v!r}")
                 if check and v is not None and not check[0](v):
                     raise ValueError(f"{label} must be {check[1]}, got {v!r}")
+        try:  # a step at which an OU channel of the scenario's streams diverges
+            check_step(self.scenario, self.dt)
+        except ValueError as e:
+            raise ValueError(f"data.dt = {self.dt!r} is too large for the "
+                             f"{self.scenario} scenario: {e}") from None
 
     def out_dir(self) -> str:
         return self.out or os.environ.get(OUT_ENV_VAR) or "out"

@@ -127,39 +127,37 @@ class OnlineRunResult:
 
     train_pred[k-1] and train_q[k-1] are the two moments (m, q) of the
     pre-update ensemble at step k: its full-mean prediction at the train
-    covariate x_k and its second moment.  extra_pred is the prediction at
-    the supplied covariates (e.g. a test path).
+    covariate x_k and its second moment.  extra_pred[k-1] is its prediction
+    at predict_xs[k-1] (a test path's covariates).
     """
 
     train_pred: np.ndarray
     train_q: np.ndarray
-    extra_pred: np.ndarray | None
+    extra_pred: np.ndarray
 
 
-def run_online(traj, config: OnpgdConfig, rng, predict_xs=None) -> OnlineRunResult:
+def run_online(traj, config: OnpgdConfig, rng, predict_xs) -> OnlineRunResult:
     """Train on a trajectory at its step traj.dt, recording the ensemble's
     moments and predictions at every step.
 
     The Generator rng draws the initial ensemble and then one (N, d) noise
-    block per step.  predict_xs, when given, must be a (K, n) covariate
-    array evaluated with the pre-update state each step.
+    block per step.  predict_xs must be a (K, n) covariate array, evaluated
+    with the pre-update state each step.
     """
     K = traj.n_steps
     thetas = init_ensemble(config, traj.x_dim + 2, rng)
 
-    if predict_xs is not None:
-        predict_xs = np.asarray(predict_xs, dtype=float)
-        if predict_xs.shape != (K, traj.x_dim):
-            raise ValueError("predict_xs must be (K, n) matching the trajectory")
+    predict_xs = np.asarray(predict_xs, dtype=float)
+    if predict_xs.shape != (K, traj.x_dim):
+        raise ValueError("predict_xs must be (K, n) matching the trajectory")
 
     train_pred = np.empty(K)
     train_q = np.empty(K)
-    extra_pred = np.empty(K) if predict_xs is not None else None
+    extra_pred = np.empty(K)
 
     for k in range(1, K + 1):
         train_q[k - 1] = second_moment(thetas)
-        if extra_pred is not None:
-            extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
+        extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
         noise = rng.standard_normal(thetas.shape) if config.beta > 0 else None
         thetas, train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config,
                                              traj.dt, noise, k)

@@ -20,7 +20,7 @@ so the first point is the untrained ensemble and cumulative regret starts
 at zero there.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class RegretBundle:
 
     series: dict
     mse: float
-    rho_star: object = None
-    mu_star_ess: list = field(default_factory=list)
+    rho_star: object  # the hindsight RhoStarSolution; None unless include_static
+    mu_star_ess: list
 
 
 def regret_run(train, test, onpgd_config, eval_stride: int, seed, *, n_is: int,

@@ -105,7 +105,7 @@ def _wilcoxon_exact_p(ranks, w_plus):
     return min(1.0, 2.0 * min(p_low, p_high))
 
 
-def _wilcoxon(diffs, exact_cutoff=12):
+def _wilcoxon(diffs):
     from scipy.special import ndtr
 
     diffs = diffs[diffs != 0.0]
@@ -114,7 +114,7 @@ def _wilcoxon(diffs, exact_cutoff=12):
         raise DegenerateDataError("all differences are zero")
     ranks = average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
-    if n <= exact_cutoff:
+    if n <= 12:
         return w_plus, _wilcoxon_exact_p(ranks, w_plus), True
     mean = n * (n + 1) / 4.0
     _, counts = np.unique(ranks, return_counts=True)

@@ -101,6 +101,23 @@ def test_settings_validation():
     Settings(n_steps=10, eval_stride=50)  # beyond n_steps: each trial reports it
 
 
+@pytest.mark.parametrize("scenario, dt, stable", [
+    # the fastest OU channel is the noise: rate 5.0 (nonlinear), 1.5 (periodic)
+    ("nonlinear", 0.4, False), ("periodic", 1.4, False),
+    ("nonlinear", 0.39, True), ("periodic", 1.3, True),
+])
+def test_settings_rejects_an_unstable_stream_step(scenario, dt, stable):
+    if stable:
+        assert Settings(scenario=scenario, dt=dt).dt == dt
+    else:
+        with pytest.raises(ValueError, match=rf"data\.dt = {dt} is too large for the {scenario}"):
+            Settings(scenario=scenario, dt=dt)
+    # a step that is not a positive finite number gets its SCHEMA message first
+    for bad in (-dt, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"dt \(data\.dt\) must be"):
+            Settings(scenario=scenario, dt=bad)
+
+
 def test_defaults_are_those_of_the_objects_that_use_them():
     s, learner = Settings(), OnpgdConfig()
     assert (s.n_particles, s.lam, s.beta, s.init_sd, s.self_interaction) == (

@@ -108,6 +108,19 @@ def test_run_stats_rejects_empty_and_nonnumeric(tmp_path):
     assert cli.main(["stats", "--input", str(nums), "--columns", "a,a"]) == 1
 
 
+def test_run_stats_skips_blank_lines_and_rejects_short_rows(tmp_path):
+    # csv.reader yields [] for a blank line; a row shorter than the header
+    # is named by its line rather than indexed past its end
+    blank = tmp_path / "blank.csv"
+    blank.write_text("a,b\n1,2\n3,4\n\n")
+    assert run_stats(blank)["summaries"]["a"]["n"] == 2
+    short = tmp_path / "short.csv"
+    short.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(ValueError, match="line 3: expected the header's 2 fields, got 1"):
+        run_stats(short)
+    assert cli.main(["stats", "--input", str(short)]) == 1
+
+
 # ---------------------------------------------------------------------------
 # generate.
 # ---------------------------------------------------------------------------
@@ -437,25 +450,25 @@ def test_cli_generate_uses_env_out_dir(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_generate_unstable_stream_step_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("command, scenario, dt, product", [
+    ("generate", "nonlinear", "0.5", "5.0 * 0.5"),
+    ("oos-compare", "nonlinear", "0.5", "5.0 * 0.5"),
+    ("regret-sweep", "nonlinear", "0.5", "5.0 * 0.5"),
+    ("verify", "nonlinear", "0.5", "5.0 * 0.5"),
     # at dt = 100 the Euler OU chain would diverge into NaN CSVs
-    cfg = write_small_cfg(tmp_path, "data.dt = 100\n")
-    out = tmp_path / "genout"
-    assert cli.main(["generate", "--config", cfg, "--trials", "1", "--out", str(out)]) == 1
-    assert "rate * dt must be < 2" in capsys.readouterr().err
-    assert not (out / "periodic-data" / "report.json").exists()
-
-
-@pytest.mark.parametrize("command", ["generate", "oos-compare", "regret-sweep"])
-def test_cli_unstable_stream_step_fails_before_any_trial(tmp_path, capsys, command):
-    # the nonlinear noise channel (rate 5.0) diverges at dt = 0.5; every
-    # command that draws streams exits 1 before its first trial, naming the key
-    cfg = write_small_cfg(tmp_path, "data.dt = 0.5\n")
+    ("generate", "periodic", "100", "0.5 * 100"),
+], ids=["generate", "oos-compare", "regret-sweep", "verify", "generate-periodic"])
+def test_cli_unstable_stream_step_fails_before_any_trial(tmp_path, capsys, command, scenario,
+                                                         dt, product):
+    # the nonlinear noise channel (rate 5.0) diverges at dt = 0.5; Settings
+    # rejects the step for every command, verify included, naming the key
+    cfg = write_small_cfg(tmp_path, f"data.dt = {dt}\n")
     out = tmp_path / "out"
-    assert cli.main([command, "--config", cfg, "--scenario", "nonlinear", "--trials", "2",
+    assert cli.main([command, "--config", cfg, "--scenario", scenario, "--trials", "2",
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "data.dt = 0.5" in err and "rate * dt must be < 2, got 5.0 * 0.5" in err
+    assert f"data.dt = {dt} is too large for the {scenario} scenario" in err
+    assert f"rate * dt must be < 2, got {product}" in err
     assert not out.exists()
 
 

@@ -154,13 +154,14 @@ def test_run_online_pre_update_convention():
 
 
 def test_run_online_deterministic_and_stable():
-    train, _ = gen_periodic(2)
+    train, test = gen_periodic(2)
     cfg = OnpgdConfig()
     K = train.n_steps
-    r1 = run_online(train, cfg, substream(5, "onpgd"))
-    r2 = run_online(train, cfg, substream(5, "onpgd"))
+    r1 = run_online(train, cfg, substream(5, "onpgd"), predict_xs=test.x)
+    r2 = run_online(train, cfg, substream(5, "onpgd"), predict_xs=test.x)
     assert np.array_equal(r1.train_q, r2.train_q)
     assert np.array_equal(r1.train_pred, r2.train_pred)
+    assert np.array_equal(r1.extra_pred, r2.extra_pred)
     # defaults stay well-behaved over the full horizon: the second moment
     # stays bounded at every one of the K steps
     assert r1.train_q.shape == (K,) and np.max(r1.train_q) < 50.0
@@ -237,7 +238,7 @@ def test_run_online_blow_up_names_the_oracle_step(self_interaction):
         *_, k = _allocating_run(train, cfg, 4, (), test.x)
         assert k is not None
         with pytest.raises(BlowUpError, match=f"at step {k}, particle"):
-            run_online(train, cfg, substream(4, "onpgd"))
+            run_online(train, cfg, substream(4, "onpgd"), predict_xs=test.x)
 
 
 def test_run_online_steps_at_the_stream_dt():
@@ -250,6 +251,6 @@ def test_run_online_steps_at_the_stream_dt():
     assert np.array_equal(res.train_pred, train_pred)
     assert np.array_equal(res.train_q, train_q)
     coarse = Trajectory(dt=0.02, x=train.x, y=train.y)
-    other = run_online(coarse, cfg, substream(2, "onpgd"))
+    other = run_online(coarse, cfg, substream(2, "onpgd"), predict_xs=test.x)
     assert not np.array_equal(other.train_q[1:], res.train_q[1:])
     assert not np.array_equal(other.train_pred[1:], res.train_pred[1:])
