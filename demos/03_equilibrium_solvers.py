@@ -43,7 +43,7 @@ print(f"route gap: {abs(m_is - m_quad):.2e}  (tolerance in the verify suite: 3e-
 # perturb the equilibrium and decompose the free-energy gap
 rho = mu * np.exp(0.3 * np.tanh(0.7 * grid.thetas))
 rho /= grid.integrate(rho)
-rep = verify_gap_decomposition(rho, z, beta, lam, grid)
+rep = verify_gap_decomposition(rho, (m_quad, mu), z, beta, lam, grid)
 print(f"gap F(rho)-F(mu*) = {rep.lhs:.6f}  vs beta*KL = {rep.rhs:.6f}  "
       f"(diff {rep.abs_diff:.1e}, nonnegative: {rep.lhs >= 0})")
 

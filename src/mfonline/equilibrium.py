@@ -30,7 +30,8 @@ numpy softmax that exponentiates each weight vector once.
 A deterministic 1-d Simpson quadrature oracle solves the same equilibrium
 for the toy neuron tanh(theta x), the network neuron at rows ``toy_rows``
 (1, theta, 0), and backs the closed-form identity checks: the free-energy
-gap decomposition and the equilibrium prediction's response derivative.
+gap decomposition, whose free energy prices U with ``measures.cost_u``, and
+the equilibrium prediction's response derivative.
 """
 
 from collections import deque
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import sq_norms
+from .measures import cost_u, sq_norms
 from .network import activations, forward, unpack
 
 
@@ -427,12 +428,18 @@ class QuadratureGrid:
         return float((self.h / 3.0) * (w @ vals))
 
 
-def _log_tilted_density(grid, z, beta, lam, m):
-    """Unnormalized log density -lam th^2 / (2 beta) - (2/beta)(m - y) s(th)."""
+def _log_tilted_density(grid, z, beta, lam):
+    """(s, log_q): the toy neuron values s = tanh(th x) on the grid, and the
+    unnormalized log density log_q(m) = -lam th^2 / (2 beta) - (2/beta)(m - y) s
+    at tilt level m, whose neuron values and prior term are computed once."""
     x, y = unpack(z)
     th = grid.thetas
     s = _tanh_1d(x, th)
-    return -lam * th**2 / (2.0 * beta) - (2.0 / beta) * (m - y) * s, s
+    prior = -lam * th**2 / (2.0 * beta)
+    return s, lambda m: prior - (2.0 / beta) * (m - y) * s
+
+
+VERIFY_ROOT_TOL = 1e-12  # |Phi(m) - m| of the quadrature solves the identity checks use
 
 
 def solve_mu_star_quadrature(z, beta, lam, grid: QuadratureGrid, root_tol=MU_ROOT_TOL):
@@ -442,29 +449,28 @@ def solve_mu_star_quadrature(z, beta, lam, grid: QuadratureGrid, root_tol=MU_ROO
     grid.  Raises GridTooNarrowError when the endpoint density exceeds
     1e-12 of the peak, which would invalidate the integrals.
     """
+    s, log_q = _log_tilted_density(grid, z, beta, lam)
+    ss = s * s
 
     def phi(m):
-        logq, s = _log_tilted_density(grid, z, beta, lam, m)
+        logq = log_q(m)
         q = np.exp(logq - logq.max())
         mass = grid.integrate(q)
         val = grid.integrate(s * q) / mass
-        return val, -(2.0 / beta) * (grid.integrate(s * s * q) / mass - val * val), q
+        return val, -(2.0 / beta) * (grid.integrate(ss * q) / mass - val * val), q
 
-    x, y = unpack(z)
-    s_end = _tanh_1d(x, grid.thetas)
-    lo = float(s_end.min()) - 1.0
-    hi = float(s_end.max()) + 1.0
-    m_star, q = _newton_fixed_point(phi, lo, hi, float(y), root_tol)
+    m_star, q = _newton_fixed_point(phi, float(s.min()) - 1.0, float(s.max()) + 1.0,
+                                    unpack(z)[1], root_tol)
     if q[0] > 1e-12 or q[-1] > 1e-12:
         raise GridTooNarrowError(
             f"endpoint density {max(q[0], q[-1]):.2e} of peak exceeds 1e-12; widen the grid"
         )
-    density = q / grid.integrate(q)
-    return m_star, density
+    return m_star, q / grid.integrate(q)
 
 
 def quadrature_free_energy(density, z, beta, lam, grid: QuadratureGrid) -> float:
-    """F(rho) = m^2 - 2 y m + (lam/2) <rho, th^2> + beta int rho log rho.
+    """F(rho) = U + beta int rho log rho, with U = ``cost_u`` at the
+    moments m = <rho, s> and q = <rho, th^2> of the toy neuron.
 
     density must be nonnegative and Simpson-normalized on the grid within
     1e-8; the entropy integrand uses 0 log 0 = 0.
@@ -477,14 +483,12 @@ def quadrature_free_energy(density, z, beta, lam, grid: QuadratureGrid) -> float
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"density not normalized: integral {total!r}")
     th = grid.thetas
-    s = _tanh_1d(x, th)
-    m = grid.integrate(s * density)
+    m = grid.integrate(_tanh_1d(x, th) * density)
     moment = grid.integrate(th**2 * density)
     pos = density > 0
     ent_vals = np.zeros_like(density)
     ent_vals[pos] = density[pos] * np.log(density[pos])
-    entropy_int = grid.integrate(ent_vals)
-    return m * m - 2.0 * y * m + 0.5 * lam * moment + beta * entropy_int
+    return cost_u(m, moment, y, lam) + beta * grid.integrate(ent_vals)
 
 
 @dataclass
@@ -492,36 +496,35 @@ class GapReport:
     lhs: float
     rhs: float
     abs_diff: float
-    m_rho: float
-    m_star: float
 
 
-def verify_gap_decomposition(density, z, beta, lam, grid: QuadratureGrid) -> GapReport:
+def verify_gap_decomposition(density, mu_star, z, beta, lam, grid: QuadratureGrid) -> GapReport:
     """Check F(rho) - F(mu*) = (m_rho - m*)^2 + beta KL(rho || mu*).
 
-    rho is a strictly positive normalized density on the grid.  Both sides
-    are computed by Simpson quadrature with log-space KL for stability.
+    rho is a strictly positive normalized density on the grid and mu_star
+    the pair (m*, density) that ``solve_mu_star_quadrature`` returns for
+    z, beta, lam and grid; the identity holds at the minimizer of F alone,
+    so a wrong pair fails the check.  Both sides are computed by Simpson
+    quadrature with log-space KL for stability.
     """
     density = np.asarray(density, dtype=float)
     if np.any(density <= 0):
         raise ValueError("gap decomposition needs a strictly positive density")
-    m_star, mu_density = solve_mu_star_quadrature(z, beta, lam, grid, root_tol=1e-12)
+    m_star, mu_density = mu_star
 
     f_rho = quadrature_free_energy(density, z, beta, lam, grid)
     f_mu = quadrature_free_energy(mu_density, z, beta, lam, grid)
     lhs = f_rho - f_mu
 
-    x, y = unpack(z)
-    s = _tanh_1d(x, grid.thetas)
+    s, log_q = _log_tilted_density(grid, z, beta, lam)
     m_rho = grid.integrate(s * density)
 
-    logq, _ = _log_tilted_density(grid, z, beta, lam, m_star)
+    logq = log_q(m_star)
     shift = logq.max()
-    log_z = np.log(grid.integrate(np.exp(logq - shift))) + shift
-    log_mu = logq - log_z
+    log_mu = logq - (np.log(grid.integrate(np.exp(logq - shift))) + shift)
     kl = grid.integrate(density * (np.log(density) - log_mu))
     rhs = (m_rho - m_star) ** 2 + beta * kl
-    return GapReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), m_rho=m_rho, m_star=m_star)
+    return GapReport(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
 
 
 @dataclass
@@ -538,12 +541,11 @@ def verify_dym_formula(z, beta, lam, grid: QuadratureGrid, fd_step=1e-4) -> DyRe
     derivative is compared against a central difference in y.
     """
     x, y = unpack(z)
-    m_star, density = solve_mu_star_quadrature(z, beta, lam, grid, root_tol=1e-12)
-    s = _tanh_1d(x, grid.thetas)
-    var = grid.integrate(s**2 * density) - m_star**2
+    m_star, density = solve_mu_star_quadrature(z, beta, lam, grid, VERIFY_ROOT_TOL)
+    var = grid.integrate(_tanh_1d(x, grid.thetas) ** 2 * density) - m_star**2
     analytic = 2.0 * var / (beta + 2.0 * var)
 
-    m_plus, _ = solve_mu_star_quadrature((x, y + fd_step), beta, lam, grid, root_tol=1e-12)
-    m_minus, _ = solve_mu_star_quadrature((x, y - fd_step), beta, lam, grid, root_tol=1e-12)
+    m_plus, _ = solve_mu_star_quadrature((x, y + fd_step), beta, lam, grid, VERIFY_ROOT_TOL)
+    m_minus, _ = solve_mu_star_quadrature((x, y - fd_step), beta, lam, grid, VERIFY_ROOT_TOL)
     fd = (m_plus - m_minus) / (2.0 * fd_step)
     return DyReport(analytic=analytic, finite_diff=fd, abs_diff=abs(analytic - fd))

@@ -21,6 +21,7 @@ import numpy as np
 from .config import Settings
 from .datastream import gen_nonlinear, gen_periodic, response_second_moment
 from .equilibrium import (
+    VERIFY_ROOT_TOL,
     ConvergenceError,
     QuadratureGrid,
     draw_prior_samples,
@@ -347,11 +348,11 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
     worst_gap, min_lhs = 0.0, np.inf
     for _ in range(20):
         z = (rng.uniform(0.5, 1.5), rng.normal(0.0, 0.3))
-        _, mu = solve_mu_star_quadrature(z, beta, lam, grid)
+        m_star, mu = solve_mu_star_quadrature(z, beta, lam, grid, VERIFY_ROOT_TOL)
         bump = 0.3 * np.tanh(rng.normal() * grid.thetas) + 0.2 * np.sin(rng.normal() * grid.thetas)
         rho = mu * np.exp(bump)
         rho /= grid.integrate(rho)
-        rep = verify_gap_decomposition(rho, z, beta, lam, grid)
+        rep = verify_gap_decomposition(rho, (m_star, mu), z, beta, lam, grid)
         worst_gap = max(worst_gap, rep.abs_diff)
         min_lhs = min(min_lhs, rep.lhs)
     checks.append({"name": "gap_decomposition", "worst_abs_diff": worst_gap,
@@ -409,8 +410,7 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
     }
-    if settings.out:
-        _write_report(os.path.join(settings.out_dir(), settings.experiment or "verify"), report)
+    _write_report(os.path.join(settings.out_dir(), settings.experiment or "verify"), report)
     return report
 
 
@@ -431,8 +431,8 @@ def run_stats(input_csv, columns=None) -> dict:
                 raise ValueError(f"line {reader.line_num}: expected the header's "
                                  f"{len(rows[0])} fields, got {len(r)}")
             rows.append(r)
-    if not rows:
-        raise ValueError("empty input file")
+    if len(rows) < 2:
+        raise ValueError(f"no data rows in {input_csv}: the file is empty or has a header only")
     header = rows[0]
     numeric = {}
     for j, name in enumerate(header):

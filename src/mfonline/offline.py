@@ -88,26 +88,23 @@ def fit_offline(traj, config: OfflineFitConfig, learner: OnpgdConfig, rng):
     last entry is the final loss).  grad_max is max |grad| of the gradient
     of the last iteration, at the parameters before its step.  Divergence
     (non-finite or loss above 1e6) raises DivergenceError naming the
-    iteration.  Each iteration computes the activations once, shared by
-    the loss and the gradient, into one (K, N) buffer allocated once per
-    call.
+    iteration, iters for the final loss.  Each of the iters + 1 passes
+    computes the activations once, shared by the loss and the gradient,
+    into one (K, N) buffer allocated once per call.
     """
     thetas = init_ensemble(learner, traj.x_dim + 2, rng)
     th = np.empty((traj.n_steps, learner.n_particles))
 
     trace = np.empty(config.iters + 1)
-    for j in range(config.iters):
+    for j in range(config.iters + 1):
         activations(thetas, traj.x, out=th)
         loss = batch_loss(thetas, traj, learner.lam, th)
         trace[j] = loss
         if not np.isfinite(loss) or loss > 1e6:
             raise DivergenceError(f"batch loss {loss!r} at iteration {j}")
-        grad = batch_loss_grad(thetas, traj, learner.lam, th)
-        thetas = thetas - config.learning_rate * grad
-    loss = batch_loss(thetas, traj, learner.lam, activations(thetas, traj.x, out=th))
-    trace[-1] = loss
-    if not np.isfinite(loss) or loss > 1e6:
-        raise DivergenceError(f"batch loss {loss!r} at final iteration")
+        if j < config.iters:
+            grad = batch_loss_grad(thetas, traj, learner.lam, th)
+            thetas = thetas - config.learning_rate * grad
     return thetas, trace, float(np.abs(grad).max())
 
 

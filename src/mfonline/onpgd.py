@@ -81,7 +81,8 @@ def init_ensemble(config: OnpgdConfig, dim: int, rng) -> np.ndarray:
 
 
 def _advance(thetas, x, y, config, dt, noise, step_index):
-    """One vectorized Euler step dt; returns (new thetas, mean prediction).
+    """One vectorized Euler step dt driven by noise, an (N, d) standard
+    normal block; returns (new thetas, mean prediction).
 
     Raises BlowUpError naming step_index if the new state is not finite.
     """
@@ -110,8 +111,7 @@ def _advance(thetas, x, y, config, dt, noise, step_index):
     new += grad
     new *= dt
     new += thetas
-    if noise is not None:
-        new += np.sqrt(2.0 * config.beta * dt) * noise
+    new += np.sqrt(2.0 * config.beta * dt) * noise
     if not np.isfinite(new).all():
         bad = np.argwhere(~np.isfinite(new))[0]
         raise BlowUpError(
@@ -158,8 +158,7 @@ def run_online(traj, config: OnpgdConfig, rng, predict_xs) -> OnlineRunResult:
     for k in range(1, K + 1):
         train_q[k - 1] = second_moment(thetas)
         extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
-        noise = rng.standard_normal(thetas.shape) if config.beta > 0 else None
         thetas, train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config,
-                                             traj.dt, noise, k)
+                                             traj.dt, rng.standard_normal(thetas.shape), k)
 
     return OnlineRunResult(train_pred=train_pred, train_q=train_q, extra_pred=extra_pred)

@@ -114,8 +114,8 @@ def regret_cells(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def verify_report():
-    return run_verify(Settings(seed=MASTER))
+def verify_report(tmp_path_factory):
+    return run_verify(Settings(seed=MASTER, out=str(tmp_path_factory.mktemp("verify"))))
 
 
 def _check(report, name):
@@ -293,7 +293,7 @@ def test_c6_property_suite(tmp_path_factory, capsys):
     ens = thetas.copy()
     expected = thetas.copy()
     for k in range(1, 10):
-        ens, _ = _advance(ens, np.array([0.7]), 0.0, cfg, dt, None, k)
+        ens, _ = _advance(ens, np.array([0.7]), 0.0, cfg, dt, np.zeros_like(ens), k)
         expected = expected + (-cfg.lam * expected) * dt
     exact = np.array_equal(ens, expected)
     closed = np.max(np.abs(ens - thetas * (1 - cfg.lam * dt) ** 9))

@@ -18,6 +18,7 @@ import pytest
 
 import mfonline
 from mfonline import cli
+import mfonline.equilibrium as equilibrium
 import mfonline.experiments as exp
 import mfonline.regret as regret
 from mfonline.config import OUT_ENV_VAR, Settings
@@ -119,6 +120,16 @@ def test_run_stats_skips_blank_lines_and_rejects_short_rows(tmp_path):
     with pytest.raises(ValueError, match="line 3: expected the header's 2 fields, got 1"):
         run_stats(short)
     assert cli.main(["stats", "--input", str(short)]) == 1
+
+
+def test_run_stats_rejects_a_header_without_rows(tmp_path, capsys):
+    # the file is named, not summarize's "need a vector of at least two values"
+    header = tmp_path / "header.csv"
+    header.write_text("a,b\n")
+    with pytest.raises(ValueError, match=f"no data rows in {re.escape(str(header))}"):
+        run_stats(header)
+    assert cli.main(["stats", "--input", str(header)]) == 1
+    assert "header only" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +604,16 @@ def test_cli_sweep_cells_with_one_name_exit_one(tmp_path, capsys, flag, values, 
     assert not out.exists()
 
 
-def test_cli_verify_exit_codes(capsys):
-    assert cli.main(["verify", "--seed", "1"]) == 0
+def test_cli_verify_exit_codes(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    assert cli.main(["verify", "--seed", "1", *out]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True
     # every perturbed density has a strictly positive free-energy gap, and
     # the report carries the smallest one, not a floor of zero
     gap = {c["name"]: c for c in rep["checks"]}["gap_decomposition"]
     assert 0.0 < gap["min_lhs"] < 1e-3
-    assert cli.main(["verify", "--seed", "1", "--inject-bug"]) == 2
+    assert cli.main(["verify", "--seed", "1", "--inject-bug", *out]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is False
     failed = {c["name"]: c["ok"] for c in rep["checks"]}
@@ -609,10 +621,30 @@ def test_cli_verify_exit_codes(capsys):
     assert failed["gap_decomposition"] is True  # untouched checks still pass
 
 
-def test_verify_passes_at_a_temperature_the_sweep_uses():
+def test_cli_verify_uses_env_out_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path / "envroot"))
+    assert cli.main(["verify", "--seed", "1"]) == 0
+    with open(tmp_path / "envroot" / "verify" / "report.json") as fh:
+        assert json.load(fh) == json.loads(capsys.readouterr().out)
+
+
+def test_verify_gap_check_prices_the_cost_regret_uses(tmp_path, monkeypatch):
+    # negative control: the free energy behind gap_decomposition is cost_u
+    # plus beta times the entropy, so a cost_u with its penalty doubled
+    # must fail that check and no other
+    real = equilibrium.cost_u
+    monkeypatch.setattr(equilibrium, "cost_u", lambda m, q, y, lam: real(m, q, y, 2.0 * lam))
+    rep = run_verify(Settings(seed=1, out=str(tmp_path)))
+    ok = {c["name"]: c["ok"] for c in rep["checks"]}
+    assert ok == {"gap_decomposition": False, "dym_formula": True, "is_vs_quadrature": True,
+                  "constants": True}
+    assert rep["ok"] is False
+
+
+def test_verify_passes_at_a_temperature_the_sweep_uses(tmp_path):
     # at beta / lambda = 2 the tilted density has mass beyond the +-8 grid
     # the lower temperatures use; the grid spans 16 prior sd instead
-    rep = run_verify(Settings(beta=0.2, lam=0.1))
+    rep = run_verify(Settings(beta=0.2, lam=0.1, out=str(tmp_path)))
     assert rep["ok"] is True, rep["checks"]
 
 
@@ -621,6 +653,6 @@ def test_verify_passes_at_a_temperature_the_sweep_uses():
     "samples are heavy-tailed, and is_vs_quadrature reads 3.26e-3 against its "
     "3e-3 tolerance at seed 1; ROADMAP items 2 and 10 (an exact lane over g, "
     "or a declared sample plan) are the ways to mend it"))
-def test_verify_passes_at_the_smallest_sweep_temperature():
-    rep = run_verify(Settings(seed=1, beta=0.005))
+def test_verify_passes_at_the_smallest_sweep_temperature(tmp_path):
+    rep = run_verify(Settings(seed=1, beta=0.005, out=str(tmp_path)))
     assert rep["ok"] is True, rep["checks"]

@@ -124,6 +124,10 @@ def test_divergence_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             fit_offline(traj, cfg, learner, substream(1, "offline-init"))
+        # the final loss, after the last step, passes the same test
+        with pytest.raises(DivergenceError, match=r"at iteration 1$"):
+            fit_offline(traj, OfflineFitConfig(iters=1, learning_rate=5e4), learner,
+                        substream(1, "offline-init"))
 
 
 def test_config_validation():

@@ -15,7 +15,10 @@ DT = 0.02
 
 
 def step(thetas, z, cfg, noise=None, k=1, dt=DT):
-    """One Euler update of the kernel run_online runs; returns the new array."""
+    """One Euler update of the kernel run_online runs; returns the new array.
+
+    Without a noise block the step is driven by zeros, its noiseless part."""
+    noise = np.zeros_like(thetas) if noise is None else noise
     return _advance(thetas, z[0], z[1], cfg, dt, noise, k)[0]
 
 
