@@ -57,24 +57,57 @@ class OuParams:
         return self.vol / np.sqrt(2.0 * self.rate)
 
 
-def euler_ou_path(params: OuParams, x0, n_steps: int, dt: float, rng) -> np.ndarray:
-    """Euler chain x_{k+1} = x_k - rate (x_k - mean) dt + vol sqrt(dt) xi_k.
+def euler_ou_blocks(channels, n_steps: int, dt: float):
+    """Step Euler OU chains together, PHI_BLOCK steps at a time.
 
-    Returns the states after each step, shape (n_steps,) + shape(x0); x0
-    itself is not included.  Noise increments are iid standard normal.
-    A step the chain diverges at is rejected (OuParams.check_step).
+    channels is a sequence of (params, x0, rng).  A channel starts at x0,
+    a scalar or an array, and draws its standard normals from its own
+    Generator rng, one (b,) + shape(x0) array per block of b steps: the
+    normals of one (n_steps,) + shape(x0) draw.  The coordinates of all
+    channels form one flat state, and each step is the chain
+    x' = x - rate (x - mean) dt + vol sqrt(dt) xi with every channel's
+    (rate, mean, vol) spread over its coordinates, so a channel's bits do
+    not depend on the channels stepped with it.
+
+    Yields (lo, hi, states) per block, states holding one view per
+    channel, of shape (hi - lo,) + shape(x0): the states after steps
+    lo + 1 .. hi; x0 itself is not included.  The next block overwrites
+    them.  A step a channel diverges at is rejected (OuParams.check_step)
+    before the first block.
     """
-    params.check_step(dt)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    x = np.array(x0, dtype=float, copy=True)
-    out = np.empty((n_steps,) + x.shape)
-    scale = params.vol * np.sqrt(dt)
-    noise = rng.standard_normal((n_steps,) + x.shape)
-    for k in range(n_steps):
-        x = x - params.rate * (x - params.mean) * dt + scale * noise[k]
-        out[k] = x
-    return out
+    shapes, cols, x, rate, mean = [], [], [], [], []
+    start = 0
+    for params, x0, _ in channels:
+        params.check_step(dt)
+        x0 = np.asarray(x0, dtype=float)
+        shapes.append(x0.shape)
+        cols.append(slice(start, start + x0.size))
+        start += x0.size
+        x.append(x0.ravel())
+        rate.append(np.full(x0.size, params.rate))
+        mean.append(np.broadcast_to(params.mean, x0.shape).ravel())
+    x, rate, mean = (np.concatenate(v) for v in (x, rate, mean))
+    block = min(PHI_BLOCK, n_steps)
+    states, kicks = np.empty((block, x.size)), np.empty((block, x.size))
+    for lo in range(0, n_steps, block):
+        b = min(block, n_steps - lo)
+        for (params, _, rng), shape, col in zip(channels, shapes, cols):
+            np.multiply(rng.standard_normal((b,) + shape).reshape(b, -1), params.vol * np.sqrt(dt),
+                        out=kicks[:b, col])
+        prev = x
+        for row, kick in zip(states[:b], kicks[:b]):
+            # x - (rate (x - mean)) dt + kick, in that order
+            np.subtract(prev, mean, out=row)
+            row *= rate
+            row *= dt
+            np.subtract(prev, row, out=row)
+            row += kick
+            prev = row
+        x[:] = prev
+        yield lo, lo + b, [states[:b, col].reshape((b,) + shape)
+                           for shape, col in zip(shapes, cols)]
 
 
 @dataclass
@@ -130,25 +163,34 @@ PHI_RATE = 0.6
 PHI_VOL = 0.9
 PHI_OU = OuParams(rate=PHI_RATE, vol=PHI_VOL)  # its mean is each draw's anchors
 PHI_INIT_SD = 0.8
-# The truth network's parameter path is stepped and priced in blocks of
-# PHI_BLOCK steps, so a draw holds one (PHI_BLOCK, M, d) block and its
-# normals (about 0.4 MB each at M*d = 500) rather than the whole (K, M, d)
-# path, and its memory does not grow with n_steps.
+# A draw steps all of its OU channels together (euler_ou_blocks) and prices
+# the truth in blocks of PHI_BLOCK steps, so it holds one (PHI_BLOCK, M, d)
+# block of the truth network's parameter path and its normals (about
+# 0.4 MB each at M*d = 500) rather than the whole (K, M, d) path, and its
+# memory does not grow with n_steps.
 PHI_BLOCK = 100
 
 
-def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, dt, truth_fn):
+def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, dt, truth, extra):
     """Train and test trajectories with independent covariate and noise
-    paths from the seed's train-x/train-xi and test-x/test-xi substreams;
-    truth_fn maps the train and test covariate paths to their truth
-    channels."""
-    xs, xis = [], []
+    paths from the seed's train-x/train-xi and test-x/test-xi substreams,
+    stepped together with the extra (params, x0, rng) channels.
+
+    truth(lo, hi, xs, *extra_states) prices a trajectory's truth channel
+    over steps lo + 1 .. hi from its covariates xs there and the extra
+    channels' states over the same steps.
+    """
+    channels = []
     for part in ("train", "test"):
         rng = substream(seed, f"{part}-x")
         x0 = x_ou.mean + x_ou.stationary_sd() * rng.standard_normal(x_shape)
-        xs.append(euler_ou_path(x_ou, x0, n_steps, dt, rng))
-        xis.append(euler_ou_path(noise_ou, 0.0, n_steps, dt, substream(seed, f"{part}-xi")))
-    truths = truth_fn(*xs)
+        channels += [(x_ou, x0, rng), (noise_ou, 0.0, substream(seed, f"{part}-xi"))]
+    xs = [np.empty((n_steps,) + x_shape) for _ in range(2)]
+    xis, truths = ([np.empty(n_steps) for _ in range(2)] for _ in range(2))
+    for lo, hi, states in euler_ou_blocks(channels + extra, n_steps, dt):
+        for j, (x, xi, f) in enumerate(zip(xs, xis, truths)):
+            x[lo:hi], xi[lo:hi] = states[2 * j], states[2 * j + 1]
+            f[lo:hi] = truth(lo, hi, x[lo:hi], *states[4:])
     return tuple(Trajectory(dt=dt, x=x, y=truth + xi, truth=truth)
                  for x, xi, truth in zip(xs, xis, truths))
 
@@ -163,7 +205,7 @@ def gen_periodic(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     """
     coeff = np.sin(PERIODIC_H * dt * np.arange(1, n_steps + 1))
     return _stream_pair(seed, PERIODIC_X_OU, (), PERIODIC_NOISE_OU, n_steps, dt,
-                        lambda *paths: [coeff * xs for xs in paths])
+                        lambda lo, hi, xs: coeff[lo:hi] * xs, [])
 
 
 def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
@@ -173,33 +215,24 @@ def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     sigma(x, phi_k^m): the parameters of its M neurons follow OU paths around
     anchors drawn once from N(0, PHI_INIT_SD^2).  Train and test share it
     and differ only in covariate and noise paths.  The parameter path is
-    stepped PHI_BLOCK steps at a time from the one phi-path stream, each
-    block pricing both trajectories, so its bits are those of one whole
-    (K, M, d) draw.
+    one more channel of the draw, stepped from the one phi-path stream, and
+    each block of it prices both trajectories, so its bits are those of one
+    whole (K, M, d) draw.
     """
     M, d = NONLINEAR_N_NEURONS, NONLINEAR_X_DIM + 2
 
     rng_init = substream(seed, "phi-init")
     phi_bar = PHI_INIT_SD * rng_init.standard_normal((M, d))
     phi0 = PHI_INIT_SD * rng_init.standard_normal((M, d))
-    phi_ou = replace(PHI_OU, mean=phi_bar)
-    rng_path = substream(seed, "phi-path")
+    phi_path = (replace(PHI_OU, mean=phi_bar), phi0, substream(seed, "phi-path"))
 
-    def truth(*paths):
-        out = [np.empty(n_steps) for _ in paths]
-        phi = phi0
-        for lo in range(0, n_steps, PHI_BLOCK):
-            hi = min(lo + PHI_BLOCK, n_steps)
-            block = euler_ou_path(phi_ou, phi, hi - lo, dt, rng_path)  # (B, M, d)
-            phi = block[-1]
-            for xs, f in zip(paths, out):
-                u = np.einsum("kmj,kj->km", block[:, :, 1:-1], xs[lo:hi]) + block[:, :, -1]
-                vals = block[:, :, 0] * np.tanh(u)
-                f[lo:hi] = NONLINEAR_AMPLITUDE / M * vals.sum(axis=1)
-        return out
+    def truth(lo, hi, xs, phi):  # phi: (hi - lo, M, d)
+        u = np.einsum("kmj,kj->km", phi[:, :, 1:-1], xs) + phi[:, :, -1]
+        vals = phi[:, :, 0] * np.tanh(u)
+        return NONLINEAR_AMPLITUDE / M * vals.sum(axis=1)
 
-    return _stream_pair(seed, NONLINEAR_X_OU, NONLINEAR_X_DIM, NONLINEAR_NOISE_OU,
-                        n_steps, dt, truth)
+    return _stream_pair(seed, NONLINEAR_X_OU, (NONLINEAR_X_DIM,), NONLINEAR_NOISE_OU,
+                        n_steps, dt, truth, [phi_path])
 
 
 # every OU channel a scenario steps at its dt

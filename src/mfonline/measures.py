@@ -15,13 +15,22 @@ directly, so every cost is priced from numbers.
 
 import numpy as np
 
-from .network import forward
+from .network import activations
 
 
 def predict(thetas, x) -> float:
     """Network prediction m = <rho, sigma(x, .)> of an ensemble (N, d)."""
-    vals, _ = forward(thetas, x)
-    return float(vals.sum() / vals.size)  # the bits of vals.mean(), at half its call cost
+    thetas = np.asarray(thetas, dtype=float)
+    return float(predict_into(thetas, x, np.empty(len(thetas)), np.empty(len(thetas))))
+
+
+def predict_into(thetas, x, th, vals):
+    """Network prediction m of an ensemble array (N, d) at one covariate x,
+    leaving its activations and neuron values in th and vals, two (N,)
+    arrays, so that a caller that steps the ensemble allocates neither."""
+    activations(thetas, x, out=th)
+    np.multiply(thetas[:, 0], th, out=vals)
+    return vals.sum() / vals.size  # the bits of vals.mean(), at half its call cost
 
 
 def sq_norms(thetas) -> np.ndarray:

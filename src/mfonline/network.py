@@ -22,7 +22,10 @@ def activations(thetas, X, out=None):
     if thetas.ndim != 2 or X.ndim not in (1, 2) or thetas.shape[1] != X.shape[-1] + 2:
         raise ValueError("thetas must be (N, n+2) for covariate dimension n")
     th = np.dot(X, thetas[:, 1:-1].T, out=out)
-    th += thetas[:, -1]
+    # a batch adds the bias from a contiguous copy, which the broadcast add
+    # over its (K, N) rows reads about twice as fast as the strided column;
+    # an elementwise add gives the same bits either way
+    th += thetas[:, -1] if X.ndim == 1 else thetas[:, -1].copy()
     return np.tanh(th, out=th)
 
 

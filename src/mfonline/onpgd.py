@@ -17,12 +17,12 @@ the initial draw), and the update at step k consumes z_k.  The recorded
 moments and predictions follow the same predict-then-update indexing.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import predict, second_moment
-from .network import forward
+from .measures import predict_into, second_moment
 
 
 class BlowUpError(RuntimeError):
@@ -80,23 +80,49 @@ def init_ensemble(config: OnpgdConfig, dim: int, rng) -> np.ndarray:
     return config.initial_sd() * rng.standard_normal((config.n_particles, dim))
 
 
-def _advance(thetas, x, y, config, dt, noise, step_index):
-    """One vectorized Euler step dt driven by noise, an (N, d) standard
-    normal block; returns (new thetas, mean prediction).
+class _Workspace:
+    """The arrays an Euler step of an (N, d) ensemble writes besides the
+    next state, allocated once per pass: the activations th and neuron
+    values vals at the step's covariate, the leave-one-out error err and
+    the interaction force grad."""
+
+    def __init__(self, shape):
+        n = shape[0]
+        self.th, self.vals, self.err = np.empty(n), np.empty(n), np.empty(n)
+        self.grad = np.empty(shape)
+
+
+def _draw_kicks(rng, config, dt, out):
+    """Fill out, a C-contiguous (..., N, d) array, with the noise terms
+    sqrt(2 beta dt) xi of as many Euler steps, xi standard normal: the
+    normals of one (N, d) draw per step, in order.  Returns out."""
+    rng.standard_normal(out=out)
+    out *= np.sqrt(2.0 * config.beta * dt)
+    return out
+
+
+def _advance(thetas, x, y, config, dt, kick, step_index, out, work) -> float:
+    """One vectorized Euler step dt of the ensemble thetas into out, an
+    (N, d) array, driven by kick, the step's noise term from _draw_kicks;
+    work is the pass's _Workspace.  Returns the mean prediction at x.
 
     Raises BlowUpError naming step_index if the new state is not finite.
     """
-    vals, th = forward(thetas, x)
-    mean = vals.sum() / vals.size  # the bits of vals.mean(), at half its call cost
+    mean = predict_into(thetas, x, work.th, work.vals)
+    th, grad = work.th, work.grad
     # the interaction force's factor -2 (m - y), negated here so that the
     # drift is a sum; x - y and x + (-y) are the same IEEE operation
     if config.self_interaction:
         err = -2.0 * (mean - y)
     else:
         n = thetas.shape[0]
-        err = (-2.0 * ((n * mean - vals) / (n - 1) - y))[:, None]
+        err = work.err
+        np.subtract(n * mean, work.vals, out=err)
+        err /= n - 1
+        err -= y
+        err *= -2.0
+        err = err[:, None]
 
-    grad = np.empty_like(thetas)
     grad[:, 0] = th
     asech2 = grad[:, -1]
     np.multiply(th, th, out=asech2)
@@ -105,20 +131,21 @@ def _advance(thetas, x, y, config, dt, noise, step_index):
     np.multiply(asech2[:, None], x, out=grad[:, 1:-1])
     grad *= err
 
-    # new = thetas + (-lam thetas + err grad) dt + sqrt(2 beta dt) noise,
-    # accumulated in place in the result array
-    new = -config.lam * thetas
-    new += grad
-    new *= dt
-    new += thetas
-    new += np.sqrt(2.0 * config.beta * dt) * noise
-    if not np.isfinite(new).all():
-        bad = np.argwhere(~np.isfinite(new))[0]
+    # out = thetas + (-lam thetas + err grad) dt + kick, accumulated in place
+    np.multiply(thetas, -config.lam, out=out)
+    out += grad
+    out *= dt
+    out += thetas
+    out += kick
+    # the sum of squares is finite whenever every entry is, so the entrywise
+    # test runs only when it is not, and a sum that merely overflows passes
+    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
+        bad = np.argwhere(~np.isfinite(out))[0]
         raise BlowUpError(
             f"non-finite particle state at step {step_index}, "
             f"particle {bad[0]}, coordinate {bad[1]}"
         )
-    return new, float(mean)
+    return float(mean)
 
 
 @dataclass
@@ -136,13 +163,19 @@ class OnlineRunResult:
     extra_pred: np.ndarray
 
 
+# run_online draws the noise of as many steps at once as fit in this many
+# floats (0.4 MB), and of one step at least
+NOISE_BLOCK_FLOATS = 50_000
+
+
 def run_online(traj, config: OnpgdConfig, rng, predict_xs) -> OnlineRunResult:
     """Train on a trajectory at its step traj.dt, recording the ensemble's
     moments and predictions at every step.
 
     The Generator rng draws the initial ensemble and then one (N, d) noise
-    block per step.  predict_xs must be a (K, n) covariate array, evaluated
-    with the pre-update state each step.
+    block per step, NOISE_BLOCK_FLOATS // (N d) steps' blocks at a time.
+    predict_xs must be a (K, n) covariate array, evaluated with the
+    pre-update state each step.  The step's arrays are allocated once.
     """
     K = traj.n_steps
     thetas = init_ensemble(config, traj.x_dim + 2, rng)
@@ -155,10 +188,17 @@ def run_online(traj, config: OnpgdConfig, rng, predict_xs) -> OnlineRunResult:
     train_q = np.empty(K)
     extra_pred = np.empty(K)
 
-    for k in range(1, K + 1):
-        train_q[k - 1] = second_moment(thetas)
-        extra_pred[k - 1] = predict(thetas, predict_xs[k - 1])
-        thetas, train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config,
-                                             traj.dt, rng.standard_normal(thetas.shape), k)
+    nxt, work = np.empty_like(thetas), _Workspace(thetas.shape)
+    block = min(K, max(1, NOISE_BLOCK_FLOATS // thetas.size))
+    kicks = np.empty((block,) + thetas.shape)
+    for lo in range(0, K, block):
+        hi = min(lo + block, K)
+        _draw_kicks(rng, config, traj.dt, kicks[:hi - lo])
+        for k in range(lo + 1, hi + 1):
+            train_q[k - 1] = second_moment(thetas)
+            extra_pred[k - 1] = predict_into(thetas, predict_xs[k - 1], work.th, work.vals)
+            train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config, traj.dt,
+                                         kicks[k - 1 - lo], k, nxt, work)
+            thetas, nxt = nxt, thetas
 
     return OnlineRunResult(train_pred=train_pred, train_q=train_q, extra_pred=extra_pred)

@@ -37,7 +37,7 @@ from mfonline.experiments import run_generate, run_oos_compare, run_regret_sweep
 from mfonline.measures import predict, second_moment
 from mfonline.network import forward
 from mfonline.offline import batch_loss, batch_loss_grad
-from mfonline.onpgd import OnpgdConfig, _advance, init_ensemble
+from mfonline.onpgd import OnpgdConfig, _advance, _draw_kicks, _Workspace, init_ensemble
 from mfonline.regret import cumulative_regret, instantaneous_regret
 from mfonline.seeding import substream
 from mfonline.stats import paired_tests
@@ -279,9 +279,15 @@ def test_c6_property_suite(tmp_path_factory, capsys):
     cfg, dt = OnpgdConfig(n_particles=50_000, lam=0.1, beta=0.02, init_sd=None), 0.02
     thetas = init_ensemble(cfg, 3, substream(11, "init"))
     x, y = np.array([0.8]), -0.1
-    det, _ = _advance(thetas, x, y, cfg, dt, np.zeros_like(thetas), 1)
-    rnd, _ = _advance(thetas, x, y, cfg, dt, substream(11, "noise").standard_normal(thetas.shape),
-                      1)
+
+    def step(ens, x, y, cfg, dt, kick, k):
+        new = np.empty_like(ens)
+        _advance(ens, x, y, cfg, dt, kick, k, new, _Workspace(ens.shape))
+        return new
+
+    det = step(thetas, x, y, cfg, dt, np.zeros_like(thetas), 1)
+    rnd = step(thetas, x, y, cfg, dt,
+               _draw_kicks(substream(11, "noise"), cfg, dt, np.empty_like(thetas)), 1)
     target = 2.0 * cfg.beta * dt
     rel = abs((rnd - det).var() - target) / target
     checks.append(("noise variance 2*beta*dt", rel < 0.02, f"rel err {rel:.4f}"))
@@ -293,7 +299,7 @@ def test_c6_property_suite(tmp_path_factory, capsys):
     ens = thetas.copy()
     expected = thetas.copy()
     for k in range(1, 10):
-        ens, _ = _advance(ens, np.array([0.7]), 0.0, cfg, dt, np.zeros_like(ens), k)
+        ens = step(ens, np.array([0.7]), 0.0, cfg, dt, np.zeros_like(ens), k)
         expected = expected + (-cfg.lam * expected) * dt
     exact = np.array_equal(ens, expected)
     closed = np.max(np.abs(ens - thetas * (1 - cfg.lam * dt) ** 9))

@@ -17,14 +17,14 @@ from mfonline.datastream import (
     PHI_VOL,
     OuParams,
     Trajectory,
-    euler_ou_path,
+    euler_ou_blocks,
     gen_nonlinear,
     gen_periodic,
     response_second_moment,
 )
 from mfonline.seeding import substream
 from neuron_oracle import sigma
-from stream_oracle import whole_path_nonlinear
+from stream_oracle import euler_ou_path, whole_path_nonlinear, whole_path_periodic
 
 
 def test_ou_params_validation():
@@ -41,23 +41,30 @@ def test_ou_params_validation():
     assert abs(OuParams(rate=0.5, vol=1.0).stationary_sd() - 1.0) < 1e-15
 
 
+def stepped(channels, n_steps, dt):
+    """Each channel's whole path, joined from the blocks of euler_ou_blocks."""
+    blocks = [[s.copy() for s in states]
+              for _, _, states in euler_ou_blocks(channels, n_steps, dt)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
 def test_euler_ou_hand_step():
     # replay the generator's own noise and apply the recursion by hand
     params = OuParams(rate=0.8, mean=0.3, vol=0.5)
     dt = 0.02
     noise = substream(11, "chk").standard_normal((3,))
-    path = euler_ou_path(params, 1.0, 3, dt, substream(11, "chk"))
+    [path] = stepped([(params, 1.0, substream(11, "chk"))], 3, dt)
     x = 1.0
     for k in range(3):
         x = x - params.rate * (x - params.mean) * dt + params.vol * np.sqrt(dt) * noise[k]
-        assert abs(path[k] - x) < 1e-15
+        assert path[k] == x
 
 
 def test_euler_ou_deterministic_decay():
     # vol = 0: exact geometric relaxation toward the mean
     params = OuParams(rate=2.0, mean=0.0, vol=0.0)
-    path = euler_ou_path(params, 1.0, 50, 0.1, substream(0, "z"))
-    expected = (1.0 - 2.0 * 0.1) ** np.arange(1, 51)
+    [path] = stepped([(params, 1.0, substream(0, "z"))], 250, 0.1)
+    expected = (1.0 - 2.0 * 0.1) ** np.arange(1, 251)
     assert np.max(np.abs(path - expected)) < 1e-14
 
 
@@ -74,31 +81,54 @@ def test_euler_ou_stationary_variance():
     finals = np.empty(n_paths)
     for lo in range(0, n_paths, 20_000):  # chunk to bound memory
         hi = lo + 20_000
-        finals[lo:hi] = euler_ou_path(params, x0[lo:hi], k, dt, rng)[-1]
+        *_, (_, _, [last_block]) = euler_ou_blocks([(params, x0[lo:hi], rng)], k, dt)
+        finals[lo:hi] = last_block[-1]
     observed = finals.var()
     assert abs(observed - target) / target < 0.05
 
 
 def test_euler_ou_vector_state_and_errors():
     params = OuParams(rate=1.0, vol=0.2)
-    path = euler_ou_path(params, np.zeros((4, 3)), 7, 0.05, substream(2, "v"))
+    [path] = stepped([(params, np.zeros((4, 3)), substream(2, "v"))], 7, 0.05)
     assert path.shape == (7, 4, 3)
+
+    def step(n_steps, dt):
+        return list(euler_ou_blocks([(params, 0.0, substream(2, "v"))], n_steps, dt))
+
     with pytest.raises(ValueError):
-        euler_ou_path(params, 0.0, 0, 0.05, substream(2, "v"))
+        step(0, 0.05)
     with pytest.raises(ValueError):
-        euler_ou_path(params, 0.0, 5, 0.0, substream(2, "v"))
+        step(5, 0.0)
     with pytest.raises(ValueError):
-        euler_ou_path(params, 0.0, 5, float("nan"), substream(2, "v"))
+        step(5, float("nan"))
     with pytest.raises(ValueError):
         gen_periodic(1, n_steps=5, dt=float("nan"))
     # from rate * dt = 2 on the chain does not contract; in the scenarios
     # the noise channels (periodic rate 1.5, nonlinear rate 5.0) hit it first
     with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
-        euler_ou_path(params, 0.0, 5, 2.0, substream(2, "v"))
+        step(5, 2.0)
     with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
         gen_periodic(1, n_steps=5, dt=1.4)
     with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
         gen_nonlinear(1, n_steps=5, dt=0.5)
+
+
+def test_channels_stepped_together_equal_each_stepped_alone():
+    # a channel's rate, mean and vol reach only its own coordinates, and its
+    # normals come from its own stream: stepped with others it has the bits
+    # it has alone, and those of the one-channel whole-path recursion
+    mean = substream(5, "mean").standard_normal((2, 3))
+    channels = [
+        (lambda: (OuParams(rate=0.8, mean=0.3, vol=0.5), 1.0, substream(5, "a"))),
+        (lambda: (OuParams(rate=3.0, mean=mean, vol=0.1), np.ones((2, 3)), substream(5, "b"))),
+        (lambda: (OuParams(rate=0.1, mean=-1.0, vol=2.0), np.zeros(4), substream(5, "c"))),
+    ]
+    for K in (1, PHI_BLOCK, 2 * PHI_BLOCK + 37):
+        together = stepped([make() for make in channels], K, 0.05)
+        for make, path in zip(channels, together):
+            [alone] = stepped([make()], K, 0.05)
+            assert np.array_equal(path, alone)
+            assert np.array_equal(path, euler_ou_path(*make()[:2], K, 0.05, make()[2]))
 
 
 def test_trajectory_basics_and_validation():
@@ -168,14 +198,16 @@ def test_gen_nonlinear_deterministic():
                                1000])
 @pytest.mark.parametrize("dt", [0.02, 0.05])
 def test_gen_nonlinear_blocks_match_whole_path(K, dt):
-    # stepping the parameter path block by block draws the same normals
-    # and does the same arithmetic as one whole-path draw
-    for seed in (1, 2, 3):
-        got = gen_nonlinear(seed, n_steps=K, dt=dt)
-        for traj, (x, y, truth) in zip(got, whole_path_nonlinear(seed, K, dt)):
-            assert np.array_equal(traj.x, x)
-            assert np.array_equal(traj.y, y)
-            assert np.array_equal(traj.truth, truth)
+    # stepping every channel block by block draws the same normals and does
+    # the same arithmetic as one whole-path draw per channel
+    # (on either scenario; the name predates the periodic one's blocks)
+    for gen, oracle in ((gen_periodic, whole_path_periodic), (gen_nonlinear, whole_path_nonlinear)):
+        for seed in (1, 2, 3):
+            got = gen(seed, n_steps=K, dt=dt)
+            for traj, (x, y, truth) in zip(got, oracle(seed, K, dt)):
+                assert np.array_equal(traj.x, x.reshape(K, -1))
+                assert np.array_equal(traj.y, y)
+                assert np.array_equal(traj.truth, truth)
 
 
 def test_gen_nonlinear_memory_is_bounded_by_the_block():

@@ -6,7 +6,16 @@ import pytest
 from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
 from mfonline.measures import predict, second_moment
 from mfonline.network import forward
-from mfonline.onpgd import BlowUpError, OnpgdConfig, _advance, init_ensemble, run_online
+from mfonline.onpgd import (
+    NOISE_BLOCK_FLOATS,
+    BlowUpError,
+    OnpgdConfig,
+    _advance,
+    _draw_kicks,
+    _Workspace,
+    init_ensemble,
+    run_online,
+)
 from mfonline.seeding import substream
 from neuron_oracle import grad_sigma, sigma
 
@@ -14,12 +23,17 @@ from neuron_oracle import grad_sigma, sigma
 DT = 0.02
 
 
-def step(thetas, z, cfg, noise=None, k=1, dt=DT):
+def step(thetas, z, cfg, rng=None, k=1, dt=DT):
     """One Euler update of the kernel run_online runs; returns the new array.
 
-    Without a noise block the step is driven by zeros, its noiseless part."""
-    noise = np.zeros_like(thetas) if noise is None else noise
-    return _advance(thetas, z[0], z[1], cfg, dt, noise, k)[0]
+    The step's noise is drawn from the Generator rng as run_online draws
+    it; without one the step is driven by zeros, its noiseless part."""
+    kick = np.zeros_like(thetas)
+    if rng is not None:
+        _draw_kicks(rng, cfg, dt, kick)
+    out = np.empty_like(thetas)
+    _advance(thetas, z[0], z[1], cfg, dt, kick, k, out, _Workspace(thetas.shape))
+    return out
 
 
 def test_config_validation():
@@ -57,12 +71,12 @@ def test_init_ensemble():
 
 
 def test_hand_euler_step():
-    # two particles, scalar covariate, explicit noise: replicate the update
+    # two particles, scalar covariate, replayed noise: replicate the update
     # term by term with the scalar sigma/grad_sigma oracle
     cfg = OnpgdConfig(n_particles=2, lam=0.3, beta=0.5)
     thetas = np.array([[0.4, -0.2, 0.1], [1.0, 0.6, -0.5]])
     x, y = np.array([0.8]), 0.25
-    noise = np.array([[0.3, -1.2, 0.7], [0.05, 0.0, -0.4]])
+    noise = substream(8, "noise").standard_normal(thetas.shape)  # the normals step replays
 
     vals = np.array([sigma(x, t) for t in thetas])
     m = vals.mean()
@@ -71,7 +85,7 @@ def test_hand_euler_step():
         drift = -cfg.lam * t - 2.0 * (m - y) * grad_sigma(x, t)
         expected[i] = t + drift * DT + np.sqrt(2 * cfg.beta * DT) * noise[i]
 
-    out = step(thetas, (x, y), cfg, noise=noise)
+    out = step(thetas, (x, y), cfg, rng=substream(8, "noise"))
     assert np.max(np.abs(out - expected)) < 1e-12
 
 
@@ -94,8 +108,8 @@ def test_noise_variance_two_percent():
     cfg = OnpgdConfig(n_particles=50_000, lam=0.1, beta=0.02, init_sd=None)
     thetas = init_ensemble(cfg, 3, substream(1, "init"))
     z = (np.array([0.5]), 0.2)
-    det = step(thetas, z, cfg, noise=np.zeros_like(thetas))
-    rnd = step(thetas, z, cfg, noise=substream(1, "noise").standard_normal(thetas.shape))
+    det = step(thetas, z, cfg)
+    rnd = step(thetas, z, cfg, rng=substream(1, "noise"))
     diff = rnd - det
     target = 2.0 * cfg.beta * DT
     assert abs(diff.var() - target) / target < 0.02
@@ -122,12 +136,17 @@ def test_geometric_decay_exact():
 def test_permutation_equivariance():
     cfg = OnpgdConfig(n_particles=6, lam=0.1, beta=0.05)
     thetas = substream(9, "t").standard_normal((6, 4))
-    noise = substream(9, "n").standard_normal((6, 4))
+    kick = _draw_kicks(substream(9, "n"), cfg, DT, np.empty((6, 4)))
     z = (np.array([0.2, -0.5]), 0.3)
     perm = np.array([4, 2, 0, 5, 1, 3])
 
-    plain = step(thetas, z, cfg, noise=noise)
-    permuted = step(thetas[perm], z, cfg, noise=noise[perm])
+    def permuted_step(order):
+        out = np.empty_like(thetas)
+        _advance(thetas[order], z[0], z[1], cfg, DT, kick[order], 1, out, _Workspace(thetas.shape))
+        return out
+
+    plain = permuted_step(np.arange(6))
+    permuted = permuted_step(perm)
     assert np.array_equal(plain[perm], permuted)
 
 
@@ -176,14 +195,14 @@ def test_run_online_rejects_bad_predict_xs():
         run_online(train, OnpgdConfig(), substream(1, "onpgd"), predict_xs=np.zeros((5, 1)))
 
 
-def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
+def _allocating_run(traj, config, rng, snapshot_at, predict_xs):
     """Reference training pass: the Euler step of traj.dt as whole-array
     expressions, each allocating its result, with the error as an (N,)
-    vector in both interaction modes.  Returns (train_pred, train_q,
-    extra_pred, snapshots, blow_up_step), with the pre-update states at the
-    steps snapshot_at as (k, thetas) pairs, stopping at the first step
-    whose new state is not finite."""
-    rng = substream(seed, "onpgd")
+    vector in both interaction modes and one (N, d) noise draw from the
+    Generator rng per step.  Returns (train_pred, train_q, extra_pred,
+    snapshots, blow_up_step), with the pre-update states at the steps
+    snapshot_at as (k, thetas) pairs, stopping at the first step whose new
+    state is not finite."""
     thetas = config.initial_sd() * rng.standard_normal((config.n_particles, traj.x_dim + 2))
     n = config.n_particles
     train_pred, train_q = np.empty(traj.n_steps), np.empty(traj.n_steps)
@@ -193,7 +212,7 @@ def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
             snapshots.append((k, thetas.copy()))
         train_q[k - 1] = thetas.ravel() @ thetas.ravel() / n
         extra_pred[k - 1] = forward(thetas, predict_xs[k - 1])[0].mean()
-        noise = rng.standard_normal(thetas.shape) if config.beta > 0 else None
+        noise = rng.standard_normal(thetas.shape)
         x, y = traj.x[k - 1], traj.y[k - 1]
         vals, th = forward(thetas, x)
         mean = vals.mean()
@@ -204,9 +223,7 @@ def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
         asech2 = thetas[:, 0] * (1.0 - th * th)
         grad = np.column_stack([th, asech2[:, None] * x[None, :], asech2])
         drift = -config.lam * thetas - 2.0 * err[:, None] * grad
-        new = thetas + drift * traj.dt
-        if noise is not None:
-            new = new + np.sqrt(2.0 * config.beta * traj.dt) * noise
+        new = thetas + drift * traj.dt + np.sqrt(2.0 * config.beta * traj.dt) * noise
         if not np.all(np.isfinite(new)):
             return train_pred, train_q, extra_pred, snapshots, k
         train_pred[k - 1] = mean
@@ -214,23 +231,38 @@ def _allocating_run(traj, config, seed, snapshot_at, predict_xs):
     return train_pred, train_q, extra_pred, snapshots, None
 
 
+def noise_block(n_particles, x_dim):
+    """The steps run_online draws the noise of at once."""
+    return NOISE_BLOCK_FLOATS // (n_particles * (x_dim + 2))
+
+
 @pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
 @pytest.mark.parametrize("beta", [0.0, 0.05])
 def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
-    train, test = gen_nonlinear(6, n_steps=200)
-    cfg = OnpgdConfig(n_particles=12, lam=0.1, beta=beta, self_interaction=self_interaction)
-    at = [1, 7, 100, 200]
-    res = run_online(train, cfg, substream(9, "onpgd"), predict_xs=test.x)
-    train_pred, train_q, extra_pred, snapshots, blow_up = _allocating_run(
-        train, cfg, 9, at, test.x)
-    assert blow_up is None
-    assert np.array_equal(res.train_pred, train_pred)
-    assert np.array_equal(res.train_q, train_q)
-    assert np.array_equal(res.extra_pred, extra_pred)
-    # the moments at step k are the pre-update state's own, bit for bit
-    assert [k for k, _ in snapshots] == at
-    assert all(res.train_pred[k - 1] == predict(snap, train.x[k - 1]) for k, snap in snapshots)
-    assert all(res.train_q[k - 1] == second_moment(snap) for k, snap in snapshots)
+    # on both scenarios and at horizons on either side of the noise block's
+    # edges: a block's normals are the oracle's per-step draws, and the
+    # Generator ends where the oracle's does, so a short last block draws
+    # no more
+    cfg = OnpgdConfig(n_particles=40, lam=0.1, beta=beta, self_interaction=self_interaction)
+    for gen in (gen_periodic, gen_nonlinear):
+        B = noise_block(40, gen(6, n_steps=1)[0].x_dim)
+        for K in (1, B - 1, B, B + 1, 2 * B + 37):
+            train, test = gen(6, n_steps=K)
+            at = sorted({1, K // 2 + 1, K})
+            rng, oracle_rng = substream(9, "onpgd"), substream(9, "onpgd")
+            res = run_online(train, cfg, rng, predict_xs=test.x)
+            train_pred, train_q, extra_pred, snapshots, blow_up = _allocating_run(
+                train, cfg, oracle_rng, at, test.x)
+            assert blow_up is None
+            assert np.array_equal(res.train_pred, train_pred)
+            assert np.array_equal(res.train_q, train_q)
+            assert np.array_equal(res.extra_pred, extra_pred)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            # the moments at step k are the pre-update state's own, bit for bit
+            assert [k for k, _ in snapshots] == at
+            assert all(res.train_pred[k - 1] == predict(snap, train.x[k - 1])
+                       for k, snap in snapshots)
+            assert all(res.train_q[k - 1] == second_moment(snap) for k, snap in snapshots)
 
 
 @pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
@@ -238,10 +270,22 @@ def test_run_online_blow_up_names_the_oracle_step(self_interaction):
     train, test = gen_periodic(3, n_steps=200)
     cfg = OnpgdConfig(n_particles=3, lam=1e6, beta=0.0, self_interaction=self_interaction)
     with np.errstate(over="ignore"):
-        *_, k = _allocating_run(train, cfg, 4, (), test.x)
+        *_, k = _allocating_run(train, cfg, substream(4, "onpgd"), (), test.x)
         assert k is not None
         with pytest.raises(BlowUpError, match=f"at step {k}, particle"):
             run_online(train, cfg, substream(4, "onpgd"), predict_xs=test.x)
+    # and past the first noise block: a response of 1e308 at step B + 5
+    # makes the interaction force overflow there
+    cfg = OnpgdConfig(n_particles=100, beta=0.0, self_interaction=self_interaction)
+    B = noise_block(100, train.x_dim)
+    y = train.y.copy()
+    y[B + 4] = 1e308
+    spiked = Trajectory(dt=train.dt, x=train.x, y=y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, k = _allocating_run(spiked, cfg, substream(4, "onpgd"), (), test.x)
+        assert k == B + 5
+        with pytest.raises(BlowUpError, match=f"at step {k}, particle"):
+            run_online(spiked, cfg, substream(4, "onpgd"), predict_xs=test.x)
 
 
 def test_run_online_steps_at_the_stream_dt():
@@ -250,7 +294,7 @@ def test_run_online_steps_at_the_stream_dt():
     train, test = gen_periodic(3, n_steps=40, dt=0.05)
     cfg = OnpgdConfig(n_particles=6)
     res = run_online(train, cfg, substream(2, "onpgd"), predict_xs=test.x)
-    train_pred, train_q, *_ = _allocating_run(train, cfg, 2, (), test.x)
+    train_pred, train_q, *_ = _allocating_run(train, cfg, substream(2, "onpgd"), (), test.x)
     assert np.array_equal(res.train_pred, train_pred)
     assert np.array_equal(res.train_q, train_q)
     coarse = Trajectory(dt=0.02, x=train.x, y=train.y)
