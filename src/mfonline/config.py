@@ -16,16 +16,16 @@ declares each key's ``Settings`` field, value kind and range once.  A
 value is read as its key's kind where the text is one (an integer, a
 number, a true/false word), a comma makes a list, and any other text
 stays a string, so ``experiment = 2024`` names a directory.  ``Settings``
-rejects a value of another kind, a number that is not finite, or a data.dt
-at which the scenario's streams diverge, with a message naming the key.
+rejects a value of another kind, a number that is not finite, or an empty
+sweep list, with a message naming the key.
 Command-line flags override file values, which override the defaults.
 """
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .datastream import DT, N_STEPS, check_step
+from .datastream import N_STEPS
 from .offline import OfflineFitConfig
 from .onpgd import OnpgdConfig
 from .regret import N_IS
@@ -104,13 +104,11 @@ SCHEMA = {
     "threads": ("threads", INT, _at_least(1)),
     "experiment": ("experiment", TEXT, None),
     "data.n_steps": ("n_steps", INT, _at_least(1)),
-    "data.dt": ("dt", NUMBER, POSITIVE),
     "onpgd.n": ("n_particles", INT, _at_least(1)),
     "onpgd.lambda": ("lam", NUMBER, None),
     "onpgd.beta": ("beta", NUMBER, None),
     # "gibbs" (None once resolved) selects the lambda-coupled prior
     "onpgd.init_sd": ("init_sd", ((int, float, type(None)), "a number or 'gibbs'"), POSITIVE),
-    "onpgd.self_interaction": ("self_interaction", BOOL, None),
     "is.n": ("n_is", INT, _at_least(2)),
     "offline.iters": ("offline_iters", INT, _at_least(1)),
     # a stride beyond n_steps is left to each trial to report
@@ -137,18 +135,17 @@ class Settings:
     n_particles: int = OnpgdConfig.n_particles
     lam: float = OnpgdConfig.lam
     beta: float = OnpgdConfig.beta
-    dt: float = DT
     # learner particle init scale; the literal "gibbs" selects the
     # lambda-coupled N(0, beta/lambda) prior instead of a fixed scale
     init_sd: float | str | None = OnpgdConfig.init_sd
-    self_interaction: bool = OnpgdConfig.self_interaction
     n_is: int = N_IS
     offline_iters: int = OfflineFitConfig.iters
     eval_stride: int = 100
     include_static: bool = False
-    sweep_n: list = field(default_factory=list)
-    sweep_beta: list = field(default_factory=list)
-    sweep_lam: list = field(default_factory=list)
+    # None: not swept, the cell takes n_particles, beta or lam
+    sweep_n: list | None = None
+    sweep_beta: list | None = None
+    sweep_lam: list | None = None
 
     def __post_init__(self):
         if self.init_sd == "gibbs":
@@ -158,8 +155,12 @@ class Settings:
             label = name if key == name else f"{name} ({key})"
             entries = [value]
             if key.startswith("sweep."):
+                if value is None:
+                    continue
                 # a scalar sweep value, 0 included, is a one-value sweep
                 entries = value if isinstance(value, list) else [value]
+                if not entries:
+                    raise ValueError(f"{label} must list at least one value, got []")
                 setattr(self, name, entries)
             for v in entries:
                 if not isinstance(v, types) or isinstance(v, bool) != (bool in types):
@@ -168,11 +169,6 @@ class Settings:
                     raise ValueError(f"{label} must be finite, got {v!r}")
                 if check and v is not None and not check[0](v):
                     raise ValueError(f"{label} must be {check[1]}, got {v!r}")
-        try:  # a step at which an OU channel of the scenario's streams diverges
-            check_step(self.scenario, self.dt)
-        except ValueError as e:
-            raise ValueError(f"data.dt = {self.dt!r} is too large for the "
-                             f"{self.scenario} scenario: {e}") from None
 
     def out_dir(self) -> str:
         return self.out or os.environ.get(OUT_ENV_VAR) or "out"

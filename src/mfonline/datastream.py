@@ -234,16 +234,3 @@ def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     return _stream_pair(seed, NONLINEAR_X_OU, (NONLINEAR_X_DIM,), NONLINEAR_NOISE_OU,
                         n_steps, dt, truth, [phi_path])
 
-
-# every OU channel a scenario steps at its dt
-SCENARIO_OU = {
-    "periodic": (PERIODIC_X_OU, PERIODIC_NOISE_OU),
-    "nonlinear": (NONLINEAR_X_OU, NONLINEAR_NOISE_OU, PHI_OU),
-}
-
-
-def check_step(scenario: str, dt: float) -> None:
-    """Raise ValueError unless every OU channel of the scenario is stable
-    at step dt, so a caller can reject dt before drawing any stream."""
-    for params in SCENARIO_OU[scenario]:
-        params.check_step(dt)

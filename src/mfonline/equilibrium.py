@@ -440,6 +440,7 @@ def _log_tilted_density(grid, z, beta, lam):
 
 
 VERIFY_ROOT_TOL = 1e-12  # |Phi(m) - m| of the quadrature solves the identity checks use
+DYM_FD_STEP = 1e-4  # half-width in y of verify_dym_formula's central difference
 
 
 def solve_mu_star_quadrature(z, beta, lam, grid: QuadratureGrid, root_tol=MU_ROOT_TOL):
@@ -534,7 +535,7 @@ class DyReport:
     abs_diff: float
 
 
-def verify_dym_formula(z, beta, lam, grid: QuadratureGrid, fd_step=1e-4) -> DyReport:
+def verify_dym_formula(z, beta, lam, grid: QuadratureGrid) -> DyReport:
     """Check d m* / d y = 2 Var(sigma) / (beta + 2 Var(sigma)) at mu*.
 
     The variance is computed under the quadrature equilibrium at z; the
@@ -545,7 +546,7 @@ def verify_dym_formula(z, beta, lam, grid: QuadratureGrid, fd_step=1e-4) -> DyRe
     var = grid.integrate(_tanh_1d(x, grid.thetas) ** 2 * density) - m_star**2
     analytic = 2.0 * var / (beta + 2.0 * var)
 
-    m_plus, _ = solve_mu_star_quadrature((x, y + fd_step), beta, lam, grid, VERIFY_ROOT_TOL)
-    m_minus, _ = solve_mu_star_quadrature((x, y - fd_step), beta, lam, grid, VERIFY_ROOT_TOL)
-    fd = (m_plus - m_minus) / (2.0 * fd_step)
+    m_plus, _ = solve_mu_star_quadrature((x, y + DYM_FD_STEP), beta, lam, grid, VERIFY_ROOT_TOL)
+    m_minus, _ = solve_mu_star_quadrature((x, y - DYM_FD_STEP), beta, lam, grid, VERIFY_ROOT_TOL)
+    fd = (m_plus - m_minus) / (2.0 * DYM_FD_STEP)
     return DyReport(analytic=analytic, finite_diff=fd, abs_diff=abs(analytic - fd))

@@ -53,14 +53,13 @@ def generate_pair(settings: Settings, trial: int):
     """Train/test pair for one trial; identical across parameter cells."""
     seed = int(substream(settings.seed, "data", trial).integers(2**63))
     gen = gen_periodic if settings.scenario == "periodic" else gen_nonlinear
-    return gen(seed, settings.n_steps, settings.dt)
+    return gen(seed, settings.n_steps)
 
 
 def learner_cell(settings: Settings, n, beta, lam):
     """A parameter cell's name and learner config: N, beta and lambda as
     given, every other learner setting from settings."""
-    config = OnpgdConfig(n_particles=n, lam=lam, beta=beta,
-                         self_interaction=settings.self_interaction, init_sd=settings.init_sd)
+    config = OnpgdConfig(n_particles=n, lam=lam, beta=beta, init_sd=settings.init_sd)
     return f"N{n}_beta{beta:g}_lambda{lam:g}", config
 
 

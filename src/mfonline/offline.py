@@ -6,11 +6,11 @@ static network by gradient descent on the batch objective
     L(theta_1..N) = (1/K) sum_k (m(x_k) - y_k)^2 + (lam / (2N)) sum_i |theta_i|^2
 
 with m(x) the N-particle mean prediction.  Plain gradient descent,
-theta <- theta - lr * dL/dtheta.  The particle count N, the penalty lam
-and the init come from the online learner's OnpgdConfig, so both learners
-fit the same network; OfflineFitConfig holds only the settings of the
-batch descent.  No noise is injected; the fit is a deterministic function
-of the init draw and the data.
+theta <- theta - LEARNING_RATE * dL/dtheta.  The particle count N, the
+penalty lam and the init come from the online learner's OnpgdConfig, so
+both learners fit the same network; OfflineFitConfig holds only the
+iteration count of the batch descent.  No noise is injected; the fit is a
+deterministic function of the init draw and the data.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,9 @@ from .onpgd import OnpgdConfig, init_ensemble, run_online
 from .seeding import substream
 
 
+LEARNING_RATE = 0.05  # the batch descent's step
+
+
 class DivergenceError(RuntimeError):
     """Batch loss left the finite range during descent."""
 
@@ -30,13 +33,10 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class OfflineFitConfig:
     iters: int = 2000
-    learning_rate: float = 0.05
 
     def __post_init__(self):
         if not self.iters >= 1:
             raise ValueError("need at least one iteration")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
 
 
 def batch_loss(thetas, traj, lam: float, th=None) -> float:
@@ -104,7 +104,7 @@ def fit_offline(traj, config: OfflineFitConfig, learner: OnpgdConfig, rng):
             raise DivergenceError(f"batch loss {loss!r} at iteration {j}")
         if j < config.iters:
             grad = batch_loss_grad(thetas, traj, learner.lam, th)
-            thetas = thetas - config.learning_rate * grad
+            thetas = thetas - LEARNING_RATE * grad
     return thetas, trace, float(np.abs(grad).max())
 
 

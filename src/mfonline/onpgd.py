@@ -7,10 +7,9 @@ mean prediction m, each particle moves by
     theta' = theta + (-lam * theta - 2 (m - y) grad_sigma(x, theta)) * dt
              + sqrt(2 * beta * dt) * xi,      xi ~ N(0, I_d)
 
-With self_interaction on (default), m is the full ensemble mean; off, each
-particle sees the leave-one-out mean of the others.  Particles start from
-N(0, init_sd^2 I_d), unit sd by default, or from the Gibbs prior
-N(0, (beta / lam) I_d) at init_sd=None.  The step dt is the stream's own.
+where m is the full ensemble mean.  Particles start from N(0, init_sd^2 I_d),
+unit sd by default, or from the Gibbs prior N(0, (beta / lam) I_d) at
+init_sd=None.  The step dt is the stream's own.
 
 Convention: the state at data index k is the pre-update ensemble (k = 1 is
 the initial draw), and the update at step k consumes z_k.  The recorded
@@ -34,16 +33,11 @@ class OnpgdConfig:
     n_particles: int = 80
     lam: float = 0.1  # L2 penalty lambda
     beta: float = 0.02  # entropy / noise temperature
-    self_interaction: bool = True
     init_sd: float | None = 1.0  # None: sqrt(beta / lam), the Gibbs prior's sd
 
     def __post_init__(self):
         if not self.n_particles >= 1:
             raise ValueError("need at least one particle")
-        if not self.self_interaction and self.n_particles < 2:
-            raise ValueError("n_particles (onpgd.n or an entry of sweep.n) must be >= 2 when "
-                             "self_interaction (onpgd.self_interaction) is false: the "
-                             f"leave-one-out mean needs two particles, got {self.n_particles!r}")
         self._require(lambda v: v >= 0, "nonnegative")
         if self.init_sd is None:
             self.prior_var()  # the Gibbs init
@@ -83,12 +77,10 @@ def init_ensemble(config: OnpgdConfig, dim: int, rng) -> np.ndarray:
 class _Workspace:
     """The arrays an Euler step of an (N, d) ensemble writes besides the
     next state, allocated once per pass: the activations th and neuron
-    values vals at the step's covariate, the leave-one-out error err and
-    the interaction force grad."""
+    values vals at the step's covariate and the interaction force grad."""
 
     def __init__(self, shape):
-        n = shape[0]
-        self.th, self.vals, self.err = np.empty(n), np.empty(n), np.empty(n)
+        self.th, self.vals = np.empty(shape[0]), np.empty(shape[0])
         self.grad = np.empty(shape)
 
 
@@ -110,28 +102,17 @@ def _advance(thetas, x, y, config, dt, kick, step_index, out, work) -> float:
     """
     mean = predict_into(thetas, x, work.th, work.vals)
     th, grad = work.th, work.grad
-    # the interaction force's factor -2 (m - y), negated here so that the
-    # drift is a sum; x - y and x + (-y) are the same IEEE operation
-    if config.self_interaction:
-        err = -2.0 * (mean - y)
-    else:
-        n = thetas.shape[0]
-        err = work.err
-        np.subtract(n * mean, work.vals, out=err)
-        err /= n - 1
-        err -= y
-        err *= -2.0
-        err = err[:, None]
-
     grad[:, 0] = th
     asech2 = grad[:, -1]
     np.multiply(th, th, out=asech2)
     np.subtract(1.0, asech2, out=asech2)
     asech2 *= thetas[:, 0]
     np.multiply(asech2[:, None], x, out=grad[:, 1:-1])
-    grad *= err
+    # times the interaction force's factor -2 (m - y), negated here so that
+    # the drift is a sum; x - y and x + (-y) are the same IEEE operation
+    grad *= -2.0 * (mean - y)
 
-    # out = thetas + (-lam thetas + err grad) dt + kick, accumulated in place
+    # out = thetas + (-lam thetas + grad) dt + kick, accumulated in place
     np.multiply(thetas, -config.lam, out=out)
     out += grad
     out *= dt

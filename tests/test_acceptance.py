@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from mfonline.config import Settings
-from mfonline.datastream import Trajectory
+from mfonline.datastream import DT, Trajectory
 from mfonline.equilibrium import (
     QuadratureGrid,
     _tilted_map,
@@ -107,7 +107,7 @@ def regret_cells(tmp_path_factory):
         assert cell["trials"] == TRIALS and cell["failures"] == [], cell["failures"]
         cell_dir = os.path.join(out, settings.experiment, cell["name"])
         cell["series"] = [_dynamic_regularized(
-            os.path.join(cell_dir, f"trial{t:03d}", "regret.csv"), settings.dt)
+            os.path.join(cell_dir, f"trial{t:03d}", "regret.csv"), DT)
             for t in range(TRIALS)]
         results[cell["name"]] = cell
     return results

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from mfonline.config import OUT_ENV_VAR, SCHEMA, Settings, build_settings, parse_config
+from mfonline.config import (OUT_ENV_VAR, SCHEMA, Settings, build_settings, parse_config,
+                             parse_value)
 from mfonline.datastream import DT, N_STEPS, gen_periodic
 from mfonline.offline import OfflineFitConfig
 from mfonline.onpgd import OnpgdConfig
@@ -20,7 +21,6 @@ def test_parse_coercion_and_comments():
     scenario = periodic   # trailing comment
     trials = 12
     onpgd.beta = 0.05
-    onpgd.self_interaction = off
     regret.static = yes
     sweep.beta = 0.005, 0.02, 0.05
     experiment = fig2-rerun
@@ -29,8 +29,8 @@ def test_parse_coercion_and_comments():
     assert cfg["scenario"] == "periodic"
     assert cfg["trials"] == 12 and isinstance(cfg["trials"], int)
     assert cfg["onpgd.beta"] == 0.05
-    assert cfg["onpgd.self_interaction"] is False
     assert cfg["regret.static"] is True
+    assert parse_value("regret.static", "off") is False
     assert cfg["sweep.beta"] == [0.005, 0.02, 0.05]
     assert cfg["experiment"] == "fig2-rerun"
 
@@ -44,9 +44,11 @@ def test_parse_rejects_malformed_lines():
 
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
-    # the mu* tolerance and the offline descent step are solver defaults, not
-    # keys; the stream's step is data.dt, not a learner setting
-    for key in ("onpgd.gamma", "is.root_tol", "offline.lr", "onpgd.dt"):
+    # the mu* tolerance and the offline descent step are solver defaults, the
+    # streams' step is datastream.DT and the learner interacts through the
+    # full mean, so none of these is a key
+    for key in ("onpgd.gamma", "is.root_tol", "offline.lr", "onpgd.dt", "data.dt",
+                "onpgd.self_interaction"):
         path.write_text(f"{key} = 2\n")
         with pytest.raises(ValueError, match="unknown config keys: " + re.escape(key)):
             build_settings(config_path=path)
@@ -90,40 +92,22 @@ def test_settings_validation():
         Settings(seed=2**64)
     with pytest.raises(ValueError, match="64-bit"):
         Settings(seed=-1)
-    for key, bad in (("n_steps", 0), ("n_particles", 0), ("dt", 0.0), ("dt", -0.02),
-                     ("dt", float("nan")), ("n_is", 1), ("eval_stride", 0),
+    for key, bad in (("n_steps", 0), ("n_particles", 0), ("n_is", 1), ("eval_stride", 0),
                      ("eval_stride", -20), ("eval_stride", float("nan"))):
         with pytest.raises(ValueError, match=key):
             Settings(**{key: bad})
     with pytest.raises(ValueError, match=r"regret\.stride"):
         Settings(eval_stride=0)
-    Settings(n_steps=1, n_particles=1, dt=1e-3, n_is=2, eval_stride=1)  # the smallest accepted
+    Settings(n_steps=1, n_particles=1, n_is=2, eval_stride=1)  # the smallest accepted
     Settings(n_steps=10, eval_stride=50)  # beyond n_steps: each trial reports it
-
-
-@pytest.mark.parametrize("scenario, dt, stable", [
-    # the fastest OU channel is the noise: rate 5.0 (nonlinear), 1.5 (periodic)
-    ("nonlinear", 0.4, False), ("periodic", 1.4, False),
-    ("nonlinear", 0.39, True), ("periodic", 1.3, True),
-])
-def test_settings_rejects_an_unstable_stream_step(scenario, dt, stable):
-    if stable:
-        assert Settings(scenario=scenario, dt=dt).dt == dt
-    else:
-        with pytest.raises(ValueError, match=rf"data\.dt = {dt} is too large for the {scenario}"):
-            Settings(scenario=scenario, dt=dt)
-    # a step that is not a positive finite number gets its SCHEMA message first
-    for bad in (-dt, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match=r"dt \(data\.dt\) must be"):
-            Settings(scenario=scenario, dt=bad)
 
 
 def test_defaults_are_those_of_the_objects_that_use_them():
     s, learner = Settings(), OnpgdConfig()
-    assert (s.n_particles, s.lam, s.beta, s.init_sd, s.self_interaction) == (
-        learner.n_particles, learner.lam, learner.beta, learner.init_sd, learner.self_interaction)
+    assert (s.n_particles, s.lam, s.beta, s.init_sd) == (
+        learner.n_particles, learner.lam, learner.beta, learner.init_sd)
     assert s.offline_iters == OfflineFitConfig().iters
-    assert (s.n_steps, s.dt, s.n_is) == (N_STEPS, DT, N_IS)
+    assert (s.n_steps, s.n_is) == (N_STEPS, N_IS)
     train, _ = gen_periodic(1, n_steps=3)
     assert (train.n_steps, train.dt) == (3, DT)
 
@@ -146,7 +130,7 @@ def test_sweep_scalars_become_lists(tmp_path):
     s = build_settings(config_path=path)
     assert s.sweep_beta == [0.02]
     assert s.sweep_n == [20, 200]
-    assert s.sweep_lam == []
+    assert s.sweep_lam is None  # not swept
     # a zero is a value too, not an empty sweep, so its range check rejects it
     for line in ("sweep.beta = 0", "sweep.lambda = 0.0", "sweep.n = 0"):
         path.write_text(line + "\n")
@@ -170,7 +154,7 @@ def test_integer_keys_reject_other_types(tmp_path, line):
 
 
 @pytest.mark.parametrize("line", [
-    "onpgd.beta = fast", "onpgd.lambda = yes", "data.dt = off", "onpgd.init_sd = true",
+    "onpgd.beta = fast", "onpgd.lambda = yes", "onpgd.init_sd = true",
     "sweep.beta = 0.02, fast", "sweep.beta = fast", "sweep.lambda = 0.1, no",
 ])
 def test_float_keys_reject_other_types(tmp_path, line):
@@ -197,10 +181,10 @@ def test_overrides_take_dotted_keys_only():
 
 
 @pytest.mark.parametrize("line", [
-    "trials = 0", "threads = 0", "seed = -1", "data.n_steps = 0", "onpgd.n = 0", "data.dt = 0",
-    "data.dt = -0.02", "onpgd.init_sd = 0", "is.n = 1", "offline.iters = 0", "scenario = 3",
+    "trials = 0", "threads = 0", "seed = -1", "data.n_steps = 0", "onpgd.n = 0",
+    "onpgd.init_sd = 0", "is.n = 1", "offline.iters = 0", "scenario = 3",
     # a non-finite number would blow up every trial's learner at its first step
-    "onpgd.beta = inf", "onpgd.lambda = inf", "data.dt = inf", "onpgd.init_sd = inf",
+    "onpgd.beta = inf", "onpgd.lambda = inf", "onpgd.init_sd = inf",
     "sweep.beta = 0.02, inf",
     # each sweep entry is a learner's N, beta or lambda, checked by its own key
     "sweep.n = 0", "sweep.n = 20, 0", "sweep.beta = -1", "sweep.beta = 0.02, 0",
@@ -215,11 +199,10 @@ def test_range_errors_name_the_key(tmp_path, line):
 
 
 @pytest.mark.parametrize("line", [
-    "onpgd.self_interaction = 0", "onpgd.self_interaction = 1", "onpgd.self_interaction = fast",
     "regret.static = 2", "regret.static = 0.0", "regret.static = yes, no",
 ])
 def test_bool_keys_reject_other_types(tmp_path, line):
-    # onpgd.self_interaction = 0 would otherwise run the leave-one-out learner
+    # regret.static = 2 would otherwise run the hindsight benchmark
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     key = line.split(" =")[0]

@@ -210,6 +210,17 @@ def test_gen_nonlinear_blocks_match_whole_path(K, dt):
                 assert np.array_equal(traj.truth, truth)
 
 
+@pytest.mark.parametrize("K", [37, 100, 250])
+def test_streams_are_non_anticipative(K):
+    # a shorter horizon is a prefix of a longer one, bit for bit, across
+    # PHI_BLOCK edges: no step depends on a later one
+    for gen in (gen_periodic, gen_nonlinear):
+        for short, full in zip(gen(8, K), gen(8, 1000)):
+            assert np.array_equal(short.x, full.x[:K])
+            assert np.array_equal(short.y, full.y[:K])
+            assert np.array_equal(short.truth, full.truth[:K])
+
+
 def test_gen_nonlinear_memory_is_bounded_by_the_block():
     # the outputs (x, noise, truth and y of both trajectories, 0.96 MB at
     # K = 10000) plus room for eight (PHI_BLOCK, M, d) buffers (0.4 MB each):

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from mfonline import offline
 from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
 from mfonline.offline import (
     DivergenceError,
@@ -48,9 +49,10 @@ def test_batch_loss_grad_finite_differences():
             assert abs(g[i, j] - fd) < 1e-7
 
 
-def test_descent_decreases_loss():
+def test_descent_decreases_loss(monkeypatch):
+    monkeypatch.setattr(offline, "LEARNING_RATE", 0.01)
     traj = _small_traj(seed=9, K=20, n=1)
-    cfg = OfflineFitConfig(iters=60, learning_rate=0.01)
+    cfg = OfflineFitConfig(iters=60)
     learner = OnpgdConfig(n_particles=6, lam=0.1)
     _, trace, _ = fit_offline(traj, cfg, learner, substream(3, "offline-init"))
     assert trace.shape == (61,)
@@ -77,7 +79,7 @@ def _two_pass_fit(traj, config, learner, seed):
     for j in range(config.iters):
         trace[j] = batch_loss(thetas, traj, learner.lam)
         grad = batch_loss_grad(thetas, traj, learner.lam)
-        thetas = thetas - config.learning_rate * grad
+        thetas = thetas - offline.LEARNING_RATE * grad
     trace[-1] = batch_loss(thetas, traj, learner.lam)
     return thetas, trace, np.abs(grad).max()
 
@@ -117,30 +119,27 @@ def test_loss_and_grad_match_broadcast_oracle(traj, n_particles):
         assert np.array_equal(batch_loss_grad(thetas, traj, 0.1, th), g)
 
 
-def test_divergence_raises():
+def test_divergence_raises(monkeypatch):
+    monkeypatch.setattr(offline, "LEARNING_RATE", 5e4)
     traj = _small_traj(seed=6)
-    cfg = OfflineFitConfig(iters=400, learning_rate=5e4)
+    cfg = OfflineFitConfig(iters=400)
     learner = OnpgdConfig(n_particles=4, lam=0.1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             fit_offline(traj, cfg, learner, substream(1, "offline-init"))
         # the final loss, after the last step, passes the same test
         with pytest.raises(DivergenceError, match=r"at iteration 1$"):
-            fit_offline(traj, OfflineFitConfig(iters=1, learning_rate=5e4), learner,
-                        substream(1, "offline-init"))
+            fit_offline(traj, OfflineFitConfig(iters=1), learner, substream(1, "offline-init"))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         OfflineFitConfig(iters=0)
     with pytest.raises(ValueError):
-        OfflineFitConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
         OfflineFitConfig(iters=np.nan)
-    with pytest.raises(ValueError):
-        OfflineFitConfig(learning_rate=np.nan)
-    # the network, its penalty and its init belong to the learner's config
-    assert [f.name for f in fields(OfflineFitConfig)] == ["iters", "learning_rate"]
+    # the network, its penalty and its init belong to the learner's config,
+    # and the descent step is the solver's LEARNING_RATE
+    assert [f.name for f in fields(OfflineFitConfig)] == ["iters"]
 
 
 def test_compare_oos_pairing():

@@ -45,10 +45,6 @@ def test_config_validation():
             OnpgdConfig(**{name: 0.0}, init_sd=None)
         OnpgdConfig(**{name: 0.0})
     # the learner's own rejections name the config keys a run sets them by
-    with pytest.raises(ValueError, match=re.escape(
-            "n_particles (onpgd.n or an entry of sweep.n) must be >= 2 when "
-            "self_interaction (onpgd.self_interaction) is false")):
-        OnpgdConfig(self_interaction=False, n_particles=1)
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match=re.escape("init_sd (onpgd.init_sd) must be positive")):
             OnpgdConfig(init_sd=bad)
@@ -87,19 +83,6 @@ def test_hand_euler_step():
 
     out = step(thetas, (x, y), cfg, rng=substream(8, "noise"))
     assert np.max(np.abs(out - expected)) < 1e-12
-
-
-def test_leave_one_out_interaction():
-    cfg = OnpgdConfig(n_particles=3, lam=0.0, beta=0.0, self_interaction=False)
-    thetas = np.array([[0.5, 0.1, 0.0], [-0.3, 0.4, 0.2], [1.1, -0.2, 0.6]])
-    x, y = np.array([0.5]), 0.1
-    vals = np.array([sigma(x, t) for t in thetas])
-    expected = np.empty_like(thetas)
-    for i, t in enumerate(thetas):
-        others = vals[np.arange(3) != i].mean()
-        expected[i] = t + (-2.0 * (others - y) * grad_sigma(x, t)) * 0.1
-    out = step(thetas, (x, y), cfg, dt=0.1)
-    assert np.max(np.abs(out - expected)) < 1e-13
 
 
 def test_noise_variance_two_percent():
@@ -197,12 +180,11 @@ def test_run_online_rejects_bad_predict_xs():
 
 def _allocating_run(traj, config, rng, snapshot_at, predict_xs):
     """Reference training pass: the Euler step of traj.dt as whole-array
-    expressions, each allocating its result, with the error as an (N,)
-    vector in both interaction modes and one (N, d) noise draw from the
-    Generator rng per step.  Returns (train_pred, train_q, extra_pred,
-    snapshots, blow_up_step), with the pre-update states at the steps
-    snapshot_at as (k, thetas) pairs, stopping at the first step whose new
-    state is not finite."""
+    expressions, each allocating its result, with one (N, d) noise draw
+    from the Generator rng per step.  Returns (train_pred, train_q,
+    extra_pred, snapshots, blow_up_step), with the pre-update states at
+    the steps snapshot_at as (k, thetas) pairs, stopping at the first step
+    whose new state is not finite."""
     thetas = config.initial_sd() * rng.standard_normal((config.n_particles, traj.x_dim + 2))
     n = config.n_particles
     train_pred, train_q = np.empty(traj.n_steps), np.empty(traj.n_steps)
@@ -216,13 +198,9 @@ def _allocating_run(traj, config, rng, snapshot_at, predict_xs):
         x, y = traj.x[k - 1], traj.y[k - 1]
         vals, th = forward(thetas, x)
         mean = vals.mean()
-        if config.self_interaction:
-            err = (mean - y) * np.ones_like(vals)
-        else:
-            err = (n * mean - vals) / (n - 1) - y
         asech2 = thetas[:, 0] * (1.0 - th * th)
         grad = np.column_stack([th, asech2[:, None] * x[None, :], asech2])
-        drift = -config.lam * thetas - 2.0 * err[:, None] * grad
+        drift = -config.lam * thetas - 2.0 * (mean - y) * grad
         new = thetas + drift * traj.dt + np.sqrt(2.0 * config.beta * traj.dt) * noise
         if not np.all(np.isfinite(new)):
             return train_pred, train_q, extra_pred, snapshots, k
@@ -236,14 +214,13 @@ def noise_block(n_particles, x_dim):
     return NOISE_BLOCK_FLOATS // (n_particles * (x_dim + 2))
 
 
-@pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
 @pytest.mark.parametrize("beta", [0.0, 0.05])
-def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
+def test_run_online_matches_allocating_oracle_bitwise(beta):
     # on both scenarios and at horizons on either side of the noise block's
     # edges: a block's normals are the oracle's per-step draws, and the
     # Generator ends where the oracle's does, so a short last block draws
     # no more
-    cfg = OnpgdConfig(n_particles=40, lam=0.1, beta=beta, self_interaction=self_interaction)
+    cfg = OnpgdConfig(n_particles=40, lam=0.1, beta=beta)
     for gen in (gen_periodic, gen_nonlinear):
         B = noise_block(40, gen(6, n_steps=1)[0].x_dim)
         for K in (1, B - 1, B, B + 1, 2 * B + 37):
@@ -265,10 +242,9 @@ def test_run_online_matches_allocating_oracle_bitwise(self_interaction, beta):
             assert all(res.train_q[k - 1] == second_moment(snap) for k, snap in snapshots)
 
 
-@pytest.mark.parametrize("self_interaction", [True, False], ids=["full-mean", "leave-one-out"])
-def test_run_online_blow_up_names_the_oracle_step(self_interaction):
+def test_run_online_blow_up_names_the_oracle_step():
     train, test = gen_periodic(3, n_steps=200)
-    cfg = OnpgdConfig(n_particles=3, lam=1e6, beta=0.0, self_interaction=self_interaction)
+    cfg = OnpgdConfig(n_particles=3, lam=1e6, beta=0.0)
     with np.errstate(over="ignore"):
         *_, k = _allocating_run(train, cfg, substream(4, "onpgd"), (), test.x)
         assert k is not None
@@ -276,7 +252,7 @@ def test_run_online_blow_up_names_the_oracle_step(self_interaction):
             run_online(train, cfg, substream(4, "onpgd"), predict_xs=test.x)
     # and past the first noise block: a response of 1e308 at step B + 5
     # makes the interaction force overflow there
-    cfg = OnpgdConfig(n_particles=100, beta=0.0, self_interaction=self_interaction)
+    cfg = OnpgdConfig(n_particles=100, beta=0.0)
     B = noise_block(100, train.x_dim)
     y = train.y.copy()
     y[B + 4] = 1e308
@@ -301,3 +277,20 @@ def test_run_online_steps_at_the_stream_dt():
     other = run_online(coarse, cfg, substream(2, "onpgd"), predict_xs=test.x)
     assert not np.array_equal(other.train_q[1:], res.train_q[1:])
     assert not np.array_equal(other.train_pred[1:], res.train_pred[1:])
+
+
+def test_run_online_is_non_anticipative():
+    # the response y_{j+1} is consumed by the update of step j + 1: the
+    # moments and predictions up to that step's pre-update state keep their
+    # bits when it changes, and the next state's second moment moves
+    train, test = gen_nonlinear(4)
+    j = 600
+    y = train.y.copy()
+    y[j] += 1.0
+    perturbed = Trajectory(dt=train.dt, x=train.x, y=y)
+    cfg = OnpgdConfig()
+    res = run_online(train, cfg, substream(5, "onpgd"), predict_xs=test.x)
+    other = run_online(perturbed, cfg, substream(5, "onpgd"), predict_xs=test.x)
+    for name in ("train_pred", "train_q", "extra_pred"):
+        assert np.array_equal(getattr(res, name)[:j + 1], getattr(other, name)[:j + 1])
+    assert res.train_q[j + 1] != other.train_q[j + 1]
