@@ -11,7 +11,7 @@ Config files look like:
     onpgd.beta = 0.02
     sweep.beta = 0.005, 0.02, 0.05, 0.2
 
-One ``key = value`` per line; '#' starts a comment.  ``SCHEMA``
+One ``key = value`` per line, each key once; '#' starts a comment.  ``SCHEMA``
 declares each key's ``Settings`` field, value kind and range once.  A
 value is read as its key's kind where the text is one (an integer, a
 number, a true/false word), a comma makes a list, and any other text
@@ -54,8 +54,8 @@ def parse_value(key: str, text: str):
 
 
 def parse_config(text: str) -> dict:
-    """Parse config text into a flat {dotted-key: value} dict."""
-    out = {}
+    """Parse config text, each key set once, into a flat {key: value} dict."""
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,6 +66,9 @@ def parse_config(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ValueError(f"config line {lineno}: empty key")
+        if key in seen:
+            raise ValueError(f"config line {lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         out[key] = parse_value(key, value)
     return out
 

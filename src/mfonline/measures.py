@@ -15,22 +15,12 @@ directly, so every cost is priced from numbers.
 
 import numpy as np
 
-from .network import activations
+from .network import forward
 
 
 def predict(thetas, x) -> float:
     """Network prediction m = <rho, sigma(x, .)> of an ensemble (N, d)."""
-    thetas = np.asarray(thetas, dtype=float)
-    return float(predict_into(thetas, x, np.empty(len(thetas)), np.empty(len(thetas))))
-
-
-def predict_into(thetas, x, th, vals):
-    """Network prediction m of an ensemble array (N, d) at one covariate x,
-    leaving its activations and neuron values in th and vals, two (N,)
-    arrays, so that a caller that steps the ensemble allocates neither."""
-    activations(thetas, x, out=th)
-    np.multiply(thetas[:, 0], th, out=vals)
-    return vals.sum() / vals.size  # the bits of vals.mean(), at half its call cost
+    return float(forward(thetas, x)[0].mean())
 
 
 def sq_norms(thetas) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import predict_into, second_moment
+from .measures import second_moment
 
 
 class BlowUpError(RuntimeError):
@@ -74,16 +74,6 @@ def init_ensemble(config: OnpgdConfig, dim: int, rng) -> np.ndarray:
     return config.initial_sd() * rng.standard_normal((config.n_particles, dim))
 
 
-class _Workspace:
-    """The arrays an Euler step of an (N, d) ensemble writes besides the
-    next state, allocated once per pass: the activations th and neuron
-    values vals at the step's covariate and the interaction force grad."""
-
-    def __init__(self, shape):
-        self.th, self.vals = np.empty(shape[0]), np.empty(shape[0])
-        self.grad = np.empty(shape)
-
-
 def _draw_kicks(rng, config, dt, out):
     """Fill out, a C-contiguous (..., N, d) array, with the noise terms
     sqrt(2 beta dt) xi of as many Euler steps, xi standard normal: the
@@ -93,40 +83,54 @@ def _draw_kicks(rng, config, dt, out):
     return out
 
 
-def _advance(thetas, x, y, config, dt, kick, step_index, out, work) -> float:
+def _advance(thetas, xs, y, config, dt, kick, step_index, out):
     """One vectorized Euler step dt of the ensemble thetas into out, an
-    (N, d) array, driven by kick, the step's noise term from _draw_kicks;
-    work is the pass's _Workspace.  Returns the mean prediction at x.
+    (N, d) array, on the data point (xs[1], y), driven by kick, the step's
+    noise term from _draw_kicks.  xs pairs a scored covariate with the
+    train covariate.  Returns the pre-update ensemble's mean predictions
+    at the two and second_moment(out).
 
     Raises BlowUpError naming step_index if the new state is not finite.
     """
-    mean = predict_into(thetas, x, work.th, work.vals)
-    th, grad = work.th, work.grad
-    grad[:, 0] = th
-    asech2 = grad[:, -1]
-    np.multiply(th, th, out=asech2)
+    N, w = len(thetas), thetas[:, 1:-1].T
+    th = np.empty((2, N))
+    # one matrix-vector product per row: a (2, n) batch is one BLAS
+    # matrix product, whose bits differ from a single row's at n >= 3
+    np.dot(xs[0], w, out=th[0])
+    np.dot(xs[1], w, out=th[1])
+    th += thetas[:, -1]
+    np.tanh(th, out=th)
+    sums = np.add.reduce(thetas[:, 0] * th, axis=1)
+    mean = sums[1] / N
+
+    # the interaction force as rows (d, N), so that each product runs along
+    # a contiguous row; times the force's factor -2 (m - y), negated here so
+    # that the drift is a sum; x - y and x + (-y) are the same IEEE operation
+    t, force = th[1], np.empty(out.shape[::-1])
+    force[0] = t
+    asech2 = force[-1]
+    np.multiply(t, t, out=asech2)
     np.subtract(1.0, asech2, out=asech2)
     asech2 *= thetas[:, 0]
-    np.multiply(asech2[:, None], x, out=grad[:, 1:-1])
-    # times the interaction force's factor -2 (m - y), negated here so that
-    # the drift is a sum; x - y and x + (-y) are the same IEEE operation
-    grad *= -2.0 * (mean - y)
+    np.multiply(xs[1][:, None], asech2, out=force[1:-1])
+    force *= -2.0 * (mean - y)
 
-    # out = thetas + (-lam thetas + grad) dt + kick, accumulated in place
+    # out = thetas + (-lam thetas + force) dt + kick, accumulated in place
     np.multiply(thetas, -config.lam, out=out)
-    out += grad
+    out += force.T
     out *= dt
     out += thetas
     out += kick
     # the sum of squares is finite whenever every entry is, so the entrywise
     # test runs only when it is not, and a sum that merely overflows passes
-    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
+    q = second_moment(out)
+    if not math.isfinite(q) and not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))[0]
         raise BlowUpError(
             f"non-finite particle state at step {step_index}, "
             f"particle {bad[0]}, coordinate {bad[1]}"
         )
-    return float(mean)
+    return sums[0] / N, mean, q
 
 
 @dataclass
@@ -156,7 +160,7 @@ def run_online(traj, config: OnpgdConfig, rng, predict_xs) -> OnlineRunResult:
     The Generator rng draws the initial ensemble and then one (N, d) noise
     block per step, NOISE_BLOCK_FLOATS // (N d) steps' blocks at a time.
     predict_xs must be a (K, n) covariate array, evaluated with the
-    pre-update state each step.  The step's arrays are allocated once.
+    pre-update state each step.
     """
     K = traj.n_steps
     thetas = init_ensemble(config, traj.x_dim + 2, rng)
@@ -169,17 +173,17 @@ def run_online(traj, config: OnpgdConfig, rng, predict_xs) -> OnlineRunResult:
     train_q = np.empty(K)
     extra_pred = np.empty(K)
 
-    nxt, work = np.empty_like(thetas), _Workspace(thetas.shape)
+    nxt, q = np.empty_like(thetas), second_moment(thetas)
     block = min(K, max(1, NOISE_BLOCK_FLOATS // thetas.size))
     kicks = np.empty((block,) + thetas.shape)
     for lo in range(0, K, block):
         hi = min(lo + block, K)
         _draw_kicks(rng, config, traj.dt, kicks[:hi - lo])
         for k in range(lo + 1, hi + 1):
-            train_q[k - 1] = second_moment(thetas)
-            extra_pred[k - 1] = predict_into(thetas, predict_xs[k - 1], work.th, work.vals)
-            train_pred[k - 1] = _advance(thetas, traj.x[k - 1], traj.y[k - 1], config, traj.dt,
-                                         kicks[k - 1 - lo], k, nxt, work)
+            train_q[k - 1] = q
+            extra_pred[k - 1], train_pred[k - 1], q = _advance(
+                thetas, (predict_xs[k - 1], traj.x[k - 1]), traj.y[k - 1], config, traj.dt,
+                kicks[k - 1 - lo], k, nxt)
             thetas, nxt = nxt, thetas
 
     return OnlineRunResult(train_pred=train_pred, train_q=train_q, extra_pred=extra_pred)

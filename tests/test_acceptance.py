@@ -37,7 +37,7 @@ from mfonline.experiments import run_generate, run_oos_compare, run_regret_sweep
 from mfonline.measures import predict, second_moment
 from mfonline.network import forward
 from mfonline.offline import batch_loss, batch_loss_grad
-from mfonline.onpgd import OnpgdConfig, _advance, _draw_kicks, _Workspace, init_ensemble
+from mfonline.onpgd import OnpgdConfig, _advance, _draw_kicks, init_ensemble
 from mfonline.regret import cumulative_regret, instantaneous_regret
 from mfonline.seeding import substream
 from mfonline.stats import paired_tests
@@ -282,7 +282,7 @@ def test_c6_property_suite(tmp_path_factory, capsys):
 
     def step(ens, x, y, cfg, dt, kick, k):
         new = np.empty_like(ens)
-        _advance(ens, x, y, cfg, dt, kick, k, new, _Workspace(ens.shape))
+        _advance(ens, (x, x), y, cfg, dt, kick, k, new)
         return new
 
     det = step(thetas, x, y, cfg, dt, np.zeros_like(thetas), 1)

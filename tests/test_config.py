@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from mfonline.cli import main
 from mfonline.config import (OUT_ENV_VAR, SCHEMA, Settings, build_settings, parse_config,
                              parse_value)
 from mfonline.datastream import DT, N_STEPS, gen_periodic
@@ -40,6 +41,21 @@ def test_parse_rejects_malformed_lines():
         parse_config("just words")
     with pytest.raises(ValueError, match="empty key"):
         parse_config("= 3")
+
+
+def test_repeated_config_key_rejected(tmp_path, capsys):
+    # the second line would otherwise override the first without a word
+    text = "onpgd.n = 8\n# comment\ntrials = 2\nonpgd.n = 9\n"
+    with pytest.raises(ValueError, match=re.escape("config line 4: 'onpgd.n' is already set "
+                                                   "on line 1")):
+        parse_config(text)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    for command in ("generate", "oos-compare", "regret-sweep", "verify"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "'onpgd.n' is already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):

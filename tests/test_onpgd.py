@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -12,7 +13,6 @@ from mfonline.onpgd import (
     OnpgdConfig,
     _advance,
     _draw_kicks,
-    _Workspace,
     init_ensemble,
     run_online,
 )
@@ -32,7 +32,7 @@ def step(thetas, z, cfg, rng=None, k=1, dt=DT):
     if rng is not None:
         _draw_kicks(rng, cfg, dt, kick)
     out = np.empty_like(thetas)
-    _advance(thetas, z[0], z[1], cfg, dt, kick, k, out, _Workspace(thetas.shape))
+    _advance(thetas, (z[0], z[0]), z[1], cfg, dt, kick, k, out)
     return out
 
 
@@ -125,7 +125,7 @@ def test_permutation_equivariance():
 
     def permuted_step(order):
         out = np.empty_like(thetas)
-        _advance(thetas[order], z[0], z[1], cfg, DT, kick[order], 1, out, _Workspace(thetas.shape))
+        _advance(thetas[order], (z[0], z[0]), z[1], cfg, DT, kick[order], 1, out)
         return out
 
     plain = permuted_step(np.arange(6))
@@ -219,10 +219,11 @@ def test_run_online_matches_allocating_oracle_bitwise(beta):
     # on both scenarios and at horizons on either side of the noise block's
     # edges: a block's normals are the oracle's per-step draws, and the
     # Generator ends where the oracle's does, so a short last block draws
-    # no more
-    cfg = OnpgdConfig(n_particles=40, lam=0.1, beta=beta)
-    for gen in (gen_periodic, gen_nonlinear):
-        B = noise_block(40, gen(6, n_steps=1)[0].x_dim)
+    # no more; ensembles of 1 and 13 particles are not a multiple of the
+    # 8-lane SIMD width
+    for n_particles, gen in itertools.product((40, 1, 13), (gen_periodic, gen_nonlinear)):
+        cfg = OnpgdConfig(n_particles=n_particles, lam=0.1, beta=beta)
+        B = noise_block(n_particles, gen(6, n_steps=1)[0].x_dim)
         for K in (1, B - 1, B, B + 1, 2 * B + 37):
             train, test = gen(6, n_steps=K)
             at = sorted({1, K // 2 + 1, K})
@@ -294,3 +295,32 @@ def test_run_online_is_non_anticipative():
     for name in ("train_pred", "train_q", "extra_pred"):
         assert np.array_equal(getattr(res, name)[:j + 1], getattr(other, name)[:j + 1])
     assert res.train_q[j + 1] != other.train_q[j + 1]
+
+
+def test_scored_covariates_never_feed_the_learner(monkeypatch):
+    # the step prices the scored and the train covariate in one block; a
+    # change to the scored ones from step s on moves only their own
+    # predictions, from s on, and the learner's path keeps its bits
+    train, test = gen_nonlinear(4, n_steps=300)
+    cfg, s = OnpgdConfig(n_particles=13), 120
+    res = run_online(train, cfg, substream(5, "onpgd"), predict_xs=test.x)
+    xs = test.x.copy()
+    xs[s:] += 0.5
+    other = run_online(train, cfg, substream(5, "onpgd"), predict_xs=xs)
+    assert np.array_equal(res.train_pred, other.train_pred)
+    assert np.array_equal(res.train_q, other.train_q)
+    assert np.array_equal(res.extra_pred[:s], other.extra_pred[:s])
+    assert np.all(res.extra_pred[s:] != other.extra_pred[s:])
+
+    # each state's sum of squares is taken once: the initial draw's, then
+    # every new state's, which both screens for blow-up and is the next
+    # step's train_q
+    calls = []
+
+    def counted(thetas):
+        calls.append(1)
+        return second_moment(thetas)
+
+    monkeypatch.setattr("mfonline.onpgd.second_moment", counted)
+    run_online(train, cfg, substream(5, "onpgd"), predict_xs=test.x)
+    assert len(calls) == train.n_steps + 1
