@@ -55,7 +55,8 @@ def parse_value(key: str, text: str):
 
 def parse_config(text: str) -> dict:
     """Parse config text, each key set once, into a flat {key: value} dict."""
-    out, seen = {}, {}
+    out = {}
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -1,4 +1,4 @@
-"""The two-layer tanh neuron and its batched kernel.
+"""The two-layer tanh neuron: the one neuron kernel of the package.
 
 A neuron with parameter theta = (a, w, b) maps a covariate x to
 ``a * tanh(w @ x + b)``.  Parameters are flat vectors of length d = n + 2

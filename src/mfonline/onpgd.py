@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import second_moment
+from .network import activations
 
 
 class BlowUpError(RuntimeError):
@@ -92,21 +93,20 @@ def _advance(thetas, xs, y, config, dt, kick, step_index, out):
 
     Raises BlowUpError naming step_index if the new state is not finite.
     """
-    N, w = len(thetas), thetas[:, 1:-1].T
+    N = len(thetas)
     th = np.empty((2, N))
-    # one matrix-vector product per row: a (2, n) batch is one BLAS
-    # matrix product, whose bits differ from a single row's at n >= 3
-    np.dot(xs[0], w, out=th[0])
-    np.dot(xs[1], w, out=th[1])
-    th += thetas[:, -1]
-    np.tanh(th, out=th)
+    # one activations call per row: a (2, n) batch is one BLAS matrix
+    # product, whose bits differ from a single covariate's at n >= 3
+    activations(thetas, xs[0], out=th[0])
+    activations(thetas, xs[1], out=th[1])
     sums = np.add.reduce(thetas[:, 0] * th, axis=1)
     mean = sums[1] / N
 
     # the interaction force as rows (d, N), so that each product runs along
     # a contiguous row; times the force's factor -2 (m - y), negated here so
     # that the drift is a sum; x - y and x + (-y) are the same IEEE operation
-    t, force = th[1], np.empty(out.shape[::-1])
+    t = th[1]
+    force = np.empty(out.shape[::-1])
     force[0] = t
     asech2 = force[-1]
     np.multiply(t, t, out=asech2)
@@ -173,7 +173,8 @@ def run_online(traj, config: OnpgdConfig, rng, predict_xs) -> OnlineRunResult:
     train_q = np.empty(K)
     extra_pred = np.empty(K)
 
-    nxt, q = np.empty_like(thetas), second_moment(thetas)
+    nxt = np.empty_like(thetas)
+    q = second_moment(thetas)
     block = min(K, max(1, NOISE_BLOCK_FLOATS // thetas.size))
     kicks = np.empty((block,) + thetas.shape)
     for lo in range(0, K, block):
