@@ -418,6 +418,12 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _reject_repeats(names, what):
+    repeated = sorted({c for c in names if names.count(c) > 1})
+    if repeated:
+        raise ValueError(f"{what} named more than once: {repeated}")
+
+
 def run_stats(input_csv, columns=None) -> dict:
     """Summaries (and paired tests for two columns) of a numeric CSV."""
     rows = []
@@ -433,6 +439,7 @@ def run_stats(input_csv, columns=None) -> dict:
     if len(rows) < 2:
         raise ValueError(f"no data rows in {input_csv}: the file is empty or has a header only")
     header = rows[0]
+    _reject_repeats(header, "header columns")
     numeric = {}
     for j, name in enumerate(header):
         try:
@@ -443,9 +450,7 @@ def run_stats(input_csv, columns=None) -> dict:
         missing = [c for c in columns if c not in numeric]
         if missing:
             raise ValueError(f"columns not found or not numeric: {missing}")
-        repeated = sorted({c for c in columns if columns.count(c) > 1})
-        if repeated:
-            raise ValueError(f"columns named more than once: {repeated}")
+        _reject_repeats(columns, "columns")
         use = columns
     else:
         use = [c for c in numeric if c.lower() not in ("trial", "k", "iter", "sample_id", "t")]

@@ -15,13 +15,6 @@ directly, so every cost is priced from numbers.
 
 import numpy as np
 
-from .network import forward
-
-
-def predict(thetas, x) -> float:
-    """Network prediction m = <rho, sigma(x, .)> of an ensemble (N, d)."""
-    return float(forward(thetas, x)[0].mean())
-
 
 def sq_norms(thetas) -> np.ndarray:
     """Row squared norms |theta_i|^2 of an (n, d) array.

@@ -3,8 +3,8 @@
 A neuron with parameter theta = (a, w, b) maps a covariate x to
 ``a * tanh(w @ x + b)``.  Parameters are flat vectors of length d = n + 2
 in the order (a, w_1..w_n, b), stacked as rows of an (N, d) array.  The
-network is the average of its neurons under a measure: ``measures.predict``
-takes it for an ensemble, the benchmark solvers for their weighted samples.
+network is the average of its neurons under a measure: the learners take
+it for their ensembles, the benchmark solvers for their weighted samples.
 """
 
 import numpy as np

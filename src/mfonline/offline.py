@@ -39,32 +39,23 @@ class OfflineFitConfig:
             raise ValueError("need at least one iteration")
 
 
-def batch_loss(thetas, traj, lam: float, th=None) -> float:
-    """The batch objective L; see module docstring.
-
-    th is activations(thetas, traj.x), if the caller has it already.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    n = thetas.shape[0]
-    th = activations(thetas, traj.x) if th is None else th  # (K, N)
-    m = th @ thetas[:, 0] / n
-    return float(np.mean((m - traj.y) ** 2)) + 0.5 * lam * second_moment(thetas)
+def batch_loss(thetas, r, lam: float) -> float:
+    """The batch objective L at the pass's residual r = m(x_k) - y_k, a
+    (K,) array; see module docstring."""
+    return float(np.mean(r ** 2)) + 0.5 * lam * second_moment(thetas)
 
 
-def batch_loss_grad(thetas, traj, lam: float, th=None) -> np.ndarray:
+def batch_loss_grad(thetas, traj, lam: float, th, r) -> np.ndarray:
     """Exact Euclidean gradient of batch_loss in the (N, d) particle array.
 
-    th is activations(thetas, traj.x), if the caller has it already; it is
-    overwritten with the gradient's (K, N) sech^2 intermediates.  Every
-    reduction over the K data points is a BLAS matrix-vector or
-    matrix-matrix product.
+    th is activations(thetas, traj.x) and r the residual batch_loss was
+    given; th is overwritten with the gradient's (K, N) sech^2
+    intermediates.  Every reduction over the K data points is a BLAS
+    matrix-vector or matrix-matrix product.
     """
-    thetas = np.asarray(thetas, dtype=float)
     n, d = thetas.shape
     K = traj.n_steps
     a = thetas[:, 0]
-    th = activations(thetas, traj.x) if th is None else th  # (K, N)
-    r = th @ a / n - traj.y  # (K,)
     rx = np.empty((K, d - 1))  # r * (x, 1), the right factor of the w and b rows
     np.multiply(r[:, None], traj.x, out=rx[:, :-1])
     rx[:, -1] = r
@@ -89,21 +80,24 @@ def fit_offline(traj, config: OfflineFitConfig, learner: OnpgdConfig, rng):
     of the last iteration, at the parameters before its step.  Divergence
     (non-finite or loss above 1e6) raises DivergenceError naming the
     iteration, iters for the final loss.  Each of the iters + 1 passes
-    computes the activations once, shared by the loss and the gradient,
-    into one (K, N) buffer allocated once per call.
+    computes the activations, into one (K, N) buffer allocated once per
+    call, and the residual r = th @ a / N - y once, shared by the loss and
+    the gradient.
     """
+    n = learner.n_particles
     thetas = init_ensemble(learner, traj.x_dim + 2, rng)
-    th = np.empty((traj.n_steps, learner.n_particles))
+    th = np.empty((traj.n_steps, n))
 
     trace = np.empty(config.iters + 1)
     for j in range(config.iters + 1):
         activations(thetas, traj.x, out=th)
-        loss = batch_loss(thetas, traj, learner.lam, th)
+        r = th @ thetas[:, 0] / n - traj.y
+        loss = batch_loss(thetas, r, learner.lam)
         trace[j] = loss
         if not np.isfinite(loss) or loss > 1e6:
             raise DivergenceError(f"batch loss {loss!r} at iteration {j}")
         if j < config.iters:
-            grad = batch_loss_grad(thetas, traj, learner.lam, th)
+            grad = batch_loss_grad(thetas, traj, learner.lam, th, r)
             thetas = thetas - LEARNING_RATE * grad
     return thetas, trace, float(np.abs(grad).max())
 

@@ -34,15 +34,15 @@ from mfonline.equilibrium import (
     toy_rows,
 )
 from mfonline.experiments import run_generate, run_oos_compare, run_regret_sweep, run_verify
-from mfonline.measures import predict, second_moment
+from mfonline.measures import second_moment
 from mfonline.network import forward
-from mfonline.offline import batch_loss, batch_loss_grad
 from mfonline.onpgd import OnpgdConfig, _advance, _draw_kicks, init_ensemble
 from mfonline.regret import cumulative_regret, instantaneous_regret
 from mfonline.seeding import substream
 from mfonline.stats import paired_tests
 from mfonline.theory import BoundSpec, compute_constants
-from measure_oracle import weighted_predict, weighted_second_moment
+from measure_oracle import predict, weighted_predict, weighted_second_moment
+from test_offline import grad_at, loss_at
 
 MASTER = 1
 TRIALS = 30
@@ -340,7 +340,7 @@ def test_c6_property_suite(tmp_path_factory, capsys):
                       y=rng.normal(0.0, 0.5, size=12))
     th = rng.standard_normal((6, 3)) * 0.7
     lam = 0.25
-    g = batch_loss_grad(th, traj, lam)
+    g = grad_at(th, traj, lam)
     worst_fd = 0.0
     eps = 1e-6
     for i in range(6):
@@ -348,7 +348,7 @@ def test_c6_property_suite(tmp_path_factory, capsys):
             up, dn = th.copy(), th.copy()
             up[i, j] += eps
             dn[i, j] -= eps
-            fd = (batch_loss(up, traj, lam) - batch_loss(dn, traj, lam)) / (2 * eps)
+            fd = (loss_at(up, traj, lam) - loss_at(dn, traj, lam)) / (2 * eps)
             worst_fd = max(worst_fd, abs(fd - g[i, j]))
     checks.append(("gradient finite differences", worst_fd <= 1e-7,
                    f"worst {worst_fd:.1e}"))

