@@ -1,10 +1,11 @@
 """Tour of the two streaming environments.
 
-Both scenarios emit (x_k, y_k) pairs on the grid t_k = k*dt from a slow
+Both scenarios emit (x_k, y_k) pairs on the grid t_k = k*DT from a slow
 Ornstein-Uhlenbeck drift: the periodic scenario modulates a sine response,
 the nonlinear one warps a random feature map.  Each is a fixed model whose
-coefficients are constants of mfonline.datastream; a stream is rebuilt
-from one integer seed (and optionally its horizon n_steps and step dt).
+coefficients, and the grid step DT, are constants of mfonline.datastream;
+a stream is rebuilt from one integer seed (and optionally its horizon
+n_steps).
 """
 
 import os

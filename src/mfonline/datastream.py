@@ -1,7 +1,7 @@
 """Synthetic diffusion data streams with drifting conditional laws.
 
 Two scenario generators produce paired train/test trajectories observed on
-a uniform grid t_k = k*dt, k = 1..K:
+the uniform grid t_k = k*DT, k = 1..K:
 
 * periodic: scalar OU covariate, response sin(h t) * x plus an OU noise
   channel.  The regression function oscillates in time.
@@ -15,8 +15,8 @@ matter how calls are scheduled.  Covariates start from the stationary law
 of their OU process; observation noise starts at zero.
 
 Both scenarios are fixed models: their coefficients are the module
-constants below, and a generator takes only the seed, the horizon n_steps
-and the step dt, which default to N_STEPS and DT.
+constants below, and a generator takes only the seed and the horizon
+n_steps, which defaults to N_STEPS.
 """
 
 from dataclasses import dataclass, replace
@@ -43,44 +43,35 @@ class OuParams:
         if not self.vol >= 0:
             raise ValueError("vol must be nonnegative")
 
-    def check_step(self, dt: float) -> None:
-        """Reject a step at which the Euler chain diverges: it contracts
-        by |1 - rate dt| per step, so it is stable only for rate * dt < 2."""
-        if not dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.rate * dt < 2:
-            raise ValueError(f"unstable Euler OU step: rate * dt must be < 2, got {self.rate} * {dt!r}")
-
     def stationary_sd(self) -> float:
         if self.rate <= 0:
             raise ValueError("stationary law needs rate > 0")
         return self.vol / np.sqrt(2.0 * self.rate)
 
 
-def euler_ou_blocks(channels, n_steps: int, dt: float):
-    """Step Euler OU chains together, PHI_BLOCK steps at a time.
+def euler_ou_blocks(channels, n_steps: int):
+    """Step Euler OU chains together at the grid step DT, PHI_BLOCK steps
+    at a time.
 
     channels is a sequence of (params, x0, rng).  A channel starts at x0,
     a scalar or an array, and draws its standard normals from its own
     Generator rng, one (b,) + shape(x0) array per block of b steps: the
     normals of one (n_steps,) + shape(x0) draw.  The coordinates of all
     channels form one flat state, and each step is the chain
-    x' = x - rate (x - mean) dt + vol sqrt(dt) xi with every channel's
+    x' = x - rate (x - mean) DT + vol sqrt(DT) xi with every channel's
     (rate, mean, vol) spread over its coordinates, so a channel's bits do
     not depend on the channels stepped with it.
 
     Yields (lo, hi, states) per block, states holding one view per
     channel, of shape (hi - lo,) + shape(x0): the states after steps
     lo + 1 .. hi; x0 itself is not included.  The next block overwrites
-    them.  A step a channel diverges at is rejected (OuParams.check_step)
-    before the first block.
+    them.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     shapes, cols, x, rate, mean = [], [], [], [], []
     start = 0
     for params, x0, _ in channels:
-        params.check_step(dt)
         x0 = np.asarray(x0, dtype=float)
         shapes.append(x0.shape)
         cols.append(slice(start, start + x0.size))
@@ -94,14 +85,14 @@ def euler_ou_blocks(channels, n_steps: int, dt: float):
     for lo in range(0, n_steps, block):
         b = min(block, n_steps - lo)
         for (params, _, rng), shape, col in zip(channels, shapes, cols):
-            np.multiply(rng.standard_normal((b,) + shape).reshape(b, -1), params.vol * np.sqrt(dt),
+            np.multiply(rng.standard_normal((b,) + shape).reshape(b, -1), params.vol * np.sqrt(DT),
                         out=kicks[:b, col])
         prev = x
         for row, kick in zip(states[:b], kicks[:b]):
-            # x - (rate (x - mean)) dt + kick, in that order
+            # x - (rate (x - mean)) DT + kick, in that order
             np.subtract(prev, mean, out=row)
             row *= rate
-            row *= dt
+            row *= DT
             np.subtract(prev, row, out=row)
             row += kick
             prev = row
@@ -148,7 +139,7 @@ def response_second_moment(traj: Trajectory) -> float:
     return float(np.mean(traj.y**2))
 
 
-N_STEPS, DT = 1000, 0.02  # both scenarios' default horizon K and grid step
+N_STEPS, DT = 1000, 0.02  # both scenarios' default horizon K and their one grid step
 # periodic scenario
 PERIODIC_H = 0.3  # angular frequency of the regression coefficient
 PERIODIC_X_OU = OuParams(rate=0.5, mean=0.0, vol=1.0)
@@ -171,7 +162,7 @@ PHI_INIT_SD = 0.8
 PHI_BLOCK = 100
 
 
-def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, dt, truth, extra):
+def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, truth, extra):
     """Train and test trajectories with independent covariate and noise
     paths from the seed's train-x/train-xi and test-x/test-xi substreams,
     stepped together with the extra (params, x0, rng) channels.
@@ -187,15 +178,15 @@ def _stream_pair(seed, x_ou, x_shape, noise_ou, n_steps, dt, truth, extra):
         channels += [(x_ou, x0, rng), (noise_ou, 0.0, substream(seed, f"{part}-xi"))]
     xs = [np.empty((n_steps,) + x_shape) for _ in range(2)]
     xis, truths = ([np.empty(n_steps) for _ in range(2)] for _ in range(2))
-    for lo, hi, states in euler_ou_blocks(channels + extra, n_steps, dt):
+    for lo, hi, states in euler_ou_blocks(channels + extra, n_steps):
         for j, (x, xi, f) in enumerate(zip(xs, xis, truths)):
             x[lo:hi], xi[lo:hi] = states[2 * j], states[2 * j + 1]
             f[lo:hi] = truth(lo, hi, x[lo:hi], *states[4:])
-    return tuple(Trajectory(dt=dt, x=x, y=truth + xi, truth=truth)
+    return tuple(Trajectory(dt=DT, x=x, y=truth + xi, truth=truth)
                  for x, xi, truth in zip(xs, xis, truths))
 
 
-def gen_periodic(seed: int, n_steps: int = N_STEPS, dt: float = DT):
+def gen_periodic(seed: int, n_steps: int = N_STEPS):
     """Periodic scenario: returns (train, test) trajectories.
 
     Response y_k = sin(h t_k) x_k + xi_k, h = PERIODIC_H, with OU covariate
@@ -203,12 +194,12 @@ def gen_periodic(seed: int, n_steps: int = N_STEPS, dt: float = DT):
     use independent covariate and noise paths but the same deterministic
     coefficient.
     """
-    coeff = np.sin(PERIODIC_H * dt * np.arange(1, n_steps + 1))
-    return _stream_pair(seed, PERIODIC_X_OU, (), PERIODIC_NOISE_OU, n_steps, dt,
+    coeff = np.sin(PERIODIC_H * DT * np.arange(1, n_steps + 1))
+    return _stream_pair(seed, PERIODIC_X_OU, (), PERIODIC_NOISE_OU, n_steps,
                         lambda lo, hi, xs: coeff[lo:hi] * xs, [])
 
 
-def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
+def gen_nonlinear(seed: int, n_steps: int = N_STEPS):
     """Nonlinear scenario: returns (train, test) trajectories.
 
     One truth network per call, f_k(x) = (NONLINEAR_AMPLITUDE / M) sum_m
@@ -232,5 +223,5 @@ def gen_nonlinear(seed: int, n_steps: int = N_STEPS, dt: float = DT):
         return NONLINEAR_AMPLITUDE / M * vals.sum(axis=1)
 
     return _stream_pair(seed, NONLINEAR_X_OU, (NONLINEAR_X_DIM,), NONLINEAR_NOISE_OU,
-                        n_steps, dt, truth, [phi_path])
+                        n_steps, truth, [phi_path])
 

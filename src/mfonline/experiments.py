@@ -426,7 +426,7 @@ def _reject_repeats(names, what):
 
 def run_stats(input_csv, columns=None) -> dict:
     """Summaries (and paired tests for two columns) of a numeric CSV."""
-    rows = []
+    rows, lines = [], []
     with open(input_csv, newline="") as fh:
         reader = csv.reader(fh)
         for r in reader:
@@ -436,6 +436,7 @@ def run_stats(input_csv, columns=None) -> dict:
                 raise ValueError(f"line {reader.line_num}: expected the header's "
                                  f"{len(rows[0])} fields, got {len(r)}")
             rows.append(r)
+            lines.append(reader.line_num)
     if len(rows) < 2:
         raise ValueError(f"no data rows in {input_csv}: the file is empty or has a header only")
     header = rows[0]
@@ -456,6 +457,11 @@ def run_stats(input_csv, columns=None) -> dict:
         use = [c for c in numeric if c.lower() not in ("trial", "k", "iter", "sample_id", "t")]
     if not use:
         raise ValueError("no numeric value columns found")
+    for c in use:
+        bad = np.flatnonzero(~np.isfinite(numeric[c]))
+        if bad.size:
+            raise ValueError(f"line {lines[bad[0] + 1]}: column {c!r} is not finite: "
+                             f"{numeric[c][bad[0]]}")
     report = {"command": "stats", "input": str(input_csv),
               "summaries": {c: _summary_dict(numeric[c]) for c in use}}
     if len(use) == 2:

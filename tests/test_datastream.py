@@ -1,13 +1,15 @@
 import hashlib
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mfonline import datastream
 from mfonline.datastream import (
+    DT,
     NONLINEAR_AMPLITUDE,
     NONLINEAR_N_NEURONS,
+    NONLINEAR_NOISE_OU,
     NONLINEAR_X_DIM,
     PERIODIC_H,
     PERIODIC_NOISE_OU,
@@ -41,39 +43,38 @@ def test_ou_params_validation():
     assert abs(OuParams(rate=0.5, vol=1.0).stationary_sd() - 1.0) < 1e-15
 
 
-def stepped(channels, n_steps, dt):
+def stepped(channels, n_steps):
     """Each channel's whole path, joined from the blocks of euler_ou_blocks."""
     blocks = [[s.copy() for s in states]
-              for _, _, states in euler_ou_blocks(channels, n_steps, dt)]
+              for _, _, states in euler_ou_blocks(channels, n_steps)]
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def test_euler_ou_hand_step():
     # replay the generator's own noise and apply the recursion by hand
     params = OuParams(rate=0.8, mean=0.3, vol=0.5)
-    dt = 0.02
     noise = substream(11, "chk").standard_normal((3,))
-    [path] = stepped([(params, 1.0, substream(11, "chk"))], 3, dt)
+    [path] = stepped([(params, 1.0, substream(11, "chk"))], 3)
     x = 1.0
     for k in range(3):
-        x = x - params.rate * (x - params.mean) * dt + params.vol * np.sqrt(dt) * noise[k]
+        x = x - params.rate * (x - params.mean) * DT + params.vol * np.sqrt(DT) * noise[k]
         assert path[k] == x
 
 
 def test_euler_ou_deterministic_decay():
     # vol = 0: exact geometric relaxation toward the mean
-    params = OuParams(rate=2.0, mean=0.0, vol=0.0)
-    [path] = stepped([(params, 1.0, substream(0, "z"))], 250, 0.1)
-    expected = (1.0 - 2.0 * 0.1) ** np.arange(1, 251)
+    params = OuParams(rate=10.0, mean=0.0, vol=0.0)
+    [path] = stepped([(params, 1.0, substream(0, "z"))], 250)
+    expected = (1.0 - 10.0 * DT) ** np.arange(1, 251)
     assert np.max(np.abs(path - expected)) < 1e-14
 
 
 def test_euler_ou_stationary_variance():
     # discrete chain x' = a x + s xi with a = 1 - rate dt has stationary
     # variance s^2 / (1 - a^2); check the ensemble at a late step within 5%
-    rate, vol, dt = 0.5, 1.0, 0.02
-    a = 1.0 - rate * dt
-    target = (vol**2 * dt) / (1.0 - a * a)
+    rate, vol = 0.5, 1.0
+    a = 1.0 - rate * DT
+    target = (vol**2 * DT) / (1.0 - a * a)
     params = OuParams(rate=rate, mean=0.0, vol=vol)
     n_paths, k = 100_000, 400
     rng = substream(123, "var-oracle")
@@ -81,7 +82,7 @@ def test_euler_ou_stationary_variance():
     finals = np.empty(n_paths)
     for lo in range(0, n_paths, 20_000):  # chunk to bound memory
         hi = lo + 20_000
-        *_, (_, _, [last_block]) = euler_ou_blocks([(params, x0[lo:hi], rng)], k, dt)
+        *_, (_, _, [last_block]) = euler_ou_blocks([(params, x0[lo:hi], rng)], k)
         finals[lo:hi] = last_block[-1]
     observed = finals.var()
     assert abs(observed - target) / target < 0.05
@@ -89,28 +90,19 @@ def test_euler_ou_stationary_variance():
 
 def test_euler_ou_vector_state_and_errors():
     params = OuParams(rate=1.0, vol=0.2)
-    [path] = stepped([(params, np.zeros((4, 3)), substream(2, "v"))], 7, 0.05)
+    [path] = stepped([(params, np.zeros((4, 3)), substream(2, "v"))], 7)
     assert path.shape == (7, 4, 3)
+    with pytest.raises(ValueError):
+        list(euler_ou_blocks([(params, 0.0, substream(2, "v"))], 0))
 
-    def step(n_steps, dt):
-        return list(euler_ou_blocks([(params, 0.0, substream(2, "v"))], n_steps, dt))
 
-    with pytest.raises(ValueError):
-        step(0, 0.05)
-    with pytest.raises(ValueError):
-        step(5, 0.0)
-    with pytest.raises(ValueError):
-        step(5, float("nan"))
-    with pytest.raises(ValueError):
-        gen_periodic(1, n_steps=5, dt=float("nan"))
-    # from rate * dt = 2 on the chain does not contract; in the scenarios
-    # the noise channels (periodic rate 1.5, nonlinear rate 5.0) hit it first
-    with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
-        step(5, 2.0)
-    with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
-        gen_periodic(1, n_steps=5, dt=1.4)
-    with pytest.raises(ValueError, match=re.escape("rate * dt must be < 2")):
-        gen_nonlinear(1, n_steps=5, dt=0.5)
+def test_every_scenario_channel_contracts_at_the_grid_step():
+    # an Euler OU chain contracts by |1 - rate DT| per step, so it is stable
+    # only for rate * DT < 2; the fastest channel is the nonlinear noise
+    channels = [v for v in vars(datastream).values() if isinstance(v, OuParams)]
+    rates = [params.rate * DT for params in channels]
+    assert all(0 < r < 2 for r in rates)
+    assert max(rates) == NONLINEAR_NOISE_OU.rate * DT == 0.1
 
 
 def test_channels_stepped_together_equal_each_stepped_alone():
@@ -124,11 +116,11 @@ def test_channels_stepped_together_equal_each_stepped_alone():
         (lambda: (OuParams(rate=0.1, mean=-1.0, vol=2.0), np.zeros(4), substream(5, "c"))),
     ]
     for K in (1, PHI_BLOCK, 2 * PHI_BLOCK + 37):
-        together = stepped([make() for make in channels], K, 0.05)
+        together = stepped([make() for make in channels], K)
         for make, path in zip(channels, together):
-            [alone] = stepped([make()], K, 0.05)
+            [alone] = stepped([make()], K)
             assert np.array_equal(path, alone)
-            assert np.array_equal(path, euler_ou_path(*make()[:2], K, 0.05, make()[2]))
+            assert np.array_equal(path, euler_ou_path(*make()[:2], K, DT, make()[2]))
 
 
 def test_trajectory_basics_and_validation():
@@ -180,8 +172,8 @@ def test_gen_nonlinear_shared_truth_model():
     rng = substream(seed, "phi-init")
     phi_bar = PHI_INIT_SD * rng.standard_normal((M, d))
     phi0 = PHI_INIT_SD * rng.standard_normal((M, d))
-    phi = euler_ou_path(OuParams(rate=PHI_RATE, mean=phi_bar, vol=PHI_VOL), phi0, K,
-                        train.dt, substream(seed, "phi-path"))
+    phi = euler_ou_path(OuParams(rate=PHI_RATE, mean=phi_bar, vol=PHI_VOL), phi0, K, DT,
+                        substream(seed, "phi-path"))
     for traj in (train, test):
         for k in (0, 30, 59):
             want = NONLINEAR_AMPLITUDE / M * sum(sigma(traj.x[k], p) for p in phi[k])
@@ -196,18 +188,18 @@ def test_gen_nonlinear_deterministic():
 
 @pytest.mark.parametrize("K", [1, PHI_BLOCK - 1, PHI_BLOCK, PHI_BLOCK + 1, 2 * PHI_BLOCK + 37,
                                1000])
-@pytest.mark.parametrize("dt", [0.02, 0.05])
-def test_gen_nonlinear_blocks_match_whole_path(K, dt):
+@pytest.mark.parametrize("scenario", ["periodic", "nonlinear"])
+def test_gen_nonlinear_blocks_match_whole_path(K, scenario):
     # stepping every channel block by block draws the same normals and does
     # the same arithmetic as one whole-path draw per channel
     # (on either scenario; the name predates the periodic one's blocks)
-    for gen, oracle in ((gen_periodic, whole_path_periodic), (gen_nonlinear, whole_path_nonlinear)):
-        for seed in (1, 2, 3):
-            got = gen(seed, n_steps=K, dt=dt)
-            for traj, (x, y, truth) in zip(got, oracle(seed, K, dt)):
-                assert np.array_equal(traj.x, x.reshape(K, -1))
-                assert np.array_equal(traj.y, y)
-                assert np.array_equal(traj.truth, truth)
+    gen, oracle = {"periodic": (gen_periodic, whole_path_periodic),
+                   "nonlinear": (gen_nonlinear, whole_path_nonlinear)}[scenario]
+    for seed in (1, 2, 3):
+        for traj, (x, y, truth) in zip(gen(seed, n_steps=K), oracle(seed, K, DT)):
+            assert np.array_equal(traj.x, x.reshape(K, -1))
+            assert np.array_equal(traj.y, y)
+            assert np.array_equal(traj.truth, truth)
 
 
 @pytest.mark.parametrize("K", [37, 100, 250])

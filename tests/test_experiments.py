@@ -123,6 +123,22 @@ def test_run_stats_skips_blank_lines_and_rejects_short_rows(tmp_path):
     assert cli.main(["stats", "--input", str(short)]) == 1
 
 
+def test_run_stats_rejects_non_finite_values_by_column_and_line(tmp_path, capsys):
+    # float() reads nan and inf, which would print as NaN or Infinity, not
+    # JSON, and carry into the paired tests; a blank line still counts
+    nan = tmp_path / "nan.csv"
+    nan.write_text("a,b\n1,2\n\nnan,3\n4,5\n")
+    inf = tmp_path / "inf.csv"
+    write_csv(inf, ["a", "b"], [(i if i != 3 else "inf", i + 0.5) for i in range(1, 7)])
+    for path, line, value in ((nan, 4, "nan"), (inf, 4, "inf")):
+        with pytest.raises(ValueError, match=f"line {line}: column 'a' is not finite: {value}"):
+            run_stats(path)
+        assert cli.main(["stats", "--input", str(path)]) == 1
+        assert "is not finite" in capsys.readouterr().err
+    # a column left out of the summary is not read
+    assert list(run_stats(nan, columns=["b"])["summaries"]) == ["b"]
+
+
 def test_run_stats_rejects_a_repeated_header_name(tmp_path, capsys):
     # a dict keyed by name would keep the last of two same-named columns
     # and summarize it, and pair it, silently

@@ -268,16 +268,18 @@ def test_run_online_blow_up_names_the_oracle_step():
 
 
 def test_run_online_steps_at_the_stream_dt():
-    # one Euler step of the stream's own dt per observation: at dt = 0.05 the
-    # run is the oracle's at 0.05, and differs from the same data at 0.02
-    train, test = gen_periodic(3, n_steps=40, dt=0.05)
+    # one Euler step of the stream's own dt per observation: the draw's data
+    # on a grid of dt = 0.05 run as the oracle's at 0.05, and differ from
+    # the draw itself at its 0.02
+    fine, test = gen_periodic(3, n_steps=40)
+    train = Trajectory(dt=0.05, x=fine.x, y=fine.y)
     cfg = OnpgdConfig(n_particles=6)
     res = run_online(train, cfg, substream(2, "onpgd"), predict_xs=test.x)
     train_pred, train_q, *_ = _allocating_run(train, cfg, substream(2, "onpgd"), (), test.x)
     assert np.array_equal(res.train_pred, train_pred)
     assert np.array_equal(res.train_q, train_q)
-    coarse = Trajectory(dt=0.02, x=train.x, y=train.y)
-    other = run_online(coarse, cfg, substream(2, "onpgd"), predict_xs=test.x)
+    assert fine.dt == 0.02
+    other = run_online(fine, cfg, substream(2, "onpgd"), predict_xs=test.x)
     assert not np.array_equal(other.train_q[1:], res.train_q[1:])
     assert not np.array_equal(other.train_pred[1:], res.train_pred[1:])
 

@@ -26,6 +26,17 @@ def _fresh_interpreter(code):
     return proc.stdout.splitlines()
 
 
+def test_readme_library_quick_start_runs():
+    # the README's one Python block, run as a reader would paste it
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    [line] = _fresh_interpreter(code)
+    mse_online, mse_offline = map(float, line.split())
+    assert mse_online > 0 and mse_offline > 0
+
+
 def test_cli_start_up_leaves_scipy_unloaded():
     code = ("import sys, mfonline\n"
             "print(sorted(m for m in sys.modules if m.startswith('mfonline.')))\n"
