@@ -6,8 +6,9 @@ that gap is the cumulative regret.  The streams are the nonlinear
 scenario's fixed model at its default horizon (1000 steps of dt 0.02).
 Each init is one `run_regret_sweep` call over lambda 0.1 and 0.4, so the
 numbers printed are those of `mfonline regret-sweep --seed 1 --trials 3
---stride 200 --sweep-lambda 0.1,0.4` with `onpgd.n = 40` and `is.n =
-5000` (and `onpgd.init_sd = gibbs` for the second init).  Two stories,
+--stride 200` with `onpgd.n = 40`, `onpgd.lambda = 0.1, 0.4` (or
+`--sweep-lambda 0.1,0.4`) and `is.n = 5000` (and `onpgd.init_sd = gibbs`
+for the second init).  Two stories,
 three seeds each, at a reduced particle and sample count:
 
 * heavier weight decay (lambda 0.4 vs 0.1) raises cumulative regret, and
@@ -34,7 +35,7 @@ with tempfile.TemporaryDirectory() as out:
         report = run_regret_sweep(Settings(
             seed=1, scenario="nonlinear", trials=TRIALS, threads=8, out=out,
             experiment=f"init-{init_sd}", n_particles=40, n_is=N_IS, eval_stride=200,
-            init_sd=init_sd, sweep_lam=[0.1, 0.4]))
+            init_sd=init_sd, lam=[0.1, 0.4]))
         lo, hi = (c["cumulative_T_dynamic_regularized"]["mean"] for c in report["cells"])
         print(f"{label:20s} cumulative regret at T: lambda=0.1 {lo:+.3f}  "
               f"lambda=0.4 {hi:+.3f}  ratio {hi / lo:.2f}")

@@ -54,9 +54,9 @@ def build_parser():
     _setting(p, "--stride", "regret.stride", "evaluation subgrid stride")
     p.add_argument("--static", action="store_const", const=True, dest="regret.static",
                    help="also compute the fixed-benchmark series")
-    _setting(p, "--sweep-n", "sweep.n", "comma list of particle counts")
-    _setting(p, "--sweep-beta", "sweep.beta", "comma list of temperatures")
-    _setting(p, "--sweep-lambda", "sweep.lambda", "comma list of weight decays")
+    _setting(p, "--sweep-n", "onpgd.n", "comma list of particle counts; sets onpgd.n")
+    _setting(p, "--sweep-beta", "onpgd.beta", "comma list of temperatures; sets onpgd.beta")
+    _setting(p, "--sweep-lambda", "onpgd.lambda", "comma list of weight decays; sets onpgd.lambda")
 
     p = sub.add_parser("verify", help="run the numerical identity suite")
     _add_common(p)

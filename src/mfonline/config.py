@@ -8,16 +8,16 @@ Config files look like:
     seed = 7
     onpgd.n = 80
     onpgd.lambda = 0.1
-    onpgd.beta = 0.02
-    sweep.beta = 0.005, 0.02, 0.05, 0.2
+    onpgd.beta = 0.005, 0.02, 0.05, 0.2
 
 One ``key = value`` per line, each key once; '#' starts a comment.  ``SCHEMA``
 declares each key's ``Settings`` field, value kind and range once.  A
 value is read as its key's kind where the text is one (an integer, a
 number, a true/false word), a comma makes a list, and any other text
-stays a string, so ``experiment = 2024`` names a directory.  ``Settings``
-rejects a value of another kind, a number that is not finite, or an empty
-sweep list, with a message naming the key.
+stays a string, so ``experiment = 2024`` names a directory.  Each
+``GRID`` key takes one value or a list, whose entries span regret-sweep's
+learner grid.  ``Settings`` rejects a value of another kind, a number that
+is not finite, or an empty list, with a message naming the key.
 Command-line flags override file values, which override the defaults.
 """
 
@@ -98,7 +98,7 @@ def _at_least(low):
 POSITIVE = (lambda v: v > 0), "positive"
 
 # dotted config key -> (Settings field, value kind, range check or None);
-# a sweep.* kind and check apply to each entry of the list
+# a GRID key's kind and check apply to each entry of its list
 SCHEMA = {
     "scenario": ("scenario", STRING,
                  ((lambda v: v in ("periodic", "nonlinear")), "'periodic' or 'nonlinear'")),
@@ -118,10 +118,11 @@ SCHEMA = {
     # a stride beyond n_steps is left to each trial to report
     "regret.stride": ("eval_stride", INT, _at_least(1)),
     "regret.static": ("include_static", BOOL, None),
-    "sweep.n": ("sweep_n", INT, _at_least(1)),
-    "sweep.beta": ("sweep_beta", NUMBER, POSITIVE),
-    "sweep.lambda": ("sweep_lam", NUMBER, POSITIVE),
 }
+
+# the learner's (N, beta, lambda): each key takes one value or a comma
+# list, and regret-sweep runs every cell of their product
+GRID = ("onpgd.n", "onpgd.beta", "onpgd.lambda")
 
 
 @dataclass
@@ -136,9 +137,10 @@ class Settings:
     threads: int = 1
     experiment: str | None = None
     n_steps: int = N_STEPS
-    n_particles: int = OnpgdConfig.n_particles
-    lam: float = OnpgdConfig.lam
-    beta: float = OnpgdConfig.beta
+    # the GRID keys: one value or a list of values each
+    n_particles: int | list = OnpgdConfig.n_particles
+    lam: float | list = OnpgdConfig.lam
+    beta: float | list = OnpgdConfig.beta
     # learner particle init scale; the literal "gibbs" selects the
     # lambda-coupled N(0, beta/lambda) prior instead of a fixed scale
     init_sd: float | str | None = OnpgdConfig.init_sd
@@ -146,10 +148,6 @@ class Settings:
     offline_iters: int = OfflineFitConfig.iters
     eval_stride: int = 100
     include_static: bool = False
-    # None: not swept, the cell takes n_particles, beta or lam
-    sweep_n: list | None = None
-    sweep_beta: list | None = None
-    sweep_lam: list | None = None
 
     def __post_init__(self):
         if self.init_sd == "gibbs":
@@ -157,15 +155,9 @@ class Settings:
         for key, (name, (types, what), check) in SCHEMA.items():
             value = getattr(self, name)
             label = name if key == name else f"{name} ({key})"
-            entries = [value]
-            if key.startswith("sweep."):
-                if value is None:
-                    continue
-                # a scalar sweep value, 0 included, is a one-value sweep
-                entries = value if isinstance(value, list) else [value]
-                if not entries:
-                    raise ValueError(f"{label} must list at least one value, got []")
-                setattr(self, name, entries)
+            entries = value if key in GRID and isinstance(value, list) else [value]
+            if not entries:
+                raise ValueError(f"{label} must list at least one value, got []")
             for v in entries:
                 if not isinstance(v, types) or isinstance(v, bool) != (bool in types):
                     raise ValueError(f"{label} must be {what}, got {v!r}")

@@ -404,7 +404,7 @@ class QuadratureGrid:
     n_points: int = 2001
 
     def __post_init__(self):
-        if self.hi <= self.lo:
+        if not self.hi > self.lo:  # NaN fails too
             raise ValueError("need lo < hi")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("composite Simpson needs an odd n_points >= 3")

@@ -56,11 +56,27 @@ def generate_pair(settings: Settings, trial: int):
     return gen(seed, settings.n_steps)
 
 
-def learner_cell(settings: Settings, n, beta, lam):
-    """A parameter cell's name and learner config: N, beta and lambda as
-    given, every other learner setting from settings."""
-    config = OnpgdConfig(n_particles=n, lam=lam, beta=beta, init_sd=settings.init_sd)
-    return f"N{n}_beta{beta:g}_lambda{lam:g}", config
+def learner_grid(settings: Settings, single=False) -> dict:
+    """The (N, beta, lambda) grid that onpgd.n, onpgd.beta and onpgd.lambda
+    span, as {cell name: learner config} in grid order; every other
+    learner setting comes from settings.  Built before any trial, so a
+    value no config accepts, two cells whose names would share a
+    directory, or with single a grid of more than one cell, fail first."""
+    axes = (v if isinstance(v, list) else [v]
+            for v in (settings.n_particles, settings.beta, settings.lam))
+    cells = {}
+    for n, beta, lam in product(*axes):
+        beta, lam = float(beta), float(lam)
+        name = f"N{n}_beta{beta:g}_lambda{lam:g}"
+        if name in cells:
+            c = cells[name]
+            raise ValueError(f"learner cells (N, beta, lambda) = ({c.n_particles}, {c.beta!r}, "
+                             f"{c.lam!r}) and ({n}, {beta!r}, {lam!r}) share the name {name}")
+        cells[name] = OnpgdConfig(n_particles=n, lam=lam, beta=beta, init_sd=settings.init_sd)
+    if single and len(cells) > 1:
+        raise ValueError(f"onpgd.n, onpgd.beta and onpgd.lambda give {len(cells)} learner cells "
+                         f"({', '.join(cells)}); this command runs one, so set one value each")
+    return cells
 
 
 def cell_seed(settings: Settings, cell_name: str, trial: int) -> int:
@@ -169,7 +185,7 @@ def run_generate(settings: Settings) -> dict:
 def run_oos_compare(settings: Settings) -> dict:
     """Paired online/offline out-of-sample MSE over the trials."""
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-oos")
-    cell, onpgd = learner_cell(settings, settings.n_particles, settings.beta, settings.lam)
+    (cell, onpgd), = learner_grid(settings, single=True).items()
     offline = OfflineFitConfig(iters=settings.offline_iters)
 
     def one(trial):
@@ -210,26 +226,6 @@ def run_oos_compare(settings: Settings) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cells(settings: Settings) -> dict:
-    """The (N, beta, lambda) grid as {name: learner config}, in grid order,
-    built here so that a bad sweep value, a cell without a Gibbs prior, or
-    two cells whose names would share a directory fail before any trial."""
-    ns = settings.sweep_n or [settings.n_particles]
-    betas = settings.sweep_beta or [settings.beta]
-    lams = settings.sweep_lam or [settings.lam]
-    cells = {}
-    for n, beta, lam in product(ns, betas, lams):
-        beta, lam = float(beta), float(lam)
-        name, onpgd = learner_cell(settings, n, beta, lam)
-        onpgd.prior_var()  # the benchmarks' prior
-        if name in cells:
-            c = cells[name]
-            raise ValueError(f"sweep cells (N, beta, lambda) = ({c.n_particles}, {c.beta!r}, "
-                             f"{c.lam!r}) and ({n}, {beta!r}, {lam!r}) share the name {name}")
-        cells[name] = onpgd
-    return cells
-
-
 def run_regret_sweep(settings: Settings) -> dict:
     """Regret series and out-of-sample MSE per (N, beta, lambda) cell; each
     cell statistic is a _summary_dict over the cell's successful trials.
@@ -244,12 +240,15 @@ def run_regret_sweep(settings: Settings) -> dict:
     see ``RhoStarSolution.n_evals``), the largest final residual, the
     smallest final ESS and the number of trials whose final ESS is below
     LOW_ESS.
-    A sweep value that no config accepts raises before any trial runs.
+    A grid value that no config accepts, or a cell without a Gibbs prior,
+    raises before any trial runs.
     A trial that raises one of TRIAL_ERRORS is listed under its cell's
     ``failures``; any other exception propagates and ends the sweep.
     """
     root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-sweep")
-    cells = _sweep_cells(settings)
+    cells = learner_grid(settings)
+    for onpgd in cells.values():
+        onpgd.prior_var()  # the benchmarks' prior
 
     def one(task):
         name, trial = task
@@ -333,10 +332,11 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
     the sampling solver.  inject_bug passes rows (0.5, theta, 0), halving the
     neuron values, a negative control that must make cross-validation fail.
     """
-    beta, lam = settings.beta, settings.lam
+    (_, onpgd), = learner_grid(settings, single=True).items()
+    beta, lam = onpgd.beta, onpgd.lam
     # every check solves a Gibbs measure with prior N(0, beta / lam);
     # Settings allows beta = 0 for oos-compare
-    prior_var = learner_cell(settings, settings.n_particles, beta, lam)[1].prior_var()
+    prior_var = onpgd.prior_var()
     # the tilt is bounded, so the tails fall as the prior's: +-16 sd, at least +-8
     half = max(8.0, 16.0 * np.sqrt(prior_var))
     grid = QuadratureGrid(-half, half, 2001)
@@ -457,13 +457,17 @@ def run_stats(input_csv, columns=None) -> dict:
         use = [c for c in numeric if c.lower() not in ("trial", "k", "iter", "sample_id", "t")]
     if not use:
         raise ValueError("no numeric value columns found")
+    summaries = {}
     for c in use:
         bad = np.flatnonzero(~np.isfinite(numeric[c]))
         if bad.size:
             raise ValueError(f"line {lines[bad[0] + 1]}: column {c!r} is not finite: "
                              f"{numeric[c][bad[0]]}")
-    report = {"command": "stats", "input": str(input_csv),
-              "summaries": {c: _summary_dict(numeric[c]) for c in use}}
+        try:
+            summaries[c] = _summary_dict(numeric[c])
+        except ValueError as e:
+            raise ValueError(f"column {c!r}: {e}") from None
+    report = {"command": "stats", "input": str(input_csv), "summaries": summaries}
     if len(use) == 2:
         report["paired"] = _paired_dict(numeric[use[0]], numeric[use[1]])
     return report

@@ -10,7 +10,8 @@ differences a - b:
   exact null enumeration when n <= 12 (after dropping), otherwise the
   normal approximation with tie correction and continuity correction.
 
-All-zero differences make both tests degenerate and raise.
+All-zero differences make both tests degenerate and raise, and so do
+differences whose mean or sd overflows.
 
 ``scipy.special`` is imported inside the two tests, so that the CLI
 loads it only when it first runs a paired test.
@@ -46,23 +47,33 @@ class PairedTestResult:
 
 
 def summarize(values) -> StatsSummary:
-    """Mean, sample sd and 95% normal-approximation interval."""
+    """Mean, sample sd and 95% normal-approximation interval; raises
+    ValueError if one of them is not finite, as when finite values near
+    the float range overflow a sum."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("need a vector of at least two values")
     n = values.size
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1))
-    half = 1.96 * sd / np.sqrt(n)
-    return StatsSummary(n=n, mean=mean, sd=sd, ci_low=mean - half, ci_high=mean + half)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        sd = float(values.std(ddof=1))
+        half = 1.96 * sd / np.sqrt(n)
+        low, high = mean - half, mean + half
+    if not np.isfinite([mean, sd, low, high]).all():
+        raise ValueError(f"the summary is not finite: mean {mean}, sd {sd}, "
+                         f"interval [{low}, {high}]")
+    return StatsSummary(n=n, mean=mean, sd=sd, ci_low=low, ci_high=high)
 
 
 def _t_test(diffs):
     from scipy.special import betainc
 
     n = diffs.size
-    mean = float(diffs.mean())
-    sd = float(diffs.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(diffs.mean())
+        sd = float(diffs.std(ddof=1))
+    if not np.isfinite([mean, sd]).all():
+        raise ValueError(f"the differences' mean {mean} or sd {sd} is not finite")
     if sd == 0.0:
         if mean == 0.0:
             raise DegenerateDataError("all differences are zero")
@@ -135,7 +146,8 @@ def paired_tests(a, b) -> PairedTestResult:
         raise ValueError("a and b must be equal-length vectors")
     if a.size < 6:
         raise ValueError("need at least 6 pairs")
-    diffs = a - b
+    with np.errstate(over="ignore"):
+        diffs = a - b
     t_stat, t_p = _t_test(diffs)
     w_stat, w_p, exact = _wilcoxon(diffs)
     return PairedTestResult(

@@ -32,7 +32,7 @@ class BoundSpec:
 
     def __post_init__(self):
         for name in ("c_sigma", "c_z", "c_1", "lam", "beta"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
         if self.d < 1:
             raise ValueError("d must be a positive dimension")

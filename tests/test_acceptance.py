@@ -102,7 +102,7 @@ def regret_cells(tmp_path_factory):
     results = {}
     for i, (n, beta, lam) in enumerate(CELLS):
         settings = _settings(out, scenario="nonlinear", experiment=f"cell{i}",
-                             sweep_n=[n], sweep_beta=[beta], sweep_lam=[lam])
+                             n_particles=n, beta=beta, lam=lam)
         (cell,) = run_regret_sweep(settings)["cells"]
         assert cell["trials"] == TRIALS and cell["failures"] == [], cell["failures"]
         cell_dir = os.path.join(out, settings.experiment, cell["name"])

@@ -17,7 +17,7 @@ from functools import partial
 import pytest
 
 from mfonline.cli import _overrides, build_parser, main
-from mfonline.config import SCHEMA, Settings, build_settings, parse_value
+from mfonline.config import GRID, SCHEMA, Settings, build_settings, parse_value
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -50,16 +50,16 @@ def test_settings_flag_dests_are_config_keys():
                                           and a.type.func is parse_value
                                           and a.type.args == (a.dest,)), a.dest
     regret = {a.dest for a in _commands()["regret-sweep"]._actions}
-    assert {"regret.stride", "regret.static", "sweep.n", "sweep.beta", "sweep.lambda"} <= regret
+    assert {"regret.stride", "regret.static", *GRID} <= regret
     assert {a.dest for a in _commands()["stats"]._actions} == {"help", "input", "columns"}
 
 
 @pytest.mark.parametrize("flags, line", [
     (["--static"], "regret.static = yes"),
     (["--stride", "20"], "regret.stride = 20"),
-    (["--sweep-n", "20,200"], "sweep.n = 20, 200"),
-    (["--sweep-beta", "0.05"], "sweep.beta = 0.05"),
-    (["--sweep-lambda", "0.1,0.4"], "sweep.lambda = 0.1, 0.4"),
+    (["--sweep-n", "20,200"], "onpgd.n = 20, 200"),
+    (["--sweep-beta", "0.05"], "onpgd.beta = 0.05"),
+    (["--sweep-lambda", "0.1,0.4"], "onpgd.lambda = 0.1, 0.4"),
     (["--seed", "9"], "seed = 9"),
     (["--scenario", "periodic"], "scenario = periodic"),
     (["--experiment", "fig2"], "experiment = fig2"),
@@ -96,14 +96,14 @@ def test_bad_flag_fails_as_its_config_line_does(tmp_path, capsys, command, flags
 
 def test_flags_not_given_leave_the_file_values(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("regret.static = yes\nregret.stride = 20\nsweep.n = 20, 200\n"
-                    "sweep.beta = 0.05\nsweep.lambda = 0.4\nseed = 9\ntrials = 3\n"
+    path.write_text("regret.static = yes\nregret.stride = 20\nonpgd.n = 20, 200\n"
+                    "onpgd.beta = 0.05\nonpgd.lambda = 0.4\nseed = 9\ntrials = 3\n"
                     "threads = 2\nscenario = periodic\nexperiment = fig2\nout = runs\n")
     from_file = build_settings(config_path=path)
     assert _settings(["regret-sweep", "--config", str(path)]) == from_file
     # a given flag wins over the file, the rest stay
     s = _settings(["regret-sweep", "--config", str(path), "--stride", "5"])
-    assert s.eval_stride == 5 and s.include_static and s.sweep_n == [20, 200]
+    assert s.eval_stride == 5 and s.include_static and s.n_particles == [20, 200]
 
 
 def _perfbench_run():

@@ -2,11 +2,13 @@
 
 import os
 import re
+import textwrap
 
 import pytest
 
+from mfonline import config
 from mfonline.cli import main
-from mfonline.config import (OUT_ENV_VAR, SCHEMA, Settings, build_settings, parse_config,
+from mfonline.config import (GRID, OUT_ENV_VAR, SCHEMA, Settings, build_settings, parse_config,
                              parse_value)
 from mfonline.datastream import DT, N_STEPS, gen_periodic
 from mfonline.offline import OfflineFitConfig
@@ -23,7 +25,7 @@ def test_parse_coercion_and_comments():
     trials = 12
     onpgd.beta = 0.05
     regret.static = yes
-    sweep.beta = 0.005, 0.02, 0.05
+    onpgd.n = 20, 80
     experiment = fig2-rerun
     """
     cfg = parse_config(text)
@@ -32,7 +34,7 @@ def test_parse_coercion_and_comments():
     assert cfg["onpgd.beta"] == 0.05
     assert cfg["regret.static"] is True
     assert parse_value("regret.static", "off") is False
-    assert cfg["sweep.beta"] == [0.005, 0.02, 0.05]
+    assert cfg["onpgd.n"] == [20, 80]
     assert cfg["experiment"] == "fig2-rerun"
 
 
@@ -63,8 +65,9 @@ def test_unknown_config_key_rejected(tmp_path):
     # the mu* tolerance and the offline descent step are solver defaults, the
     # streams' step is datastream.DT and the learner interacts through the
     # full mean, so none of these is a key
+    # the learner grid is set by onpgd.n, onpgd.beta and onpgd.lambda alone
     for key in ("onpgd.gamma", "is.root_tol", "offline.lr", "onpgd.dt", "data.dt",
-                "onpgd.self_interaction"):
+                "onpgd.self_interaction", "sweep.n", "sweep.beta", "sweep.lambda"):
         path.write_text(f"{key} = 2\n")
         with pytest.raises(ValueError, match="unknown config keys: " + re.escape(key)):
             build_settings(config_path=path)
@@ -140,25 +143,23 @@ def test_init_sd_forms():
     assert s.init_sd is None
 
 
-def test_sweep_scalars_become_lists(tmp_path):
+def test_grid_keys_take_a_value_or_a_list(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("sweep.beta = 0.02\nsweep.n = 20, 200\n")
+    path.write_text("onpgd.beta = 0.02\nonpgd.n = 20, 200\nonpgd.lambda = 0.4,\n")
     s = build_settings(config_path=path)
-    assert s.sweep_beta == [0.02]
-    assert s.sweep_n == [20, 200]
-    assert s.sweep_lam is None  # not swept
-    # a zero is a value too, not an empty sweep, so its range check rejects it
-    for line in ("sweep.beta = 0", "sweep.lambda = 0.0", "sweep.n = 0"):
+    assert (s.beta, s.n_particles, s.lam) == (0.02, [20, 200], [0.4])
+    # a list lists at least one value, and only a GRID key takes one
+    for line in ("onpgd.beta = ,", "onpgd.n = ,", "is.n = 600, 1200"):
         path.write_text(line + "\n")
         key = line.split(" =")[0]
-        with pytest.raises(ValueError, match=re.escape(f"({key}) must be")):
+        with pytest.raises(ValueError, match=re.escape(f"({key}) must")):
             build_settings(config_path=path)
 
 
 @pytest.mark.parametrize("line", [
     "trials = 2.0", "seed = 1.5", "threads = yes", "data.n_steps = 6e1", "onpgd.n = 8.5",
-    "is.n = 6e2", "offline.iters = 3.5", "regret.stride = off", "sweep.n = 8.5",
-    "sweep.n = 20, 8.5", "sweep.n = true",
+    "is.n = 6e2", "offline.iters = 3.5", "regret.stride = off", "onpgd.n = 8.5, 20",
+    "onpgd.n = 20, 8.5", "onpgd.n = true",
 ])
 def test_integer_keys_reject_other_types(tmp_path, line):
     # a float count would be truncated or fail deep inside a run
@@ -171,7 +172,7 @@ def test_integer_keys_reject_other_types(tmp_path, line):
 
 @pytest.mark.parametrize("line", [
     "onpgd.beta = fast", "onpgd.lambda = yes", "onpgd.init_sd = true",
-    "sweep.beta = 0.02, fast", "sweep.beta = fast", "sweep.lambda = 0.1, no",
+    "onpgd.beta = 0.02, fast", "onpgd.beta = fast, 0.02", "onpgd.lambda = 0.1, no",
 ])
 def test_float_keys_reject_other_types(tmp_path, line):
     # a string or bool value would fail deep inside a run without naming
@@ -185,9 +186,9 @@ def test_float_keys_reject_other_types(tmp_path, line):
 
 def test_float_keys_take_integers(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("onpgd.lambda = 1\nsweep.beta = 1, 0.5\n")
+    path.write_text("onpgd.lambda = 1\nonpgd.beta = 1, 0.5\n")
     s = build_settings(config_path=path)
-    assert (s.lam, s.sweep_beta) == (1, [1, 0.5])
+    assert (s.lam, s.beta) == (1, [1, 0.5])
 
 
 def test_overrides_take_dotted_keys_only():
@@ -201,10 +202,10 @@ def test_overrides_take_dotted_keys_only():
     "onpgd.init_sd = 0", "is.n = 1", "offline.iters = 0", "scenario = 3",
     # a non-finite number would blow up every trial's learner at its first step
     "onpgd.beta = inf", "onpgd.lambda = inf", "onpgd.init_sd = inf",
-    "sweep.beta = 0.02, inf",
-    # each sweep entry is a learner's N, beta or lambda, checked by its own key
-    "sweep.n = 0", "sweep.n = 20, 0", "sweep.beta = -1", "sweep.beta = 0.02, 0",
-    "sweep.lambda = 0", "sweep.lambda = 0.1, -0.4",
+    "onpgd.beta = 0.02, inf",
+    # each entry of a GRID list is checked by its key; beta and lambda have
+    # no range here, the learner grid checks them (test_experiments)
+    "onpgd.n = 0, 20", "onpgd.n = 20, 0",
 ])
 def test_range_errors_name_the_key(tmp_path, line):
     path = tmp_path / "run.cfg"
@@ -255,11 +256,28 @@ def test_string_fields_reject_other_types(field, value):
         Settings(**{field: value})
 
 
+def test_config_examples_build_settings(tmp_path):
+    # the README's config block and the config module's docstring example,
+    # so that a renamed or removed key fails here
+    with open(README) as fh:
+        readme = fh.read()
+    examples = {
+        "README": readme.split("Config files are flat", 1)[1].split("```\n", 1)[1].split("```")[0],
+        "config": textwrap.dedent(
+            config.__doc__.split("Config files look like:\n\n", 1)[1].split("\n\n")[0]),
+    }
+    path = tmp_path / "example.cfg"
+    for name, text in examples.items():
+        path.write_text(text)
+        # each example shows a grid of betas
+        assert len(build_settings(config_path=path).beta) > 1, name
+
+
 def test_readme_lists_each_key_kind_and_range():
     with open(README) as fh:
         text = fh.read()
     for key, (_, (_, what), check) in SCHEMA.items():
-        each = " (each entry)" if key.startswith("sweep.") else ""
+        each = " (each entry)" if key in GRID else ""
         assert f"| `{key}` | {what}{each} | {check[1] if check else '-'} |" in text
     # and no row for a key that SCHEMA does not have
     assert re.findall(r"^\| `([^`]+)` \|", text, flags=re.M) == list(SCHEMA)

@@ -327,8 +327,9 @@ def test_grid_too_narrow():
 
 
 def test_quadrature_grid_validation():
-    with pytest.raises(ValueError):
-        QuadratureGrid(1.0, -1.0, 201)
+    for lo, hi in ((1.0, -1.0), (np.nan, 1.0), (-1.0, np.nan)):
+        with pytest.raises(ValueError, match="lo < hi"):
+            QuadratureGrid(lo, hi, 201)
     with pytest.raises(ValueError):
         QuadratureGrid(-1.0, 1.0, 200)  # even
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,35 @@ def test_run_stats_rejects_non_finite_values_by_column_and_line(tmp_path, capsys
     assert list(run_stats(nan, columns=["b"])["summaries"]) == ["b"]
 
 
+def test_cli_stats_rejects_a_summary_that_overflows(tmp_path, capsys):
+    # every value is finite, but the mean's sum or the sd's squares
+    # overflow, and the summary would print as Infinity or NaN, not JSON.
+    # Warnings are recorded here, not raised, so the exit code is the
+    # check's own
+    mean = tmp_path / "mean.csv"
+    write_csv(mean, ["a", "b"], [(1.0, 1e308), (2.0, 1e308), (3.0, 1e308)])
+    spread = tmp_path / "spread.csv"
+    write_csv(spread, ["a", "b"], [(1.0, 1e200), (2.0, -1e200), (3.0, 1.0)])
+    for path in (mean, spread):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["stats", "--input", str(path)]) == 1
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "ValueError: column 'b': the summary is not finite" in err
+    # finite summaries whose paired differences overflow: the paired block
+    # records the error as it does for degenerate data, in strict JSON
+    paired = tmp_path / "paired.csv"
+    write_csv(paired, ["a", "b"], [(2e307, -2e307)] * 6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["stats", "--input", str(paired)]) == 0
+    assert caught == []
+    rep = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
+    assert rep["paired"] == {"error": "the differences' mean inf or sd inf is not finite"}
+
+
 def test_run_stats_rejects_a_repeated_header_name(tmp_path, capsys):
     # a dict keyed by name would keep the last of two same-named columns
     # and summarize it, and pair it, silently
@@ -248,7 +278,7 @@ def test_oos_compare_reports_offline_grad_max(tmp_path):
     rep = run_oos_compare(s)
     with open(os.path.join(s.out_dir(), "periodic-oos", "report.json")) as fh:
         assert json.load(fh)["per_trial"] == rep["per_trial"]
-    cell, onpgd = exp.learner_cell(s, s.n_particles, s.beta, s.lam)
+    (cell, onpgd), = exp.learner_grid(s).items()
     offline = OfflineFitConfig(iters=s.offline_iters)
     for row in rep["per_trial"]:
         train, _ = generate_pair(s, row["trial"])
@@ -263,7 +293,7 @@ def test_oos_compare_reports_offline_grad_max(tmp_path):
 
 
 def test_regret_sweep_cell_grid(tmp_path):
-    s = small_settings(tmp_path, sweep_beta=[0.02, 0.05])
+    s = small_settings(tmp_path, beta=[0.02, 0.05])
     rep = run_regret_sweep(s)
     names = [c["name"] for c in rep["cells"]]
     assert names == ["N8_beta0.02_lambda0.1", "N8_beta0.05_lambda0.1"]
@@ -288,7 +318,7 @@ def test_regret_sweep_records_failures(tmp_path, monkeypatch):
         return real(train, test, onpgd, stride, seed, **kw)
 
     monkeypatch.setattr(exp, "regret_run", flaky)
-    s = small_settings(tmp_path, sweep_beta=[0.02, 0.05])
+    s = small_settings(tmp_path, beta=[0.02, 0.05])
     rep = run_regret_sweep(s)
     ok_cell, bad_cell = rep["cells"]
     assert ok_cell["failures"] == [] and "oos_mse" in ok_cell
@@ -313,8 +343,8 @@ def test_regret_sweep_raises_on_a_programming_error(tmp_path, monkeypatch):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
-    s1 = small_settings(tmp_path / "t1", trials=3, sweep_beta=[0.02, 0.05], threads=1)
-    s8 = small_settings(tmp_path / "t8", trials=3, sweep_beta=[0.02, 0.05], threads=8)
+    s1 = small_settings(tmp_path / "t1", trials=3, beta=[0.02, 0.05], threads=1)
+    s8 = small_settings(tmp_path / "t8", trials=3, beta=[0.02, 0.05], threads=8)
     run_regret_sweep(s1)
     run_regret_sweep(s8)
     b1 = tree_bytes(os.path.join(str(tmp_path / "t1"), "periodic-sweep"))
@@ -332,7 +362,7 @@ def test_sweep_reports_a_failed_data_draw_in_every_cell(tmp_path, monkeypatch):
         return real(settings, trial)
 
     monkeypatch.setattr(exp, "generate_pair", flaky)
-    s = small_settings(tmp_path, sweep_beta=[0.02, 0.05])
+    s = small_settings(tmp_path, beta=[0.02, 0.05])
     rep = run_regret_sweep(s)
     for cell in rep["cells"]:
         assert cell["failures"] == [
@@ -344,8 +374,8 @@ def test_sweep_reports_a_failed_data_draw_in_every_cell(tmp_path, monkeypatch):
 
 
 def test_static_sweep_reports_rho_star_and_keeps_bytes_across_threads(tmp_path):
-    s1 = small_settings(tmp_path / "t1", include_static=True, sweep_beta=[0.02, 0.05], threads=1)
-    s2 = small_settings(tmp_path / "t2", include_static=True, sweep_beta=[0.02, 0.05], threads=2)
+    s1 = small_settings(tmp_path / "t1", include_static=True, beta=[0.02, 0.05], threads=1)
+    s2 = small_settings(tmp_path / "t2", include_static=True, beta=[0.02, 0.05], threads=2)
     rep = run_regret_sweep(s1)
     run_regret_sweep(s2)
     b1 = tree_bytes(os.path.join(str(tmp_path / "t1"), "periodic-sweep"))
@@ -378,7 +408,7 @@ def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
     monkeypatch.setattr(exp, "regret_run", recording)
     rep = run_regret_sweep(Settings(
         scenario="periodic", seed=3, trials=2, out=str(tmp_path), n_steps=60,
-        n_particles=8, n_is=1200, eval_stride=20, sweep_beta=[0.005, 0.2]))
+        n_particles=8, n_is=1200, eval_stride=20, beta=[0.005, 0.2]))
     small, large = rep["cells"]
     # beta = 0.005 tilts the prior samples hard: 3 of its 8 points degenerate
     assert small["mu_star"]["low_ess"] == 3
@@ -390,13 +420,15 @@ def test_sweep_counts_low_ess_benchmark_points(tmp_path, monkeypatch):
                                    "low_ess": sum(e < exp.LOW_ESS for e in values)}
 
 
-@pytest.mark.parametrize("bad", [dict(sweep_n=[0]), dict(sweep_beta=[0.02, float("nan")]),
-                                 dict(sweep_beta=[-0.1]), dict(sweep_lam=[0.0]),
-                                 dict(sweep_lam=[0.1, float("nan")]), dict(sweep_beta=[0.0])])
+@pytest.mark.parametrize("bad", [dict(n_particles=[0]), dict(beta=[0.02, float("nan")]),
+                                 dict(beta=[-0.1]), dict(lam=[0.0]),
+                                 dict(lam=[0.1, float("nan")]), dict(beta=[0.0]),
+                                 dict(beta=[0.02, 0.0]), dict(lam=[0.1, -0.4])])
 def test_bad_sweep_value_fails_before_any_trial(tmp_path, bad):
     (name, _), = bad.items()
-    # Settings rejects a bad entry by its own sweep key
-    key = {"sweep_n": "sweep.n", "sweep_lam": "sweep.lambda", "sweep_beta": "sweep.beta"}[name]
+    # Settings, a learner config or its Gibbs prior rejects a bad entry by
+    # its key
+    key = {"n_particles": "onpgd.n", "lam": "onpgd.lambda", "beta": "onpgd.beta"}[name]
     with pytest.raises(ValueError, match=re.escape(f"({key}) must be")):
         run_regret_sweep(small_settings(tmp_path, **bad))
     assert not os.path.exists(os.path.join(str(tmp_path), "periodic-sweep"))
@@ -478,8 +510,11 @@ def test_cli_usage_errors_exit_one():
 
 def test_cli_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    # the streams' step and the learner's interaction are not settings
-    for line in ("onpgd.gamma = 2", "data.dt = 0.5", "onpgd.self_interaction = false"):
+    # the streams' step and the learner's interaction are not settings, and
+    # --sweep-n, --sweep-beta and --sweep-lambda set onpgd.n, onpgd.beta and
+    # onpgd.lambda
+    for line in ("onpgd.gamma = 2", "data.dt = 0.5", "onpgd.self_interaction = false",
+                 "sweep.n = 20, 200", "sweep.beta = 0.02", "sweep.lambda = 0.4"):
         cfg.write_text(line + "\n")
         out = tmp_path / "out"
         assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
@@ -526,17 +561,17 @@ def test_cli_bad_sweep_value_exits_one(tmp_path, capsys, flag, value):
     cfg = write_small_cfg(tmp_path)
     out = tmp_path / "sweepout"
     assert cli.main(["regret-sweep", "--config", cfg, "--out", str(out), flag, value]) == 1
-    key = {"--sweep-n": "sweep.n", "--sweep-beta": "sweep.beta", "--sweep-lambda": "sweep.lambda",
+    key = {"--sweep-n": "onpgd.n", "--sweep-beta": "onpgd.beta", "--sweep-lambda": "onpgd.lambda",
            "--stride": "regret.stride"}[flag]
     err = capsys.readouterr().err
     assert "ValueError: " in err and f"({key}) must" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["sweep.beta = 0", "sweep.lambda = 0.0", "sweep.beta = ,"])
+@pytest.mark.parametrize("line", ["onpgd.beta = 0", "onpgd.lambda = 0.0", "onpgd.beta = ,"])
 def test_cli_zero_sweep_value_in_config_exits_one(tmp_path, capsys, line):
-    # a falsy scalar or an empty list is still a sweep, and a bad one, not
-    # "no sweep"
+    # a zero has no Gibbs prior, and an empty list is a grid of no cell, not
+    # the default one
     cfg = write_small_cfg(tmp_path, line + "\n")
     out = tmp_path / "sweepout"
     assert cli.main(["regret-sweep", "--config", cfg, "--out", str(out)]) == 1
@@ -643,6 +678,32 @@ def test_cli_oos_compare_rejects_a_gibbs_init_without_prior(tmp_path, capsys):
     assert cli.main(["oos-compare", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "ValueError: beta (onpgd.beta) must be positive for the Gibbs prior" in err
+    assert not out.exists()
+
+
+def test_cli_onpgd_beta_names_the_cell_of_oos_compare_and_regret_sweep(tmp_path, capsys):
+    # one key per learner quantity: both commands read onpgd.beta
+    cfg = write_small_cfg(tmp_path, "onpgd.beta = 0.2\n")
+    for command in ("oos-compare", "regret-sweep"):
+        out = tmp_path / command
+        argv = [command, "--config", cfg, "--out", str(out), "--experiment", "e", "--trials", "1"]
+        assert cli.main(argv) == 0
+        rep = json.loads(capsys.readouterr().out)
+        cells = [rep["cell"]] if command == "oos-compare" else [c["name"] for c in rep["cells"]]
+        assert cells == ["N8_beta0.2_lambda0.1"]
+        assert sorted(os.listdir(out / "e")) == ["N8_beta0.2_lambda0.1", "report.json"]
+
+
+@pytest.mark.parametrize("command", ["oos-compare", "verify"])
+def test_cli_one_cell_command_rejects_a_grid(tmp_path, capsys, command):
+    # oos-compare and verify run one learner; a grid is regret-sweep's
+    cfg = write_small_cfg(tmp_path, "onpgd.beta = 0.02, 0.2\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("ValueError: onpgd.n, onpgd.beta and onpgd.lambda give 2 learner cells "
+            "(N8_beta0.02_lambda0.1, N8_beta0.2_lambda0.1)") in captured.err
     assert not out.exists()
 
 

@@ -127,6 +127,23 @@ def test_every_defined_name_is_read():
     assert unread == []
 
 
+def test_every_setting_is_read():
+    # a Settings field that no code reads as an attribute is a knob that no
+    # run turns; Settings.__post_init__, which checks every field, does not
+    # count as a reader
+    trees = _package_trees()
+    settings = next(node for node in trees["config.py"].body
+                    if isinstance(node, ast.ClassDef) and node.name == "Settings")
+    checks = next(node for node in settings.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    skipped = {id(node) for node in ast.walk(checks)}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in skipped}
+    fields = [node.target.id for node in settings.body if isinstance(node, ast.AnnAssign)]
+    assert fields and [name for name in fields if name not in read] == []
+
+
 def _perfbench(name):
     """The namespace of perfbench/<name>.py, run from its source: runpy
     writes no bytecode for it, and the modules it imports from perfbench/

@@ -22,6 +22,11 @@ def test_summarize_validation():
         summarize([1.0])
     with pytest.raises(ValueError, match="vector"):
         summarize(np.ones((3, 2)))
+    # finite values whose sum or sum of squares overflows; numpy's overflow
+    # warning stays inside summarize, so only the ValueError escapes
+    for values in ([1e308] * 3, [1e200, -1e200, 1.0]):
+        with pytest.raises(ValueError, match="the summary is not finite"):
+            summarize(values)
 
 
 def test_t_matches_scipy():
@@ -42,6 +47,11 @@ def test_t_infinite_when_spread_is_zero():
     assert r.t_stat == np.inf and r.t_pvalue == 0.0
     r = paired_tests(base - 0.5, base)
     assert r.t_stat == -np.inf and r.t_pvalue == 0.0
+    # but differences whose mean or sd overflows have no t statistic;
+    # numpy's overflow warning stays inside, so only the ValueError escapes
+    for a, b in (([2e307] * 6, [-2e307] * 6), ([1e308] * 6, [-1e308] * 6)):
+        with pytest.raises(ValueError, match="the differences' mean .* is not finite"):
+            paired_tests(a, b)
 
 
 def test_wilcoxon_all_positive_eight_pairs():

@@ -63,6 +63,11 @@ def test_boundspec_validation():
         BoundSpec(c_sigma=0.0, c_z=1.0, c_1=1.0, lam=1.0, beta=1.0, d=1)
     with pytest.raises(ValueError):
         BoundSpec(c_sigma=1.0, c_z=1.0, c_1=1.0, lam=-1.0, beta=1.0, d=1)
+    # NaN fails every comparison, so a check written as `x <= 0` lets it pass
+    ok = dict(c_sigma=1.0, c_z=1.0, c_1=1.0, lam=1.0, beta=1.0, d=1)
+    for name in ("c_sigma", "c_z", "c_1", "lam", "beta"):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            BoundSpec(**{**ok, name: math.nan})
     with pytest.raises(ValueError):
         BoundSpec(c_sigma=1.0, c_z=1.0, c_1=1.0, lam=1.0, beta=1.0, d=0)
 
