@@ -10,20 +10,20 @@ Config files look like:
     onpgd.lambda = 0.1
     onpgd.beta = 0.005, 0.02, 0.05, 0.2
 
-One ``key = value`` per line, each key once; '#' starts a comment.  ``SCHEMA``
-declares each key's ``Settings`` field, value kind and range once.  A
-value is read as its key's kind where the text is one (an integer, a
-number, a true/false word), a comma makes a list, and any other text
-stays a string, so ``experiment = 2024`` names a directory.  Each
-``GRID`` key takes one value or a list, whose entries span regret-sweep's
-learner grid.  ``Settings`` rejects a value of another kind, a number that
-is not finite, or an empty list, with a message naming the key.
+One ``key = value`` per line, each key once; '#' starts a comment.  Each
+``Settings`` field declares its key, value kind and range once, and
+``SCHEMA`` and ``GRID`` are read from those declarations.  A value is read
+as its key's kind where the text is one (an integer, a number, a
+true/false word), a comma makes a list, and any other text stays a
+string, so ``experiment = 2024`` names a directory.  Each ``GRID`` key
+takes one value or a list, whose entries span regret-sweep's learner
+grid.  ``Settings`` rejects a value of another kind, a number that is not
+finite, an empty list or an empty string, with a message naming the key.
 Command-line flags override file values, which override the defaults.
 """
 
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .datastream import N_STEPS
 from .offline import OfflineFitConfig
@@ -79,8 +79,6 @@ def load_config(path) -> dict:
         return parse_config(fh.read())
 
 
-OUT_ENV_VAR = "MFONLINE_OUT"
-
 # value kinds: the Python types a value may have, and how an error names
 # them; a bool is neither a count nor a number
 INT = (int,), "an integer"
@@ -88,6 +86,7 @@ NUMBER = (int, float), "a number"
 BOOL = (bool,), "true or false"
 STRING = (str,), "a string"
 TEXT = (str, type(None)), "a string"  # None: not set
+SCALE = (int, float, type(None)), "a number or 'gibbs'"  # None: "gibbs" once resolved
 
 
 def _at_least(low):
@@ -96,58 +95,46 @@ def _at_least(low):
 
 
 POSITIVE = (lambda v: v > 0), "positive"
+NON_EMPTY = (lambda v: v != ""), "non-empty"
 
-# dotted config key -> (Settings field, value kind, range check or None);
-# a GRID key's kind and check apply to each entry of its list
-SCHEMA = {
-    "scenario": ("scenario", STRING,
-                 ((lambda v: v in ("periodic", "nonlinear")), "'periodic' or 'nonlinear'")),
-    "trials": ("trials", INT, _at_least(1)),
-    "seed": ("seed", INT, ((lambda v: 0 <= v < 2**64), "in [0, 2**64) (unsigned 64-bit)")),
-    "out": ("out", TEXT, None),
-    "threads": ("threads", INT, _at_least(1)),
-    "experiment": ("experiment", TEXT, None),
-    "data.n_steps": ("n_steps", INT, _at_least(1)),
-    "onpgd.n": ("n_particles", INT, _at_least(1)),
-    "onpgd.lambda": ("lam", NUMBER, None),
-    "onpgd.beta": ("beta", NUMBER, None),
-    # "gibbs" (None once resolved) selects the lambda-coupled prior
-    "onpgd.init_sd": ("init_sd", ((int, float, type(None)), "a number or 'gibbs'"), POSITIVE),
-    "is.n": ("n_is", INT, _at_least(2)),
-    "offline.iters": ("offline_iters", INT, _at_least(1)),
-    # a stride beyond n_steps is left to each trial to report
-    "regret.stride": ("eval_stride", INT, _at_least(1)),
-    "regret.static": ("include_static", BOOL, None),
-}
 
-# the learner's (N, beta, lambda): each key takes one value or a comma
-# list, and regret-sweep runs every cell of their product
-GRID = ("onpgd.n", "onpgd.beta", "onpgd.lambda")
+def _key(key, default, kind, check=None, grid=False):
+    """A Settings field with its dotted config key, value kind and range
+    check (or None); a grid key's kind and check apply to each entry of
+    its list."""
+    return field(default=default, metadata={"key": key, "kind": kind, "check": check,
+                                            "grid": grid})
 
 
 @dataclass
 class Settings:
-    """Resolved run settings shared by all commands; a learner, offline,
-    stream or sample-count default is that of the object that uses it."""
+    """Resolved run settings shared by all commands, one field per config
+    key; a learner, offline, stream or sample-count default is that of the
+    object that uses it."""
 
-    scenario: str = "nonlinear"
-    trials: int = 30
-    seed: int = 1
-    out: str | None = None
-    threads: int = 1
-    experiment: str | None = None
-    n_steps: int = N_STEPS
-    # the GRID keys: one value or a list of values each
-    n_particles: int | list = OnpgdConfig.n_particles
-    lam: float | list = OnpgdConfig.lam
-    beta: float | list = OnpgdConfig.beta
+    scenario: str = _key("scenario", "nonlinear", STRING,
+                         ((lambda v: v in ("periodic", "nonlinear")), "'periodic' or 'nonlinear'"))
+    trials: int = _key("trials", 30, INT, _at_least(1))
+    seed: int = _key("seed", 1, INT,
+                     ((lambda v: 0 <= v < 2**64), "in [0, 2**64) (unsigned 64-bit)"))
+    out: str = _key("out", "out", STRING, NON_EMPTY)
+    threads: int = _key("threads", 1, INT, _at_least(1))
+    experiment: str | None = _key("experiment", None, TEXT, NON_EMPTY)
+    n_steps: int = _key("data.n_steps", N_STEPS, INT, _at_least(1))
+    # the GRID keys, the learner's N, lambda and beta: one value or a list
+    # each, and regret-sweep runs every cell of their product
+    n_particles: int | list = _key("onpgd.n", OnpgdConfig.n_particles, INT, _at_least(1),
+                                   grid=True)
+    lam: float | list = _key("onpgd.lambda", OnpgdConfig.lam, NUMBER, grid=True)
+    beta: float | list = _key("onpgd.beta", OnpgdConfig.beta, NUMBER, grid=True)
     # learner particle init scale; the literal "gibbs" selects the
     # lambda-coupled N(0, beta/lambda) prior instead of a fixed scale
-    init_sd: float | str | None = OnpgdConfig.init_sd
-    n_is: int = N_IS
-    offline_iters: int = OfflineFitConfig.iters
-    eval_stride: int = 100
-    include_static: bool = False
+    init_sd: float | str | None = _key("onpgd.init_sd", OnpgdConfig.init_sd, SCALE, POSITIVE)
+    n_is: int = _key("is.n", N_IS, INT, _at_least(2))
+    offline_iters: int = _key("offline.iters", OfflineFitConfig.iters, INT, _at_least(1))
+    # a stride beyond n_steps is left to each trial to report
+    eval_stride: int = _key("regret.stride", 100, INT, _at_least(1))
+    include_static: bool = _key("regret.static", False, BOOL)
 
     def __post_init__(self):
         if self.init_sd == "gibbs":
@@ -166,8 +153,12 @@ class Settings:
                 if check and v is not None and not check[0](v):
                     raise ValueError(f"{label} must be {check[1]}, got {v!r}")
 
-    def out_dir(self) -> str:
-        return self.out or os.environ.get(OUT_ENV_VAR) or "out"
+
+# dotted config key -> (Settings field, value kind, range check or None),
+# and the GRID keys, each in field order
+SCHEMA = {f.metadata["key"]: (f.name, f.metadata["kind"], f.metadata["check"])
+          for f in fields(Settings)}
+GRID = tuple(f.metadata["key"] for f in fields(Settings) if f.metadata["grid"])
 
 
 def build_settings(config_path=None, overrides=None) -> Settings:

@@ -148,7 +148,7 @@ def _paired_dict(a, b):
 
 def run_generate(settings: Settings) -> dict:
     """Write train/test trajectory CSVs for each trial."""
-    root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-data")
+    root = os.path.join(settings.out, settings.experiment or f"{settings.scenario}-data")
 
     def one(trial):
         train, test = generate_pair(settings, trial)
@@ -184,7 +184,7 @@ def run_generate(settings: Settings) -> dict:
 
 def run_oos_compare(settings: Settings) -> dict:
     """Paired online/offline out-of-sample MSE over the trials."""
-    root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-oos")
+    root = os.path.join(settings.out, settings.experiment or f"{settings.scenario}-oos")
     (cell, onpgd), = learner_grid(settings, single=True).items()
     offline = OfflineFitConfig(iters=settings.offline_iters)
 
@@ -245,7 +245,7 @@ def run_regret_sweep(settings: Settings) -> dict:
     A trial that raises one of TRIAL_ERRORS is listed under its cell's
     ``failures``; any other exception propagates and ends the sweep.
     """
-    root = os.path.join(settings.out_dir(), settings.experiment or f"{settings.scenario}-sweep")
+    root = os.path.join(settings.out, settings.experiment or f"{settings.scenario}-sweep")
     cells = learner_grid(settings)
     for onpgd in cells.values():
         onpgd.prior_var()  # the benchmarks' prior
@@ -409,7 +409,7 @@ def run_verify(settings: Settings, inject_bug=False) -> dict:
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
     }
-    _write_report(os.path.join(settings.out_dir(), settings.experiment or "verify"), report)
+    _write_report(os.path.join(settings.out, settings.experiment or "verify"), report)
     return report
 
 

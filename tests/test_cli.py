@@ -80,18 +80,23 @@ def test_flag_builds_the_same_settings_as_its_config_line(tmp_path, flags, line)
     ("generate", ["--scenario", "foo"], "scenario = foo"),
     ("generate", ["--threads", "0"], "threads = 0"),
     ("regret-sweep", ["--stride", "x"], "regret.stride = x"),
+    # an empty output root or experiment name would fall back to a default
+    ("generate", ["--out", ""], "out ="),
+    ("generate", ["--experiment", ""], "experiment ="),
 ])
-def test_bad_flag_fails_as_its_config_line_does(tmp_path, capsys, command, flags, line):
+def test_bad_flag_fails_as_its_config_line_does(tmp_path, monkeypatch, capsys, command, flags,
+                                                line):
+    # run in tmp_path, whose out/ is the default output root
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
-    out = ["--out", str(tmp_path / "out")]
-    assert main([command, "--config", str(path)] + out) == 1
+    assert main([command, "--config", str(path)]) == 1
     from_file = capsys.readouterr().err
-    assert main([command] + flags + out) == 1
+    assert main([command] + flags) == 1
     assert capsys.readouterr().err == from_file
     assert from_file.startswith("mfonline: error: ValueError: ")
-    assert line.split(" = ")[0] in from_file
-    assert not (tmp_path / "out").exists()
+    assert line.split(" =")[0] in from_file
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
 def test_flags_not_given_leave_the_file_values(tmp_path):

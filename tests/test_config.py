@@ -3,13 +3,13 @@
 import os
 import re
 import textwrap
+from dataclasses import fields
 
 import pytest
 
 from mfonline import config
 from mfonline.cli import main
-from mfonline.config import (GRID, OUT_ENV_VAR, SCHEMA, Settings, build_settings, parse_config,
-                             parse_value)
+from mfonline.config import GRID, SCHEMA, Settings, build_settings, parse_config, parse_value
 from mfonline.datastream import DT, N_STEPS, gen_periodic
 from mfonline.offline import OfflineFitConfig
 from mfonline.onpgd import OnpgdConfig
@@ -92,12 +92,26 @@ def test_unknown_override_rejected():
         build_settings(overrides={"onpgd.gamma": 1.0})
 
 
-def test_out_dir_resolution(monkeypatch):
-    monkeypatch.delenv(OUT_ENV_VAR, raising=False)
-    assert Settings().out_dir() == "out"
-    monkeypatch.setenv(OUT_ENV_VAR, "/tmp/envout")
-    assert Settings().out_dir() == "/tmp/envout"
-    assert Settings(out="explicit").out_dir() == "explicit"
+def test_out_dir_resolution(tmp_path):
+    # the default, then the config file, then the flag; no environment
+    # variable is read
+    assert Settings().out == "out"
+    path = tmp_path / "run.cfg"
+    path.write_text("out = runs\n")
+    assert build_settings(config_path=path).out == "runs"
+    assert build_settings(config_path=path, overrides={"out": "explicit"}).out == "explicit"
+    for key in ("out", "experiment"):
+        with pytest.raises(ValueError, match=f"^{key} must be non-empty, got ''$"):
+            Settings(**{key: ""})
+
+
+def test_each_setting_declares_one_key():
+    # SCHEMA is read from the fields, so a repeated key would drop a field
+    keys = [f.metadata.get("key") for f in fields(Settings)]
+    assert all(keys) and len(set(keys)) == len(keys) == 15
+    assert list(SCHEMA) == keys
+    assert [name for name, _, _ in SCHEMA.values()] == [f.name for f in fields(Settings)]
+    assert GRID == ("onpgd.n", "onpgd.lambda", "onpgd.beta")
 
 
 def test_settings_validation():

@@ -23,7 +23,7 @@ from mfonline import cli
 import mfonline.equilibrium as equilibrium
 import mfonline.experiments as exp
 import mfonline.regret as regret
-from mfonline.config import OUT_ENV_VAR, Settings
+from mfonline.config import Settings
 from mfonline.datastream import DT, gen_nonlinear
 from mfonline.equilibrium import ConvergenceError
 from mfonline.experiments import (
@@ -203,7 +203,7 @@ def test_generate_layout_and_determinism(tmp_path):
     rep = run_generate(s)
     assert rep["files_written"] == 6
     assert len(rep["trial_moments"]) == 3
-    root = os.path.join(s.out_dir(), "periodic-data")
+    root = os.path.join(s.out, "periodic-data")
     for trial in range(3):
         tdir = os.path.join(root, "periodic", f"trial{trial:03d}")
         assert os.path.exists(os.path.join(tdir, "train.csv"))
@@ -211,7 +211,7 @@ def test_generate_layout_and_determinism(tmp_path):
     assert os.path.exists(os.path.join(root, "report.json"))
 
     rep2 = run_generate(small_settings(tmp_path / "two", trials=3))
-    assert tree_bytes(os.path.join(s.out_dir(), "periodic-data")) == tree_bytes(
+    assert tree_bytes(os.path.join(s.out, "periodic-data")) == tree_bytes(
         os.path.join(str(tmp_path / "two"), "periodic-data"))
     assert rep == {**rep2}
 
@@ -220,7 +220,7 @@ def test_generate_csv_holds_the_trajectory_bits(tmp_path):
     s = small_settings(tmp_path, trials=1)
     run_generate(s)
     train, _ = generate_pair(s, 0)
-    path = os.path.join(s.out_dir(), "periodic-data", "periodic", "trial000", "train.csv")
+    path = os.path.join(s.out, "periodic-data", "periodic", "trial000", "train.csv")
     with open(path) as fh:
         header, *rows = [line.split(",") for line in fh.read().splitlines()]
     assert header == ["k", "t", "x1", "y", "truth"]
@@ -260,7 +260,7 @@ def test_oos_compare_small(tmp_path):
     assert len(rep["per_trial"]) == 6
     assert rep["panel_a"]["online"]["n"] == 6
     assert "t_pvalue" in rep["panel_b"]
-    cell_dir = os.path.join(s.out_dir(), "periodic-oos", rep["cell"])
+    cell_dir = os.path.join(s.out, "periodic-oos", rep["cell"])
     with open(os.path.join(cell_dir, "mse_pairs.csv")) as fh:
         lines = fh.read().strip().splitlines()
     assert lines[0] == "trial,mse_online,mse_offline"
@@ -276,7 +276,7 @@ def test_oos_compare_reports_offline_grad_max(tmp_path):
     # the gradient the fit's last descent step already computed, per trial
     s = small_settings(tmp_path)
     rep = run_oos_compare(s)
-    with open(os.path.join(s.out_dir(), "periodic-oos", "report.json")) as fh:
+    with open(os.path.join(s.out, "periodic-oos", "report.json")) as fh:
         assert json.load(fh)["per_trial"] == rep["per_trial"]
     (cell, onpgd), = exp.learner_grid(s).items()
     offline = OfflineFitConfig(iters=s.offline_iters)
@@ -306,7 +306,7 @@ def test_regret_sweep_cell_grid(tmp_path):
     for name in names:
         for trial in range(2):
             assert os.path.exists(os.path.join(
-                s.out_dir(), "periodic-sweep", name, f"trial{trial:03d}", "regret.csv"))
+                s.out, "periodic-sweep", name, f"trial{trial:03d}", "regret.csv"))
 
 
 def test_regret_sweep_records_failures(tmp_path, monkeypatch):
@@ -368,7 +368,7 @@ def test_sweep_reports_a_failed_data_draw_in_every_cell(tmp_path, monkeypatch):
         assert cell["failures"] == [
             {"trial": 1, "error": "ConvergenceError: covariate path did not converge"}]
         assert len(cell["oos_mse"]["values"]) == 1  # trial 0 alone
-        sweep = os.path.join(s.out_dir(), "periodic-sweep", cell["name"])
+        sweep = os.path.join(s.out, "periodic-sweep", cell["name"])
         assert os.path.exists(os.path.join(sweep, "trial000", "regret.csv"))
         assert not os.path.exists(os.path.join(sweep, "trial001"))
 
@@ -522,12 +522,16 @@ def test_cli_unknown_config_key_exits_one(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_generate_uses_env_out_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path / "envroot"))
+def test_cli_generate_writes_under_the_default_out_dir(tmp_path, monkeypatch, capsys):
+    # the output root comes from its default, the config file or --out and
+    # from no environment variable
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MFONLINE_OUT", str(tmp_path / "envroot"))
     cfg = write_small_cfg(tmp_path)
     rc = cli.main(["generate", "--config", cfg, "--trials", "1", "--seed", "3"])
     assert rc == 0
-    assert os.path.exists(tmp_path / "envroot" / "periodic-data" / "report.json")
+    assert os.path.exists(tmp_path / "out" / "periodic-data" / "report.json")
+    assert not os.path.exists(tmp_path / "envroot")
     capsys.readouterr()
 
 
@@ -726,6 +730,9 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "--seed", "1", *out]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True
+    # the report it prints is the one it writes under the output root
+    with open(tmp_path / "verify" / "report.json") as fh:
+        assert json.load(fh) == rep
     # every perturbed density has a strictly positive free-energy gap, and
     # the report carries the smallest one, not a floor of zero
     gap = {c["name"]: c for c in rep["checks"]}["gap_decomposition"]
@@ -736,13 +743,6 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     failed = {c["name"]: c["ok"] for c in rep["checks"]}
     assert failed["is_vs_quadrature"] is False  # the corruption is caught
     assert failed["gap_decomposition"] is True  # untouched checks still pass
-
-
-def test_cli_verify_uses_env_out_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path / "envroot"))
-    assert cli.main(["verify", "--seed", "1"]) == 0
-    with open(tmp_path / "envroot" / "verify" / "report.json") as fh:
-        assert json.load(fh) == json.loads(capsys.readouterr().out)
 
 
 def test_verify_gap_check_prices_the_cost_regret_uses(tmp_path, monkeypatch):

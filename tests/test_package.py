@@ -144,6 +144,22 @@ def test_every_setting_is_read():
     assert fields and [name for name in fields if name not in read] == []
 
 
+def test_no_setting_comes_from_the_environment():
+    # a setting's only sources are its default, the config file and its
+    # flag, so no module reads os.environ or calls os.getenv
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in reads
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{module}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{module}:{node.lineno} from os import {alias.name}"
+                          for alias in node.names if alias.name in reads]
+    assert found == []
+
+
 def _perfbench(name):
     """The namespace of perfbench/<name>.py, run from its source: runpy
     writes no bytecode for it, and the modules it imports from perfbench/
