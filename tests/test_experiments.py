@@ -730,9 +730,6 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "--seed", "1", *out]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True
-    # the report it prints is the one it writes under the output root
-    with open(tmp_path / "verify" / "report.json") as fh:
-        assert json.load(fh) == rep
     # every perturbed density has a strictly positive free-energy gap, and
     # the report carries the smallest one, not a floor of zero
     gap = {c["name"]: c for c in rep["checks"]}["gap_decomposition"]
@@ -744,6 +741,16 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert failed["is_vs_quadrature"] is False  # the corruption is caught
     assert failed["gap_decomposition"] is True  # untouched checks still pass
 
+
+def test_cli_verify_writes_under_the_default_out_dir(tmp_path, monkeypatch, capsys):
+    # without --out the report goes under ./out, whatever MFONLINE_OUT says,
+    # and the report verify prints is the one it writes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MFONLINE_OUT", str(tmp_path / "envroot"))
+    assert cli.main(["verify", "--seed", "1"]) == 0
+    with open(tmp_path / "out" / "verify" / "report.json") as fh:
+        assert json.load(fh) == json.loads(capsys.readouterr().out)
+    assert not os.path.exists(tmp_path / "envroot")
 
 def test_verify_gap_check_prices_the_cost_regret_uses(tmp_path, monkeypatch):
     # negative control: the free energy behind gap_decomposition is cost_u
